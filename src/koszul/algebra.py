@@ -92,38 +92,36 @@ class Presentation:
             space = self.relation_space(x, y)
         else:
             target = self.path_basis(n, x, y)
-            vectors = []
+            rows = []
             for aidx in self.quiver.in_arrows(y):
                 arrow = self.quiver.arrows[aidx]
                 sub = self.relation_piece(n - 1, x, arrow.source)
                 src = self.path_basis(n - 1, x, arrow.source)
-                for row in sub.basis.rows:
-                    vectors.append(self._append_arrow(row, src, aidx, target))
+                rows.extend(self._append_arrow(sub, src, aidx, target))
             for a in self.quiver.vertices:
                 gen = self.relations.get((a, y))
                 if gen is None:
                     continue
                 src = self.path_basis(2, a, y)
                 for q in self.path_basis(n - 2, x, a).paths:
-                    for row in gen.basis.rows:
-                        vectors.append(self._prepend_path(row, src, q, target))
-            space = Subspace.from_vectors(self.field, len(target), vectors)
+                    rows.extend(self._prepend_path(gen, src, q, target))
+            space = Subspace.from_sparse(self.field, len(target), rows)
         self._rel_piece[key] = space
         return space
 
-    def _append_arrow(self, row, src_basis, aidx, target_basis):
-        vec = [self.field.zero] * len(target_basis)
-        for coeff, p in zip(row, src_basis.paths):
-            if coeff:
-                vec[target_basis.index[p.arrows + (aidx,)]] = coeff
-        return vec
+    @staticmethod
+    def _append_arrow(space: Subspace, src_basis, aidx, target_basis) -> list[dict]:
+        """Sparse rows of space . arrow, from kQ_m(x, w) into kQ_{m+1}(x, y)."""
+        paths, index = src_basis.paths, target_basis.index
+        return [{index[paths[c].arrows + (aidx,)]: v for c, v in row.items()}
+                for row in space.sparse_rows]
 
-    def _prepend_path(self, row, src_basis, q: Path, target_basis):
-        vec = [self.field.zero] * len(target_basis)
-        for coeff, p in zip(row, src_basis.paths):
-            if coeff:
-                vec[target_basis.index[q.arrows + p.arrows]] = coeff
-        return vec
+    @staticmethod
+    def _prepend_path(space: Subspace, src_basis, q: Path, target_basis) -> list[dict]:
+        """Sparse rows of q . space (q traversed first) in the target path basis."""
+        paths, index, head = src_basis.paths, target_basis.index, q.arrows
+        return [{index[head + paths[c].arrows]: v for c, v in row.items()}
+                for row in space.sparse_rows]
 
     def algebra_piece(self, n: int, x, y) -> AlgebraPiece:
         """e_y Lambda_n e_x with its canonical representative paths."""
@@ -209,24 +207,22 @@ class Presentation:
         if n <= 1:
             space = Subspace.full(self.field, len(basis))
         else:
-            left_vectors = []
+            left_rows = []
             for aidx in self.quiver.in_arrows(x):
                 arrow = self.quiver.arrows[aidx]
                 sub = self.r_upper(n - 1, a, arrow.source)
                 src = self.path_basis(n - 1, a, arrow.source)
-                for row in sub.basis.rows:
-                    left_vectors.append(self._append_arrow(row, src, aidx, basis))
-            right_vectors = []
+                left_rows.extend(self._append_arrow(sub, src, aidx, basis))
+            right_rows = []
             for b in self.quiver.vertices:
                 gen = self.relations.get((b, x))
                 if gen is None:
                     continue
                 src = self.path_basis(2, b, x)
                 for q in self.path_basis(n - 2, a, b).paths:
-                    for row in gen.basis.rows:
-                        right_vectors.append(self._prepend_path(row, src, q, basis))
-            left = Subspace.from_vectors(self.field, len(basis), left_vectors)
-            right = Subspace.from_vectors(self.field, len(basis), right_vectors)
+                    right_rows.extend(self._prepend_path(gen, src, q, basis))
+            left = Subspace.from_sparse(self.field, len(basis), left_rows)
+            right = Subspace.from_sparse(self.field, len(basis), right_rows)
             space = left.intersect(right)
         self._r_upper[key] = space
         return space
@@ -258,14 +254,9 @@ class Presentation:
         """Carry a subspace of kQ_2(x,y) to kQ^o_2(y,x) along p -> p^o."""
         src = self.path_basis(2, x, y)
         opp_paths = PathEnumerator(opp_quiver, 2).basis(2, y, x)
-        vectors = []
-        for row in space.basis.rows:
-            vec = [self.field.zero] * len(opp_paths)
-            for coeff, p in zip(row, src.paths):
-                if coeff:
-                    vec[opp_paths.index[tuple(reversed(p.arrows))]] = coeff
-            vectors.append(vec)
-        return Subspace.from_vectors(self.field, len(opp_paths), vectors)
+        rows = [{opp_paths.index[tuple(reversed(src.paths[c].arrows))]: v
+                 for c, v in row.items()} for row in space.sparse_rows]
+        return Subspace.from_sparse(self.field, len(opp_paths), rows)
 
     def opposite(self) -> "Presentation":
         if self._opp is None:
@@ -319,8 +310,8 @@ class Presentation:
             for (x, z), space in self.relations.items():
                 basis = self.path_basis(2, x, z)
                 cols = set()
-                for row in space.basis.rows:
-                    cols.update(j for j, v in enumerate(row) if v)
+                for row in space.sparse_rows:
+                    cols.update(row)
                 supp[(x, z)] = frozenset(basis.paths[j].arrows for j in cols)
             self._support = supp
         return self._support
@@ -438,7 +429,7 @@ def subspace_circuits(space: Subspace):
     coefficient one; supports are enumerated in increasing size over the
     involved coordinates.
     """
-    involved = sorted({j for row in space.basis.rows for j, v in enumerate(row) if v})
+    involved = sorted({j for row in space.sparse_rows for j in row})
     if len(involved) > 22:
         raise ValueError("relation space too wide for circuit enumeration")
     found: list[tuple[frozenset, list]] = []

@@ -1,31 +1,28 @@
-"""Exact scalar arithmetic, dense matrices and canonical subspaces.
+"""Exact scalar arithmetic, matrices and canonical subspaces.
 
 Everything is computed over an exact field: arbitrary-precision rationals
 (`QQ`) or a prime field (`GF(p)`).  Subspaces are stored as canonical
 reduced row echelon bases, so subspace equality is plain data equality.
 
-The row-reduction kernels come from a compiled extension when available
-(`koszul._ckernels`, built from Cython) with a pure-Python fallback in
-`koszul._kernels`; set KOSZUL_PURE_PYTHON=1 to force the fallback.
+Matrices are dense row lists, but all row reduction is sparse: rows are
+handed to the kernels in `koszul._kernels` as ``{column: value}`` dicts of
+their non-zero entries, and over `QQ` only the non-zeros are converted to
+and from integers.  A `Subspace` keeps its canonical basis in this sparse
+form too (`Subspace.sparse_rows`), so spans of sparse vectors
+(`Subspace.from_sparse`) never materialise a dense matrix on the way in.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
-if os.environ.get("KOSZUL_PURE_PYTHON"):
-    from . import _kernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels as _impl
+from . import _kernels as _impl
 
 
 def kernel_backend() -> str:
-    """Name of the active row-reduction backend ("c" or "python")."""
+    """Name of the row-reduction backend (always "python")."""
     return _impl.BACKEND
 
 
@@ -268,17 +265,6 @@ class Matrix:
         return out
 
     @classmethod
-    def vstack(cls, field, mats: Sequence["Matrix"], ncols: int | None = None) -> "Matrix":
-        if ncols is None:
-            ncols = mats[0].ncols
-        rows = []
-        for m in mats:
-            if m.ncols != ncols:
-                raise ValueError("column mismatch in vstack")
-            rows.extend(m.rows)
-        return cls(field, len(rows), ncols, [list(r) for r in rows])
-
-    @classmethod
     def block(cls, field, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """Assemble a block matrix; every row/column of blocks must agree in shape."""
         if not grid:
@@ -311,46 +297,18 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Canonical reduced row echelon form (zero rows dropped)."""
-        if self.field.characteristic:
-            rows, pivots = _impl.rref_fp(self.rows, self.ncols, self.field.p)
-            return Matrix(self.field, len(rows), self.ncols, rows), pivots
-        int_rows = []
-        for r in self.rows:
-            den = 1
-            for v in r:
-                den = den * v.denominator // _gcd(den, v.denominator)
-            if den == 1:
-                int_rows.append([v.numerator for v in r])
-            else:
-                int_rows.append([v.numerator * (den // v.denominator) for v in r])
-        rows, pivots = _impl.rref_int(int_rows, self.ncols)
-        frac_rows = []
-        for r, c in zip(rows, pivots):
-            lead = r[c]
-            frac_rows.append([Fraction(v, lead) for v in r])
-        return Matrix(self.field, len(frac_rows), self.ncols, frac_rows), pivots
+        rows, pivots = _rref_sparse(self.field, _nonzeros(self.rows))
+        return _dense(self.field, self.ncols, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> "Matrix":
         """Canonical basis (as rows) of {v : A v = 0}."""
-        red, pivots = self.rref()
-        field = self.field
-        z, o = field.zero, field.one
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
-        rows = []
-        for c in free:
-            vec = [z] * self.ncols
-            vec[c] = o
-            for i, pc in enumerate(pivots):
-                coeff = red.rows[i][c]
-                if coeff:
-                    vec[pc] = -coeff if field.characteristic == 0 else (-coeff) % field.p
-            rows.append(vec)
+        rows, pivots = _rref_sparse(self.field, _nonzeros(self.rows))
+        null = _null_rows(self.field, self.ncols, rows, pivots)
         # canonicalize so two computations of the same kernel agree bit-exactly
-        return Subspace.from_matrix(Matrix(field, len(rows), self.ncols, rows)).basis
+        return Subspace.from_sparse(self.field, self.ncols, null).basis
 
     def column_space(self) -> "Subspace":
         return Subspace.from_matrix(self.transpose())
@@ -359,10 +317,69 @@ class Matrix:
         return [list(r) for r in self.rows]
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _nonzeros(rows) -> list[dict]:
+    """Dense rows as {column: value} dicts of their non-zero entries."""
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _dense(field, ncols: int, rows) -> Matrix:
+    """A dense matrix from {column: value} rows."""
+    z = field.zero
+    out = []
+    for r in rows:
+        d = [z] * ncols
+        for c, v in r.items():
+            d[c] = v
+        out.append(d)
+    return Matrix(field, len(out), ncols, out)
+
+
+def _rref_sparse(field, rows: list[dict]) -> tuple[list[dict], tuple[int, ...]]:
+    """Canonical RREF of sparse rows of field elements, zero rows dropped.
+
+    Over `QQ` each row is scaled to integers by the lcm of the denominators
+    of its non-zeros, and the integer rows the kernel returns are divided by
+    their leading entries; only non-zero entries are ever converted.
+    """
+    if not rows:
+        return [], ()      # the commonest request on small inputs: the span of nothing
+    if field.characteristic:
+        return _impl.rref_fp(rows, field.p)
+    int_rows = []
+    for r in rows:
+        den = 1
+        for v in r.values():
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        if den == 1:
+            int_rows.append({c: v.numerator for c, v in r.items()})
+        else:
+            int_rows.append({c: v.numerator * (den // v.denominator) for c, v in r.items()})
+    red, pivots = _impl.rref_int(int_rows)
+    out = []
+    for r, c in zip(red, pivots):
+        lead = r[c]
+        out.append({k: Fraction(v, lead) for k, v in r.items()})
+    return out, pivots
+
+
+def _null_rows(field, ncols: int, rows: list[dict], pivots) -> list[dict]:
+    """Sparse null space vectors of a sparse RREF, one per free column."""
+    p = field.characteristic
+    entries: dict[int, dict] = {}
+    for row, pc in zip(rows, pivots):
+        for c, v in row.items():
+            if c != pc:
+                entries.setdefault(c, {})[pc] = (-v) % p if p else -v
+    pivset = set(pivots)
+    out = []
+    for c in range(ncols):
+        if c not in pivset:
+            vec = entries.get(c, {})
+            vec[c] = field.one
+            out.append(vec)
+    return out
 
 
 def matrix_kernels(a: Matrix) -> tuple[int, Matrix, Matrix]:
@@ -388,33 +405,49 @@ def solve(a: Matrix, b: Sequence) -> list | None:
 
 
 class Subspace:
-    """Subspace of a coordinatized k^n, stored as a canonical RREF basis."""
+    """Subspace of a coordinatized k^n, stored as a canonical RREF basis.
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    `basis` is the basis as a dense matrix; `sparse_rows` holds the same
+    rows as {column: value} dicts of their non-zero entries.
+    """
 
-    def __init__(self, field, ambient: int, basis: Matrix, pivots: tuple[int, ...]):
+    __slots__ = ("field", "ambient", "basis", "pivots", "sparse_rows")
+
+    def __init__(self, field, ambient: int, basis: Matrix, pivots: tuple[int, ...],
+                 sparse_rows: list[dict]):
         self.field = field
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
+        self.sparse_rows = sparse_rows
+
+    @classmethod
+    def from_sparse(cls, field, ambient: int, rows: list[dict]) -> "Subspace":
+        """Span of vectors given as {column: value} dicts of field elements."""
+        red, pivots = _rref_sparse(field, rows)
+        return cls(field, ambient, _dense(field, ambient, red), pivots, red)
 
     @classmethod
     def from_matrix(cls, mat: Matrix) -> "Subspace":
-        red, pivots = mat.rref()
-        return cls(mat.field, mat.ncols, red, pivots)
+        return cls.from_sparse(mat.field, mat.ncols, _nonzeros(mat.rows))
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        return cls.from_matrix(Matrix.from_rows(field, vecs) if vecs else Matrix.zeros(field, 0, ambient))
+        rows = []
+        for vec in vectors:
+            if len(vec) != ambient:
+                raise ValueError(f"vector of length {len(vec)} in a space of dimension {ambient}")
+            rows.append({c: field.of(v) for c, v in enumerate(vec) if v})
+        return cls.from_sparse(field, ambient, rows)
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.zeros(field, 0, ambient), ())
+        return cls(field, ambient, Matrix.zeros(field, 0, ambient), (), [])
 
     @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
+        return cls(field, ambient, Matrix.identity(field, ambient), tuple(range(ambient)),
+                   [{i: field.one} for i in range(ambient)])
 
     @property
     def dim(self) -> int:
@@ -425,7 +458,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
@@ -436,17 +469,7 @@ class Subspace:
 
     def reduce(self, vec: Sequence) -> list:
         """Remainder of vec after reduction modulo the subspace."""
-        v = list(vec)
-        field = self.field
-        modp = field.characteristic
-        for row, c in zip(self.basis.rows, self.pivots):
-            f = v[c]
-            if f:
-                if modp:
-                    v = [(a - f * b) % modp for a, b in zip(v, row)]
-                else:
-                    v = [a - f * b for a, b in zip(v, row)]
-        return v
+        return self._eliminate(list(vec), None)
 
     def contains(self, vec: Sequence) -> bool:
         z = self.field.zero
@@ -457,31 +480,42 @@ class Subspace:
 
     def coordinates(self, vec: Sequence) -> list:
         """Coefficients of vec in the stored basis; raises if not a member."""
-        v = list(vec)
-        coords = []
-        field = self.field
-        modp = field.characteristic
-        for row, c in zip(self.basis.rows, self.pivots):
-            f = v[c]
-            coords.append(f)
-            if f:
-                if modp:
-                    v = [(a - f * b) % modp for a, b in zip(v, row)]
-                else:
-                    v = [a - f * b for a, b in zip(v, row)]
-        if any(a != field.zero for a in v):
+        coords: list = []
+        v = self._eliminate(list(vec), coords)
+        if any(a != self.field.zero for a in v):
             raise ValueError("vector not in subspace")
         return coords
 
+    def _eliminate(self, v: list, coords: list | None) -> list:
+        """Subtract from v, in place, its pivot entries times the basis rows.
+
+        The basis rows vanish at each other's pivots, so each coefficient is
+        read off v as it stands; they are appended to `coords` if given.
+        """
+        modp = self.field.characteristic
+        for row, c in zip(self.sparse_rows, self.pivots):
+            f = v[c]
+            if coords is not None:
+                coords.append(f)
+            if f:
+                if modp:
+                    for k, b in row.items():
+                        v[k] = (v[k] - f * b) % modp
+                else:
+                    for k, b in row.items():
+                        v[k] -= f * b
+        return v
+
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        stacked = Matrix.vstack(self.field, [self.basis, other.basis], self.ambient)
-        return Subspace.from_matrix(stacked)
+        return Subspace.from_sparse(self.field, self.ambient,
+                                    self.sparse_rows + other.sparse_rows)
 
     def perp(self) -> "Subspace":
         """Annihilator subspace in the dual coordinates."""
-        ker = self.basis.kernel_basis() if self.dim else Matrix.identity(self.field, self.ambient)
-        return Subspace.from_matrix(ker)
+        return Subspace.from_sparse(self.field, self.ambient,
+                                    _null_rows(self.field, self.ambient, self.sparse_rows,
+                                               self.pivots))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -494,10 +528,11 @@ class Subspace:
             raise ValueError("not a subspace: quotient undefined")
         rows = []
         current = sub
-        for r in self.basis.rows:
+        for r, sparse in zip(self.basis.rows, self.sparse_rows):
             if not current.contains(r):
                 rows.append(list(r))
-                current = current.add(Subspace.from_vectors(self.field, self.ambient, [r]))
+                current = Subspace.from_sparse(self.field, self.ambient,
+                                               current.sparse_rows + [sparse])
         return Matrix(self.field, len(rows), self.ambient, rows)
 
     def _check(self, other: "Subspace"):

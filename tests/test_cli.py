@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from tests.conftest import presentations_dir
 BISERIAL = str(presentations_dir() / "biserial.kz")
 MULTISERIAL = str(presentations_dir() / "multiserial.kz")
 EMPTY = str(presentations_dir() / "empty.kz")
+KRONECKER = str(presentations_dir() / "kronecker.kz")
 
 
 def run(capsys, *argv):
@@ -55,6 +57,40 @@ def test_check_koszul_verdicts_and_exit_codes(capsys):
     f = data["certificate"]["failures"][0]
     assert (f["vertex"], f["position"], f["degree"]) == ("1", -2, 4)
     assert f["witness_dim"] == 1
+
+
+# sha256 of the `--json` stdout of each shipped presentation, recorded before
+# the row reduction became sparse; verdicts, witnesses and JSON bytes must not
+# change with the linear algebra underneath.
+PINNED_JSON = [
+    (("check-koszul", BISERIAL, "-N", "4"),
+     "d0ea21140119cdcb062fdcb72f320bdba5c4748426e0977d329181ec2b51cc5c"),
+    (("check-koszul", MULTISERIAL),
+     "fd264fb35d262d7ddeb9cbb81758eb69532e8a6758116ca64b61b1278c745e03"),
+    (("check-koszul", MULTISERIAL, "-N", "8", "--window", "-2", "14"),
+     "9605bbf2a25acbe044f56bba0e521a878398469b98fc245997fce1ec1641802d"),
+    (("check-koszul", KRONECKER),
+     "1d3a732a272494c09f5f8ebf889b9b9f962952d8856112d12bf3139455635687"),
+    (("check-koszul", EMPTY),
+     "790d72b5baf374669711cc5bc09b1e4ffd4238b906ab6767456a70f738a68d7e"),
+    (("check-koszul", MULTISERIAL, "--field", "101"),
+     "fd264fb35d262d7ddeb9cbb81758eb69532e8a6758116ca64b61b1278c745e03"),
+    (("dual", BISERIAL),
+     "7a4163c5ef1e9bc730a49f273f7fcff7ae7f14de75b5f031ea8bce8d2583c86b"),
+    (("dual", MULTISERIAL, "--field", "101"),
+     "f98a9cb5dfb516294436b8c327c084f92a805e37c5284ab1f038f96a738b11b9"),
+    (("resolve", MULTISERIAL, "--module", "simple:1", "-N", "4"),
+     "b00593f6113631500645163724483e06ea06fb89995f54641478760522ef5cc6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_JSON,
+                         ids=[" ".join(a[:1] + (a[1].rsplit("/", 1)[-1],) + a[2:])
+                              for a, _ in PINNED_JSON])
+def test_json_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_human_and_json_verdicts_agree(capsys):

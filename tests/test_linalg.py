@@ -2,16 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from koszul import _kernels
 from koszul.linalg import GF, Matrix, QQ, Subspace, matrix_kernels, solve, subspace_algebra
-
-try:
-    from koszul import _ckernels
-except ImportError:
-    _ckernels = None
 
 P_CHECK = 1000003
 
@@ -51,26 +47,37 @@ def test_subspace_trivial_cases():
     assert same_sum == u and same_int == u
 
 
-def _stacked_rank_oracle(rows, ncols):
-    """Independent elimination over Fraction, no canonical form."""
-    mat = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
+def _reference_rref(rows, ncols, p=0):
+    """Textbook Gauss-Jordan, column by column, over Fraction or mod p.
+
+    Returns the non-zero rows of the reduced row echelon form and the pivots.
+    """
+    if p:
+        mat = [[v % p for v in r] for r in rows]
+    else:
+        mat = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
     for c in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
+        mat[r], mat[piv] = mat[piv], mat[r]
+        if p:
+            s = pow(mat[r][c], p - 2, p)
+            mat[r] = [v * s % p for v in mat[r]]
+        else:
+            s = 1 / mat[r][c]
+            mat[r] = [v * s for v in mat[r]]
         for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                f = mat[i][c] / prow[c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        rank += 1
-    return rank
+            f = mat[i][c]
+            if i != r and f:
+                if p:
+                    mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+                else:
+                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], tuple(pivots)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -81,7 +88,7 @@ def test_dimension_formula_against_stacked_oracle(seed):
     u = Subspace.from_vectors(QQ, 7, urows)
     v = Subspace.from_vectors(QQ, 7, vrows)
     s, i, _, ext = subspace_algebra(u, v)
-    assert s.dim == _stacked_rank_oracle(urows + vrows, 7)
+    assert s.dim == len(_reference_rref(urows + vrows, 7)[1])
     assert s.dim + i.dim == u.dim + v.dim
     assert ext.nrows == s.dim - u.dim
 
@@ -110,18 +117,82 @@ def test_rationals_agree_with_prime_field(seed):
     assert fq.kernel_basis().nrows == fp.kernel_basis().nrows
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels unavailable")
-@pytest.mark.parametrize("seed", range(6))
-def test_backends_bit_identical(seed):
-    rng = random.Random(300 + seed)
-    m, n = rng.randint(0, 7), rng.randint(0, 7)
-    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-    assert _kernels.rref_int([list(r) for r in rows], n) == \
-        _ckernels.rref_int([list(r) for r in rows], n)
-    for p in (2, 3, P_CHECK):
-        rowsp = [[v % p for v in r] for r in rows]
-        assert _kernels.rref_fp([list(r) for r in rowsp], n, p) == \
-            _ckernels.rref_fp([list(r) for r in rowsp], n, p)
+def _random_rows(rng, nrows, ncols, density, rational):
+    """Seeded rows with signed (optionally fractional) entries, plus a zero
+    row and a scaled duplicate row when there are any rows at all."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        num = rng.choice((-1, 1)) * rng.randint(1, 9)
+        return Fraction(num, rng.randint(1, 6)) if rational else num
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rows:
+        rows.append([0] * ncols)
+        rows.append([-2 * v for v in rng.choice(rows)])
+        rng.shuffle(rows)
+    return rows
+
+
+def _check_rref(field, rows, ncols):
+    p = field.characteristic
+    want_rows, want_piv = _reference_rref(rows, ncols, p)
+    red, piv = Matrix(field, len(rows), ncols, [[field.of(v) for v in r] for r in rows]).rref()
+    assert piv == want_piv
+    assert red.rows == want_rows
+    sparse = [{c: field.of(v) for c, v in enumerate(r) if v} for r in rows]
+    before = [dict(r) for r in sparse]
+    space = Subspace.from_sparse(field, ncols, sparse)
+    assert sparse == before                      # the kernels leave their input alone
+    assert space.pivots == want_piv and space.basis.rows == want_rows
+    assert space.sparse_rows == [{c: v for c, v in enumerate(r) if v} for r in want_rows]
+    if not p:
+        # integer lane: the canonical RREF scaled to content 1, leading entries positive
+        ints = []
+        for r in rows:
+            den = 1
+            for v in r:
+                den = den * Fraction(v).denominator // gcd(den, Fraction(v).denominator)
+            ints.append({c: int(v * den) for c, v in enumerate(r) if v})
+        before = [dict(r) for r in ints]
+        got, kpiv = _kernels.rref_int(ints)
+        assert ints == before and kpiv == want_piv
+        for row, c, want in zip(got, kpiv, want_rows):
+            assert row[c] > 0 and gcd(*row.values()) == 1
+            assert [Fraction(row.get(j, 0), row[c]) for j in range(ncols)] == want
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rref_matches_reference_gauss_jordan(seed):
+    rng = random.Random(400 + seed)
+    m, n = rng.randint(0, 8), rng.randint(0, 8)
+    density = (0.15, 0.9)[seed % 2]          # sparse and dense inputs alternate
+    _check_rref(QQ, _random_rows(rng, m, n, density, rational=True), n)
+    ints = _random_rows(rng, m, n, density, rational=False)
+    for p in (2, 3, 101, P_CHECK):
+        _check_rref(GF(p), ints, n)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(P_CHECK)], ids=str)
+def test_rref_edge_shapes(field):
+    _check_rref(field, [], 5)                   # 0 x n
+    _check_rref(field, [[], [], []], 0)         # n x 0
+    _check_rref(field, [[0] * 4] * 3, 4)        # all zero
+    rng = random.Random(7)
+    n = 9
+    lower = [[1 if i == j else rng.randint(-3, 3) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-3, 3) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    full = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]                  # determinant 1, so full rank in every field
+    _check_rref(field, full, n)
+    assert Matrix.from_rows(field, full).rank() == n
+
+
+def test_from_vectors_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(QQ, 3, [[1, 0]])
 
 
 def test_solve():
