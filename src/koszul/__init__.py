@@ -20,10 +20,9 @@ from .engine import (AugmentationResult, KoszulCertificate, TruncationPolicy,
                      linear_presentation_check, local_koszul_complex, pairing_table,
                      projective_resolution, zeta_coaugmentation)
 from .linalg import GF, Matrix, QQ, Subspace, kernel_backend, matrix_kernels, solve
-from .modules import (GradedModule, GradedMorphism, direct_sum, dualize_morphism,
-                      hom_basis, injective_module, kernel_module, projective_cover,
-                      projective_module, simple_module, standard_module,
-                      zero_module)
+from .modules import (GradedModule, GradedMorphism, direct_sum, hom_basis,
+                      injective_module, kernel_module, projective_cover,
+                      projective_module, simple_module, standard_module, zero_module)
 from .quiver import (Arrow, Path, PathBasis, Quiver, derive_initial,
                      derive_terminal, enumerate_paths)
 

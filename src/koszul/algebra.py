@@ -164,7 +164,7 @@ class Presentation:
             vec = [self.field.zero] * len(tgt_basis)
             vec[tgt_basis.index[p.arrows + (aidx,)]] = self.field.one
             cols.append(tgt.reduce_vector(vec))
-        return _from_columns(self.field, tgt.dim, cols)
+        return Matrix.from_columns(self.field, tgt.dim, cols)
 
     def right_arrow_matrix(self, arrow_name: str, n: int, w) -> Matrix:
         """Right multiplication by an arrow a: y->x, e_w Lambda_n e_x -> e_w Lambda_{n+1} e_y."""
@@ -178,21 +178,7 @@ class Presentation:
             vec = [self.field.zero] * len(tgt_basis)
             vec[tgt_basis.index[(aidx,) + p.arrows]] = self.field.one
             cols.append(tgt.reduce_vector(vec))
-        return _from_columns(self.field, tgt.dim, cols)
-
-    def path_action_matrix(self, path: Path, n: int, x) -> Matrix:
-        """Left multiplication by (the class of) a path on e_* Lambda_n e_x."""
-        if path.length() == 0:
-            piece = self.algebra_piece(n, x, path.start)
-            return Matrix.identity(self.field, piece.dim)
-        mat = None
-        deg = n
-        for aidx in path.arrows:
-            name = self.quiver.arrows[aidx].name
-            step = self.left_arrow_matrix(name, deg, x)
-            mat = step if mat is None else step * mat
-            deg += 1
-        return mat
+        return Matrix.from_columns(self.field, tgt.dim, cols)
 
     # -- R^(n) ----------------------------------------------------------------
 
@@ -246,7 +232,7 @@ class Presentation:
         tgt = self.r_upper(n - 1, a, arrow.source)
         full = self.derivation_matrix(arrow_name, n, a)
         cols = [tgt.coordinates(full.apply(row)) for row in sub.basis.rows]
-        return _from_columns(self.field, tgt.dim, cols)
+        return Matrix.from_columns(self.field, tgt.dim, cols)
 
     # -- opposites and duals ---------------------------------------------------
 
@@ -412,14 +398,6 @@ def _indicator(pres: Presentation, n, x, y, arrows):
 def _pair_key(quiver):
     order = {v: i for i, v in enumerate(quiver.vertices)}
     return lambda pair: (order[pair[0]], order[pair[1]])
-
-
-def _from_columns(field, nrows: int, cols) -> Matrix:
-    mat = Matrix.zeros(field, nrows, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            mat.rows[i][j] = v
-    return mat
 
 
 def subspace_circuits(space: Subspace):

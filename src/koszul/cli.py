@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 1 input error, 2 a checked mathematical assertion
 failed (for example `check-koszul --expect koszul` on a non-Koszul input).
-KOSZUL_THREADS caps the per-vertex parallelism of certificates.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -107,13 +105,6 @@ def _load(args) -> Presentation:
         raise CliError(f"{args.input}:{exc}")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("KOSZUL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _module_of(args, pres, policy):
     spec = args.module
     window = policy.degree_window
@@ -163,7 +154,7 @@ def cmd_dual(args):
 def cmd_check_koszul(args):
     pres = _load(args)
     policy = _policy_of(args)
-    cert = engine.koszulity_certificate(pres, policy, max_workers=_threads())
+    cert = engine.koszulity_certificate(pres, policy)
     payload = {"command": "check-koszul", "certificate": cert.to_dict()}
     lines = [f"verdict: {cert.verdict}",
              f"checked {cert.checked} (vertex, position, degree) triples; "
@@ -211,7 +202,7 @@ def cmd_resolve(args):
     pres = _load(args)
     policy = _policy_of(args)
     m = _module_of(args, pres, policy)
-    cert = engine.koszulity_certificate(pres, policy, max_workers=_threads())
+    cert = engine.koszulity_certificate(pres, policy)
     if args.coresolution:
         res = engine.injective_coresolution(m, policy)
         kind = "injective coresolution"
@@ -292,7 +283,7 @@ def cmd_ext_table(args):
     for v in (args.src, args.dst):
         if v not in pres.quiver.vertices:
             raise CliError(f"unknown vertex {v!r}")
-    cert = engine.koszulity_certificate(pres, policy, max_workers=_threads())
+    cert = engine.koszulity_certificate(pres, policy)
     table = engine.ext_table(pres, args.src, args.dst, policy.max_span)
     payload = {"command": "ext-table", "from": args.src, "to": args.dst,
                "koszul_certificate": cert.verdict, "caveat": not cert.is_koszul,

@@ -291,12 +291,6 @@ class DoubleComplex:
         diffs = {j: d for (ii, j), d in self.vert.items() if ii == i}
         return ComplexOfModules(self.pres, self.window, modules, diffs, validate=False)
 
-    def hshift(self) -> "DoubleComplex":
-        cells = {(i - 1, j): m for (i, j), m in self.cells.items()}
-        vert = {(i - 1, j): d.negate() for (i, j), d in self.vert.items()}
-        horiz = {(i - 1, j): d.negate() for (i, j), d in self.horiz.items()}
-        return DoubleComplex(self.pres, self.window, cells, vert, horiz, validate=False)
-
     def __repr__(self):
         return f"DoubleComplex({len(self.cells)} cells)"
 

@@ -85,9 +85,8 @@ def local_koszul_complex(pres: Presentation, a, policy: TruncationPolicy,
                         arrow = quiver.arrows[aidx]
                         if arrow.target != x:
                             continue
-                        der = _restricted_derivation(pres, arrow.name, n, a,
-                                                     mult[(n, x)], mult[(n - 1, y)])
-                        pr = _proj_right_mult_piece(pres, arrow.name, -n, d, w)
+                        der = pres.r_upper_derivation(arrow.name, n, a)
+                        pr = _side_right_mult_piece("right", pres, arrow.name, -n, d, w)
                         term = Matrix.kron(der, pr)
                         acc = term if acc is None else acc + term
                     if acc is None:
@@ -107,26 +106,6 @@ def local_koszul_complex(pres: Presentation, a, policy: TruncationPolicy,
         aug = Matrix.identity(field, 1)
         diffs[0] = GradedMorphism(modules[0], s, {(0, a): aug})
     return ComplexOfModules(pres, window, modules, diffs, validate=True)
-
-
-def _restricted_derivation(pres, arrow_name, n, a, src_space, tgt_space) -> Matrix:
-    full = pres.derivation_matrix(arrow_name, n, a)
-    cols = [tgt_space.coordinates(full.apply(row)) for row in src_space.basis.rows]
-    out = Matrix.zeros(pres.field, tgt_space.dim, src_space.dim)
-    for c, col in enumerate(cols):
-        for r, v in enumerate(col):
-            out.rows[r][c] = v
-    return out
-
-
-def _proj_right_mult_piece(pres, arrow_name, shift, d, w) -> Matrix:
-    """Piece (d, w) of P[arrow]: P_x<shift> -> P_y<shift+1> (right multiplication)."""
-    alg = shift + d
-    arrow = pres.quiver.arrow(arrow_name)
-    if alg < 0:
-        return Matrix.zeros(pres.field, 0 if alg + 1 < 0 else
-                            pres.dim_piece(alg + 1, arrow.source, w), 0)
-    return pres.right_arrow_matrix(arrow_name, alg, w)
 
 
 # -- certificate ---------------------------------------------------------------------
@@ -179,8 +158,7 @@ class KoszulCertificate:
         }
 
 
-def koszulity_certificate(pres: Presentation, policy: TruncationPolicy,
-                          max_workers: int = 1) -> KoszulCertificate:
+def koszulity_certificate(pres: Presentation, policy: TruncationPolicy) -> KoszulCertificate:
     """Positionwise, degreewise exactness of every augmented local Koszul complex."""
     policy.check()
     lo, hi = policy.degree_window
@@ -189,11 +167,10 @@ def koszulity_certificate(pres: Presentation, policy: TruncationPolicy,
     # that many degrees are probed (infinite algebras stay cheap)
     vanish = pres.lambda_vanishing_degree(limit=max(0, hi - n_max + 1))
     complete = vanish is not None and hi >= n_max + vanish - 1
-
-    def check_vertex(a):
+    failures = []
+    checked = 0
+    for a in pres.quiver.vertices:
         cx = local_koszul_complex(pres, a, policy, augmented=True)
-        entries = []
-        count = 0
         for n in range(0, n_max):
             pos = -n
             m = cx.module(pos)
@@ -204,44 +181,25 @@ def koszulity_certificate(pres: Presentation, policy: TruncationPolicy,
                 if not lo <= d <= hi:
                     continue
                 for x in pres.quiver.vertices:
-                    dim = m.dim(d, x)
                     dnp = dn.piece(d, x)
                     dpp = dp.piece(d, x)
-                    ker = dim - dnp.rank()
+                    ker = m.dim(d, x) - dnp.rank()
                     im = dpp.rank()
-                    count += 1
+                    checked += 1
                     if ker != im:
-                        witness = _exactness_witness(dnp, dpp)
-                        entries.append(CertEntry(a, pos, d, "failed",
-                                                 witness, ker - im))
-        return entries, count
-
-    all_entries = []
-    total = 0
-    vertices = list(pres.quiver.vertices)
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for entries, count in pool.map(check_vertex, vertices):
-                all_entries.extend(entries)
-                total += count
-    else:
-        for a in vertices:
-            entries, count = check_vertex(a)
-            all_entries.extend(entries)
-            total += count
-    ok = not all_entries
+                        failures.append(CertEntry(a, pos, d, "failed",
+                                                  _exactness_witness(dnp, dpp), ker - im))
+    ok = not failures
     verdict = ("KOSZUL" if complete else f"KOSZUL_UP_TO_{n_max}") if ok else "NOT_KOSZUL"
     return KoszulCertificate(n_max, policy.degree_window, verdict, complete,
-                             all_entries, total)
+                             failures, checked)
 
 
 def _exactness_witness(dn: Matrix, dp: Matrix):
     """A kernel vector of dn outside the column space of dp, as scalar strings."""
     field = dn.field
     ker = dn.kernel_basis()
-    image = dp.column_space().basis if dp.ncols else Matrix.zeros(field, 0, dn.ncols)
-    img = Subspace.from_matrix(image)
+    img = dp.column_space()
     for row in ker.rows:
         if not img.contains(row):
             assert all(v == field.zero for v in dn.apply(row))
@@ -291,10 +249,7 @@ def _functor_term(side: str, source_pres, target_pres, n_module: GradedModule,
             d = sub.dim(j, x)
             if not d:
                 continue
-            if side == "right":
-                base = projective_module(target_pres, x, j, window)
-            else:
-                base = injective_module(target_pres, x, j, window)
+            base = _side_module(side, target_pres, x, j, window)
             blocks.append((key + ((x, j),), base.tensor(d)))
     return direct_sum(target_pres, window, blocks)
 
@@ -342,6 +297,13 @@ def _block_by_key(m: GradedModule, key):
     if key == ():
         return m
     raise KeyError(key)
+
+
+def _side_module(side, pres, x, shift, window) -> GradedModule:
+    """P_x<shift> on the right (F) side, I_x<shift> on the left (G) side."""
+    if side == "right":
+        return projective_module(pres, x, shift, window)
+    return injective_module(pres, x, shift, window)
 
 
 def _side_right_mult_piece(side, target_pres, arrow_name, shift, d, w) -> Matrix:
@@ -412,8 +374,7 @@ def koszul_functor_map(side: str, f: GradedMorphism, window,
                         sub = Matrix(field, t1 - t0, s1 - s0,
                                      [[fm.rows[r][c] for c in range(s0, s1)]
                                       for r in range(t0, t1)])
-                        base = projective_module(target_pres, x, j, window) \
-                            if side == "right" else injective_module(target_pres, x, j, window)
+                        base = _side_module(side, target_pres, x, j, window)
                         row.append(Matrix.kron(sub, Matrix.identity(field, base.dim(d, w))))
                     else:
                         row.append(Matrix.zeros(field, tmod.dim(d, w), smod.dim(d, w)))
@@ -507,8 +468,7 @@ def functor_labels(cx: ComplexOfModules, side: str, target_pres, window):
         entries = []
         for key, sub in blocks_of(cx.module(n)):
             (x, j) = key[-1]
-            base = projective_module(target_pres, x, j, window) if side == "right" \
-                else injective_module(target_pres, x, j, window)
+            base = _side_module(side, target_pres, x, j, window)
             mult = sub.total_dim() // base.total_dim()
             entries.append({"vertex": x, "shift": j, "multiplicity": mult,
                             "key": repr(key)})
@@ -564,33 +524,25 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
     field = pres.field
     mats = {}
     src0 = src.module(0)
-    for (p, a), dim in src0.dims.items():
+    for (p, a) in src0.dims:
         if not m.dim(p, a):
             continue
-        out = Matrix.zeros(field, m.dim(p, a), dim)
-        offset = 0
+        cols = []
         for key, sub in blocks_of(src0):
             (x, i) = key[0]
-            block_dim = sub.dim(p, a)
-            if not block_dim:
+            if not sub.dim(p, a):
                 continue
             piece = pres.algebra_piece(p - i, x, a)
-            mult = m.dim(i, x)
+            amats = [m.path_action(rho, i) for rho in piece.basis_paths]
             sign = _sign((i * (i + 1)) // 2)
-            for m_idx in range(mult):
-                unit = [field.zero] * mult
-                unit[m_idx] = field.one
-                for u_idx, rho in enumerate(piece.basis_paths):
-                    amat = _path_action(m, rho, i)
-                    col = amat.apply(unit)
+            for m_idx in range(m.dim(i, x)):
+                for amat in amats:
+                    col = [row[m_idx] for row in amat.rows]
                     if sign < 0:
                         col = [-v if field.characteristic == 0 else (-v) % field.p
                                for v in col]
-                    cidx = offset + m_idx * piece.dim + u_idx
-                    for r, v in enumerate(col):
-                        out.rows[r][cidx] = v
-            offset += block_dim
-        mats[(p, a)] = out
+                    cols.append(col)
+        mats[(p, a)] = Matrix.from_columns(field, m.dim(p, a), cols)
     target = single_module_complex(m, 0)
     eta = ChainMap(src, target, {0: GradedMorphism(src0, m, mats)}).validate()
     lo_built = min(src.positions()) if src.positions() else 0
@@ -600,15 +552,6 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
     h0_ok = _h0_isomorphism(eta)
     labels = functor_labels(src, "right", pres, policy.degree_window)
     return AugmentationResult(src, eta, safe, qi, h0_ok, labels)
-
-
-def _path_action(m: GradedModule, rho, start_degree):
-    mat = Matrix.identity(m.pres.field, m.dim(start_degree, rho.start))
-    deg = start_degree
-    for aidx in rho.arrows:
-        mat = m.action(m.pres.quiver.arrows[aidx].name, deg) * mat
-        deg += 1
-    return mat
 
 
 def _h0_isomorphism(f: ChainMap) -> bool:
@@ -623,9 +566,7 @@ def _h0_isomorphism(f: ChainMap) -> bool:
     for (i, x), d in h_src.dims.items():
         image_rows = [part.piece(i, x).apply(row) for row in reps[(i, x)]]
         ker_t = _position_kernel(f.target, 0, i, x)
-        im_t = Subspace.from_matrix(dtgt.piece(i, x).transpose()) \
-            if dtgt.piece(i, x).ncols else Subspace.zero(tgt0.pres.field, tgt0.dim(i, x))
-        sub = im_t
+        sub = dtgt.piece(i, x).column_space()
         count = sub.dim
         for row in image_rows:
             if not ker_t.contains(row):
@@ -666,7 +607,6 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
             (x, i) = key[0]
             block_dim = sub.dim(j, y)
             if not block_dim:
-                offset += block_dim
                 continue
             if i < j:
                 offset += block_dim
@@ -676,7 +616,7 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
             sign = _sign(((i - 1) * i) // 2)
             for p, rho_opp in enumerate(opp_piece.basis_paths):
                 gamma = _reverse_path(pres, rho_opp, y)
-                amat = _path_action(m, gamma, j)  # M_j(y) -> M_i(x)
+                amat = m.path_action(gamma, j)  # M_j(y) -> M_i(x)
                 for c in range(dm):
                     for m_idx in range(mult):
                         v = amat.rows[m_idx][c]

@@ -157,6 +157,16 @@ class Matrix:
         return cls(field, len(rows), ncols, rows)
 
     @classmethod
+    def from_columns(cls, field, nrows: int, cols: Sequence[Sequence]) -> "Matrix":
+        """The nrows x len(cols) matrix whose j-th column is cols[j], read as by `from_rows`."""
+        for c in cols:
+            if len(c) != nrows:
+                raise ValueError("ragged columns")
+        rows = [[field.of(v) for v in r] for r in zip(*cols)] if cols else \
+            [[] for _ in range(nrows)]
+        return cls(field, nrows, len(cols), rows)
+
+    @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
         return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
@@ -538,9 +548,3 @@ class Subspace:
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient or self.field != other.field:
             raise ValueError("ambient mismatch")
-
-
-def subspace_algebra(u: Subspace, v: Subspace):
-    """(sum, intersection, perp of u, quotient extension rows of u in u+v)."""
-    s = u.add(v)
-    return s, u.intersect(v), u.perp(), s.quotient_extension(u)

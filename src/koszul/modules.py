@@ -109,21 +109,12 @@ class GradedModule:
             actions[(name, -i - 1)] = mat.transpose()
         return GradedModule(opp, (-hi, -lo), dims, actions)
 
-    def act_matrix(self, n: int, r: int, x, y, coords, i: int) -> Matrix:
-        """Left action of a class in e_y Lambda_r e_x on M_i(x) -> M_{i+r}(y)."""
-        piece = self.pres.algebra_piece(r, x, y)
-        out = Matrix.zeros(self.pres.field, self.dim(i + r, y), self.dim(i, x))
-        quiver = self.pres.quiver
-        for coeff, path in zip(coords, piece.basis_paths):
-            if not coeff:
-                continue
-            mat = Matrix.identity(self.pres.field, self.dim(i, x))
-            deg = i
-            for aidx in path.arrows:
-                mat = self.action(quiver.arrows[aidx].name, deg) * mat
-                deg += 1
-            out = out + mat.scale(coeff)
-        return out
+    def path_action(self, rho, i: int) -> Matrix:
+        """Action of the path rho: M_i(start) -> M_{i+len}(end); identity for length 0."""
+        mat = Matrix.identity(self.pres.field, self.dim(i, rho.start))
+        for k, aidx in enumerate(rho.arrows):
+            mat = self.action(self.pres.quiver.arrows[aidx].name, i + k) * mat
+        return mat
 
     def __repr__(self):
         return f"GradedModule({sum(self.dims.values())} total dim, window {self.window})"
@@ -216,14 +207,6 @@ def zero_morphism(source: GradedModule, target: GradedModule) -> GradedMorphism:
 def identity_morphism(m: GradedModule) -> GradedMorphism:
     mats = {k: Matrix.identity(m.pres.field, d) for k, d in m.dims.items()}
     return GradedMorphism(m, m, mats)
-
-
-def dualize_morphism(f: GradedMorphism) -> GradedMorphism:
-    """Contravariant dual: piece at (i, x) is the transpose of f at (-i, x)."""
-    src = f.target.dualize()
-    tgt = f.source.dualize()
-    mats = {(-i, x): m.transpose() for (i, x), m in f.mats.items()}
-    return GradedMorphism(src, tgt, mats)
 
 
 # -- standard modules ------------------------------------------------------------
@@ -323,11 +306,8 @@ def submodule(m: GradedModule, pieces: dict) -> tuple[GradedModule, GradedMorphi
             if tgt is None:
                 tgt = Subspace.zero(field, m.dim(i + 1, arrow.target))
             mat = m.action(arrow.name, i)
-            cols = [tgt.coordinates(mat.apply(row)) for row in sp.basis.rows]
-            out = Matrix.zeros(field, tgt.dim, sp.dim)
-            for c, col in enumerate(cols):
-                for r, v in enumerate(col):
-                    out.rows[r][c] = v
+            out = Matrix.from_columns(field, tgt.dim, [tgt.coordinates(mat.apply(row))
+                                                       for row in sp.basis.rows])
             if out.nrows and out.ncols:
                 actions[(arrow.name, i)] = out
     sub = GradedModule(m.pres, m.window, dims, actions)
@@ -351,19 +331,13 @@ def quotient_module(m: GradedModule, pieces: dict) -> tuple[GradedModule, Graded
         free = [c for c in range(d) if c not in pivset]
         reps[(i, x)] = (sp, free)
         # projection: reduce modulo sp, then read the free coordinates
-        rows = []
-        for c in free:
-            unit = [field.zero] * d
-            unit[c] = field.one
-            rows.append(unit)
-        proj = Matrix.zeros(field, len(free), d)
+        cols = []
         for col in range(d):
             unit = [field.zero] * d
             unit[col] = field.one
             red = sp.reduce(unit)
-            for r, c in enumerate(free):
-                proj.rows[r][col] = red[c]
-        proj_mats[(i, x)] = proj
+            cols.append([red[c] for c in free])
+        proj_mats[(i, x)] = Matrix.from_columns(field, len(free), cols)
     dims = {k: len(free) for k, (sp, free) in reps.items() if free}
     actions = {}
     for (i, x), (sp, free) in reps.items():
@@ -375,17 +349,8 @@ def quotient_module(m: GradedModule, pieces: dict) -> tuple[GradedModule, Graded
             tgt_proj = proj_mats.get((i + 1, arrow.target))
             if tgt_proj is None or not tgt_proj.nrows:
                 continue
-            cols = []
-            d = m.dim(i, x)
-            for c in free:
-                unit = [field.zero] * d
-                unit[c] = field.one
-                cols.append(tgt_proj.apply(mat.apply(unit)))
-            out = Matrix.zeros(field, tgt_proj.nrows, len(free))
-            for c, col in enumerate(cols):
-                for r, v in enumerate(col):
-                    out.rows[r][c] = v
-            actions[(arrow.name, i)] = out
+            cols = [tgt_proj.apply([row[c] for row in mat.rows]) for c in free]
+            actions[(arrow.name, i)] = Matrix.from_columns(field, tgt_proj.nrows, cols)
     quot = GradedModule(m.pres, m.window, dims, actions)
     return quot, GradedMorphism(m, quot, {k: v for k, v in proj_mats.items() if v.nrows})
 
@@ -418,26 +383,12 @@ def projective_cover(m: GradedModule, window=None):
     mats = {}
     for (d, w) in cover.dims:
         cols = []
-        for (i, x, c), ((_, _), summand) in zip(gens, summands):
-            alg_deg = d - i
-            block_dim = summand.dim(d, w)
-            if block_dim == 0:
+        for (i, x, c), (_, summand) in zip(gens, summands):
+            if not summand.dim(d, w):
                 continue
-            piece = pres.algebra_piece(alg_deg, x, w)
-            unit = [field.zero] * m.dim(i, x)
-            unit[c] = field.one
-            for rho in piece.basis_paths:
-                mat = Matrix.identity(field, m.dim(i, x))
-                deg = i
-                for aidx in rho.arrows:
-                    mat = m.action(pres.quiver.arrows[aidx].name, deg) * mat
-                    deg += 1
-                cols.append(mat.apply(unit))
-        out = Matrix.zeros(field, m.dim(d, w), len(cols))
-        for c, col in enumerate(cols):
-            for r, v in enumerate(col):
-                out.rows[r][c] = v
-        mats[(d, w)] = out
+            for rho in pres.algebra_piece(d - i, x, w).basis_paths:
+                cols.append([row[c] for row in m.path_action(rho, i).rows])
+        mats[(d, w)] = Matrix.from_columns(field, m.dim(d, w), cols)
     f = GradedMorphism(cover, m, mats)
     labels = [(x, i) for (i, x, _) in gens]
     return cover, f, labels

@@ -92,12 +92,6 @@ class Path:
     def end(self, quiver: Quiver) -> str:
         return quiver.arrows[self.arrows[-1]].target if self.arrows else self.start
 
-    def compose_after(self, quiver: Quiver, other: "Path") -> "Path":
-        """self * other in written order: traverse `other`, then `self`."""
-        if other.end(quiver) != self.start:
-            raise ValueError("paths not composable")
-        return Path(other.start, other.arrows + self.arrows)
-
     def terminal_arrow(self) -> int:
         return self.arrows[-1]
 

@@ -105,13 +105,6 @@ def test_multiserial_certified(multiserial):
     assert cert.verdict == "KOSZUL" and cert.complete
 
 
-def test_certificate_threads_agree(biserial):
-    pol = TruncationPolicy(3, (-1, 8))
-    seq = koszulity_certificate(biserial, pol, max_workers=1)
-    par = koszulity_certificate(biserial, pol, max_workers=4)
-    assert seq.to_dict() == par.to_dict()
-
-
 def test_koszul_pres_equivalence(biserial, multiserial, kronecker):
     # linear n-presentation of S_a agrees with exactness of K_a down to -n
     for pres in (biserial, multiserial, kronecker):

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from koszul import _kernels
-from koszul.linalg import GF, Matrix, QQ, Subspace, matrix_kernels, solve, subspace_algebra
+from koszul.linalg import GF, Matrix, QQ, Subspace, matrix_kernels, solve
 
 P_CHECK = 1000003
 
@@ -40,11 +40,27 @@ def test_subspace_same_space_canonical():
 def test_subspace_trivial_cases():
     u = Subspace.from_vectors(QQ, 2, [[1, 0]])
     v = Subspace.from_vectors(QQ, 2, [[0, 1]])
-    s, i, perp, ext = subspace_algebra(u, v)
-    assert s.dim == 2 and i.dim == 0
-    assert perp == v  # annihilator of the x-axis is the y-functional line
-    same_sum, same_int, _, _ = subspace_algebra(u, u)
-    assert same_sum == u and same_int == u
+    s = u.add(v)
+    assert s.dim == 2 and u.intersect(v).dim == 0
+    assert u.perp() == v  # annihilator of the x-axis is the y-functional line
+    assert s.quotient_extension(u).nrows == 1
+    assert u.add(u) == u and u.intersect(u) == u
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_from_columns_is_transpose_of_from_rows(field):
+    assert Matrix.from_columns(field, 3, []) == Matrix.zeros(field, 3, 0)
+    assert Matrix.from_columns(field, 0, [[], []]) == Matrix.zeros(field, 0, 2)
+    rows = [[1, -2, 0], [Fraction(1, 3), 4, -1]]
+    assert Matrix.from_columns(field, 3, rows) == Matrix.from_rows(field, rows).transpose()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_from_columns_rejects_ragged_columns(field):
+    with pytest.raises(ValueError):
+        Matrix.from_columns(field, 2, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix.from_columns(field, 2, [[1, 2], [3, 4, 5]])
 
 
 def _reference_rref(rows, ncols, p=0):
@@ -87,7 +103,9 @@ def test_dimension_formula_against_stacked_oracle(seed):
     vrows = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(4)]
     u = Subspace.from_vectors(QQ, 7, urows)
     v = Subspace.from_vectors(QQ, 7, vrows)
-    s, i, _, ext = subspace_algebra(u, v)
+    s = u.add(v)
+    i = u.intersect(v)
+    ext = s.quotient_extension(u)
     assert s.dim == len(_reference_rref(urows + vrows, 7)[1])
     assert s.dim + i.dim == u.dim + v.dim
     assert ext.nrows == s.dim - u.dim

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -62,6 +63,21 @@ def test_dualize_simple(multiserial):
     s = simple_module(multiserial, "3", 0, (-2, 2))
     d = s.dualize()
     assert d.dims == {(0, "3"): 1}
+
+
+def test_path_action_on_projective_is_product_of_arrow_matrices(multiserial):
+    quiver = multiserial.quiver
+    for a in quiver.vertices:
+        p = projective_module(multiserial, a, 0, (0, 6))
+        for x, y, i, length in itertools.product(quiver.vertices, quiver.vertices,
+                                                 range(3), range(4)):
+            # a length-0 path (x == y) acts as the identity on e_x Lambda_i e_a
+            for rho in multiserial.path_basis(length, x, y).paths:
+                expected = Matrix.identity(QQ, multiserial.dim_piece(i, a, x))
+                for k, aidx in enumerate(rho.arrows):
+                    name = quiver.arrows[aidx].name
+                    expected = multiserial.left_arrow_matrix(name, i + k, a) * expected
+                assert p.path_action(rho, i) == expected
 
 
 def test_projective_cover_of_simple(biserial):
