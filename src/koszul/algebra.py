@@ -219,11 +219,13 @@ class Presentation:
         aidx = self.quiver.arrow_index(arrow_name)
         src = self.path_basis(n, a, arrow.target)
         tgt = self.path_basis(n - 1, a, arrow.source)
-        mat = Matrix.zeros(self.field, len(tgt), len(src))
-        for j, p in enumerate(src.paths):
+        cols = []
+        for p in src.paths:
+            col = [self.field.zero] * len(tgt)
             if p.arrows[-1] == aidx:
-                mat.rows[tgt.index[p.arrows[:-1]]][j] = self.field.one
-        return mat
+                col[tgt.index[p.arrows[:-1]]] = self.field.one
+            cols.append(col)
+        return Matrix.from_columns(self.field, len(tgt), cols)
 
     def r_upper_derivation(self, arrow_name: str, n: int, a) -> Matrix:
         """Derivation restricted to R^(n)(a, x) -> R^(n-1)(a, y), in the stored bases."""

@@ -219,23 +219,9 @@ def mapping_cone(f: ChainMap) -> ComplexOfModules:
     for n in positions:
         blocks = list(blocks_of(x.module(n + 1))) + list(blocks_of(y.module(n)))
         modules[n] = direct_sum(pres, window, blocks)
-    diffs = {}
-    for n in positions:
-        if n + 1 not in positions:
-            continue
-        src = modules[n]
-        tgt = modules[n + 1]
-        dx = x.diff(n + 1)
-        dy = y.diff(n)
-        fn = f.part(n + 1)
-        mats = {}
-        for (i, v) in set(src.dims) | set(tgt.dims):
-            a = -dx.piece(i, v)
-            b = Matrix.zeros(pres.field, a.nrows, dy.piece(i, v).ncols)
-            c = fn.piece(i, v)
-            d = dy.piece(i, v)
-            mats[(i, v)] = Matrix.block(pres.field, [[a, b], [c, d]])
-        diffs[n] = GradedMorphism(src, tgt, mats)
+    diffs = {n: _block2(modules[n], modules[n + 1], x.diff(n + 1).negate(),
+                        f.part(n + 1), y.diff(n))
+             for n in positions if n + 1 in positions}
     return ComplexOfModules(pres, window, modules, diffs, validate=False)
 
 
@@ -336,32 +322,17 @@ def total_complex(dc: DoubleComplex) -> ComplexOfModules:
         modules[n] = direct_sum(pres, window, blocks)
     diffs = {}
     for n in sorted(modules):
-        src_idx = order.get(n, [])
-        tgt_idx = order.get(n + 1, [])
-        if not tgt_idx or not src_idx:
+        if n + 1 not in modules:
             continue
-        src = modules[n]
-        tgt = modules[n + 1]
-        mats = {}
-        for (deg, x) in set(src.dims) | set(tgt.dims):
-            grid = []
-            for jj in tgt_idx:
-                row = []
-                for ii in src_idx:
-                    if jj == ii:
-                        part = dc.v(ii, n - ii).piece(deg, x)
-                    elif jj == ii + 1:
-                        part = dc.h(ii, n - ii).piece(deg, x)
-                    else:
-                        part = Matrix.zeros(pres.field,
-                                            dc.cell(jj, n + 1 - jj).dim(deg, x),
-                                            dc.cell(ii, n - ii).dim(deg, x))
-                    row.append(part)
-                grid.append(row)
-            mats[(deg, x)] = Matrix.block(pres.field, grid)
-        d = GradedMorphism(src, tgt, mats)
-        if not d.is_zero():
-            diffs[n] = d
+        row = {jj: r for r, jj in enumerate(order[n + 1])}
+        parts = {}
+        for c, ii in enumerate(order[n]):
+            for jj, f in ((ii, dc.vert.get((ii, n - ii))), (ii + 1, dc.horiz.get((ii, n - ii)))):
+                if f is not None and jj in row:
+                    parts[(row[jj], c)] = f
+        diffs[n] = _block_morphism(modules[n], modules[n + 1],
+                                   [dc.cell(jj, n + 1 - jj) for jj in order[n + 1]],
+                                   [dc.cell(ii, n - ii) for ii in order[n]], parts)
     return ComplexOfModules(pres, window, modules, diffs, validate=False)
 
 
@@ -372,23 +343,12 @@ def total_chain_map(f: DoubleChainMap) -> ChainMap:
     for n in set(src.modules) | set(tgt.modules):
         src_idx = sorted({i for (i, j) in f.source.cells if i + j == n})
         tgt_idx = sorted({i for (i, j) in f.target.cells if i + j == n})
-        sm, tm = src.module(n), tgt.module(n)
-        mats = {}
-        for (deg, x) in set(sm.dims) | set(tm.dims):
-            grid = []
-            for jj in tgt_idx:
-                row = []
-                for ii in src_idx:
-                    if jj == ii:
-                        row.append(f.part(ii, n - ii).piece(deg, x))
-                    else:
-                        row.append(Matrix.zeros(f.source.pres.field,
-                                                f.target.cell(jj, n - jj).dim(deg, x),
-                                                f.source.cell(ii, n - ii).dim(deg, x)))
-                grid.append(row)
-            if grid and grid[0]:
-                mats[(deg, x)] = Matrix.block(f.source.pres.field, grid)
-        parts[n] = GradedMorphism(sm, tm, mats)
+        row = {jj: r for r, jj in enumerate(tgt_idx)}
+        blocks = {(row[ii], c): f.parts[(ii, n - ii)] for c, ii in enumerate(src_idx)
+                  if ii in row and (ii, n - ii) in f.parts}
+        parts[n] = _block_morphism(src.module(n), tgt.module(n),
+                                   [f.target.cell(jj, n - jj) for jj in tgt_idx],
+                                   [f.source.cell(ii, n - ii) for ii in src_idx], blocks)
     return ChainMap(src, tgt, parts)
 
 
@@ -407,12 +367,11 @@ def horizontal_cone(f: DoubleChainMap) -> DoubleComplex:
         src = cells[(i, j)]
         vt = cells.get((i, j + 1))
         if vt is not None:
-            vert[(i, j)] = _block2(src, vt, m.v(i + 1, j).negate(), None,
-                                   None, n.v(i, j), pres)
+            vert[(i, j)] = _block2(src, vt, m.v(i + 1, j).negate(), None, n.v(i, j))
         ht = cells.get((i + 1, j))
         if ht is not None:
-            horiz[(i, j)] = _block2(src, ht, m.h(i + 1, j).negate(), None,
-                                    f.part(i + 1, j), n.h(i, j), pres)
+            horiz[(i, j)] = _block2(src, ht, m.h(i + 1, j).negate(),
+                                    f.part(i + 1, j), n.h(i, j))
     return DoubleComplex(pres, window, cells, vert, horiz, validate=False)
 
 
@@ -431,24 +390,31 @@ def vertical_cone(f: DoubleChainMap) -> DoubleComplex:
         src = cells[(i, j)]
         vt = cells.get((i, j + 1))
         if vt is not None:
-            vert[(i, j)] = _block2(src, vt, m.v(i, j + 1).negate(), None,
-                                   f.part(i, j + 1), n.v(i, j), pres)
+            vert[(i, j)] = _block2(src, vt, m.v(i, j + 1).negate(),
+                                   f.part(i, j + 1), n.v(i, j))
         ht = cells.get((i + 1, j))
         if ht is not None:
-            horiz[(i, j)] = _block2(src, ht, m.h(i, j + 1).negate(), None,
-                                    None, n.h(i, j), pres)
+            horiz[(i, j)] = _block2(src, ht, m.h(i, j + 1).negate(), None, n.h(i, j))
     return DoubleComplex(pres, window, cells, vert, horiz, validate=False)
 
 
-def _block2(src, tgt, a, b, c, d, pres):
-    """2x2 block morphism [[a, b], [c, d]]; None blocks are zero."""
+def _block2(src, tgt, a, c, d):
+    """2x2 block morphism [[a, 0], [c, d]]; c may be None for zero."""
+    parts = {(0, 0): a, (1, 1): d}
+    if c is not None:
+        parts[(1, 0)] = c
+    return _block_morphism(src, tgt, [a.target, d.target], [a.source, d.source], parts)
+
+
+def _block_morphism(src, tgt, tgt_parts, src_parts, parts) -> GradedMorphism:
+    """The morphism src -> tgt whose block (r, c) is the graded morphism
+    parts[(r, c)]: src_parts[c] -> tgt_parts[r]; omitted blocks are zero."""
+    field = src.pres.field
     mats = {}
-    for (deg, x) in set(src.dims) | set(tgt.dims):
-        pa = a.piece(deg, x)
-        pd = d.piece(deg, x)
-        pb = b.piece(deg, x) if b is not None else Matrix.zeros(pres.field, pa.nrows, pd.ncols)
-        pc = c.piece(deg, x) if c is not None else Matrix.zeros(pres.field, pd.nrows, pa.ncols)
-        mats[(deg, x)] = Matrix.block(pres.field, [[pa, pb], [pc, pd]])
+    for key in set(src.dims) | set(tgt.dims):
+        mats[key] = Matrix.block(field, [m.dim(*key) for m in tgt_parts],
+                                 [m.dim(*key) for m in src_parts],
+                                 {rc: f.mats[key] for rc, f in parts.items() if key in f.mats})
     return GradedMorphism(src, tgt, mats)
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import Presentation
-from .complexes import (ChainMap, ComplexOfModules, DoubleComplex, blocks_of,
-                        homology_module, is_acyclic, mapping_cone,
-                        single_module_complex, total_complex)
+from .complexes import (ChainMap, ComplexOfModules, DoubleChainMap, DoubleComplex,
+                        blocks_of, homology_module, is_acyclic, mapping_cone,
+                        single_module_complex, total_chain_map, total_complex)
 from .linalg import Matrix, Subspace
 from .modules import (GradedModule, GradedMorphism, direct_sum,
                       injective_module, kernel_module, projective_cover,
                       projective_module, simple_module, top_generators)
+from .quiver import Path
 
 
 @dataclass(frozen=True)
@@ -46,66 +47,34 @@ def _sign(k: int):
 
 def local_koszul_complex(pres: Presentation, a, policy: TruncationPolicy,
                          augmented: bool = True) -> ComplexOfModules:
-    """K_a: position -n is (+)_x P_x<-n> (x) R^(n)(a, x).
+    """K_a = F(N_a): position -n is (+)_x P_x<-n> (x) R^(n)(a, x).
 
-    With augmented=True the simple S_a is appended at position 1 so that
+    N_a is the Lambda^!-module R^(n)(a, -) with the restricted derivations
+    (`_r_upper_module`), and F the right Koszul functor.  With
+    augmented=True the simple S_a is appended at position 1 so that
     exactness of the augmented resolution is positionwise homology vanishing.
     """
     policy.check()
-    n_max = policy.max_span
     window = policy.degree_window
-    quiver = pres.quiver
-    field = pres.field
-    modules = {}
-    mult = {}
-    for n in range(0, n_max + 1):
-        blocks = []
-        for x in quiver.vertices:
-            space = pres.r_upper(n, a, x)
-            mult[(n, x)] = space
-            if space.dim:
-                blocks.append((((x, -n),), projective_module(pres, x, -n, window).tensor(space.dim)))
-        if blocks:
-            modules[-n] = direct_sum(pres, window, blocks)
-    diffs = {}
-    for n in range(1, n_max + 1):
-        if -n not in modules or 1 - n not in modules:
-            continue
-        src, tgt = modules[-n], modules[1 - n]
-        src_blocks = [key[0][0] for key in (k for k, _ in blocks_of(src))]
-        tgt_blocks = [key[0][0] for key in (k for k, _ in blocks_of(tgt))]
-        mats = {}
-        for (d, w) in set(src.dims) | set(tgt.dims):
-            grid = []
-            for y in tgt_blocks:
-                row = []
-                for x in src_blocks:
-                    acc = None
-                    for aidx in quiver.out_arrows(y):
-                        arrow = quiver.arrows[aidx]
-                        if arrow.target != x:
-                            continue
-                        der = pres.r_upper_derivation(arrow.name, n, a)
-                        pr = _side_right_mult_piece("right", pres, arrow.name, -n, d, w)
-                        term = Matrix.kron(der, pr)
-                        acc = term if acc is None else acc + term
-                    if acc is None:
-                        rdim = mult[(n - 1, y)].dim * pres.dim_piece(d - (n - 1), y, w) \
-                            if d - (n - 1) >= 0 else 0
-                        cdim = mult[(n, x)].dim * pres.dim_piece(d - n, x, w) \
-                            if d - n >= 0 else 0
-                        acc = Matrix.zeros(field, rdim, cdim)
-                    row.append(acc)
-                grid.append(row)
-            if grid and grid[0]:
-                mats[(d, w)] = Matrix.block(field, grid)
-        diffs[-n] = GradedMorphism(src, tgt, mats)
-    if augmented:
-        s = simple_module(pres, a, 0, window)
-        modules[1] = s
-        aug = Matrix.identity(field, 1)
-        diffs[0] = GradedMorphism(modules[0], s, {(0, a): aug})
-    return ComplexOfModules(pres, window, modules, diffs, validate=True)
+    cx = koszul_functor("right", _r_upper_module(pres, a, policy.max_span), window,
+                        pres.quadratic_dual(), pres)
+    if not augmented:
+        return cx
+    s = simple_module(pres, a, 0, window)
+    diffs = dict(cx.diffs)
+    diffs[0] = GradedMorphism(cx.module(0), s, {(0, a): Matrix.identity(pres.field, 1)})
+    return ComplexOfModules(pres, window, {**cx.modules, 1: s}, diffs, validate=True)
+
+
+def _r_upper_module(pres: Presentation, a, n_max: int) -> GradedModule:
+    """The Lambda^!-module with piece (-n, x) = R^(n)(a, x), n <= n_max, on
+    which each arrow acts by the derivation restricted to R^(n)."""
+    dims = {(-n, x): pres.r_upper(n, a, x).dim
+            for n in range(n_max + 1) for x in pres.quiver.vertices}
+    actions = {(arrow.name, -n): pres.r_upper_derivation(arrow.name, n, a)
+               for n in range(1, n_max + 1) for arrow in pres.quiver.arrows
+               if dims[(-n, arrow.target)] and dims[(1 - n, arrow.source)]}
+    return GradedModule(pres.quadratic_dual(), (-n_max, 0), dims, actions)
 
 
 # -- certificate ---------------------------------------------------------------------
@@ -257,36 +226,37 @@ def _functor_term(side: str, source_pres, target_pres, n_module: GradedModule,
 def _functor_diff(side, source_pres, target_pres, n_module, j, window,
                   src_sum, tgt_sum) -> GradedMorphism:
     """d^j of the functor image of one module."""
-    field = source_pres.field
     quiver = source_pres.quiver
     src_blocks = list(blocks_of(src_sum))
     tgt_blocks = list(blocks_of(tgt_sum))
+    # block (r, c) sums v (x) P[arrow] over the arrows x -> y acting by v on the parent
+    terms = {}
+    for c, (skey, _) in enumerate(src_blocks):
+        (x, _) = skey[-1]
+        sub = _block_by_key(n_module, skey[:-1])
+        for r, (tkey, _) in enumerate(tgt_blocks):
+            (y, _) = tkey[-1]
+            if tkey[:-1] != skey[:-1]:
+                continue
+            for aidx in quiver.out_arrows(x):
+                arrow = quiver.arrows[aidx]
+                vmap = sub.actions.get((arrow.name, j))
+                if arrow.target == y and vmap is not None:
+                    terms.setdefault((r, c), []).append((vmap, arrow.name))
     mats = {}
     for (d, w) in set(src_sum.dims) | set(tgt_sum.dims):
-        grid = []
-        for tkey, tmod in tgt_blocks:
-            (y, _) = tkey[-1]
-            row = []
-            for skey, smod in src_blocks:
-                (x, _) = skey[-1]
-                acc = None
-                if tkey[:-1] == skey[:-1]:
-                    sub = _block_by_key(n_module, skey[:-1])
-                    for aidx in quiver.out_arrows(x):
-                        arrow = quiver.arrows[aidx]
-                        if arrow.target != y:
-                            continue
-                        vmap = sub.action(arrow.name, j)
-                        mmap = _side_right_mult_piece(side, target_pres, arrow.name,
-                                                      j, d, w)
-                        term = Matrix.kron(vmap, mmap)
-                        acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = Matrix.zeros(field, tmod.dim(d, w), smod.dim(d, w))
-                row.append(acc)
-            grid.append(row)
-        if grid and grid[0]:
-            mats[(d, w)] = Matrix.block(field, grid)
+        blocks = {}
+        for rc, pairs in terms.items():
+            acc = None
+            for vmap, name in pairs:
+                mmap = _side_right_mult_piece(side, target_pres, name, j, d, w)
+                if mmap is not None:
+                    term = Matrix.kron(vmap, mmap)
+                    acc = term if acc is None else acc + term
+            if acc is not None:
+                blocks[rc] = acc
+        mats[(d, w)] = Matrix.block(source_pres.field, [m.dim(d, w) for _, m in tgt_blocks],
+                                    [m.dim(d, w) for _, m in src_blocks], blocks)
     return GradedMorphism(src_sum, tgt_sum, mats)
 
 
@@ -306,22 +276,16 @@ def _side_module(side, pres, x, shift, window) -> GradedModule:
     return injective_module(pres, x, shift, window)
 
 
-def _side_right_mult_piece(side, target_pres, arrow_name, shift, d, w) -> Matrix:
-    """Piece (d, w) of P[arrow^!]: P_x<shift> -> P_y<shift+1>, or its injective mate."""
-    arrow = target_pres.quiver.arrow(arrow_name)
+def _side_right_mult_piece(side, target_pres, arrow_name, shift, d, w) -> Matrix | None:
+    """Piece (d, w) of P[arrow^!]: P_x<shift> -> P_y<shift+1>, or its injective mate;
+    None where the algebra degree is negative and the piece has no columns (rows)."""
     if side == "right":
         alg = shift + d
-        if alg < 0:
-            rows = target_pres.dim_piece(alg + 1, arrow.source, w) if alg + 1 >= 0 else 0
-            return Matrix.zeros(target_pres.field, rows, 0)
-        return target_pres.right_arrow_matrix(arrow_name, alg, w)
+        return target_pres.right_arrow_matrix(arrow_name, alg, w) if alg >= 0 else None
     # injective side: transpose of right multiplication over the opposite algebra
-    opp = target_pres.opposite()
     alg = -(shift + d) - 1
-    if alg < 0:
-        cols = opp.dim_piece(alg + 1, arrow.target, w) if alg + 1 >= 0 else 0
-        return Matrix.zeros(target_pres.field, 0, cols)
-    return opp.right_arrow_matrix(arrow_name, alg, w).transpose()
+    return target_pres.opposite().right_arrow_matrix(arrow_name, alg, w).transpose() \
+        if alg >= 0 else None
 
 
 def koszul_functor(side: str, m: GradedModule, window,
@@ -359,28 +323,23 @@ def koszul_functor_map(side: str, f: GradedMorphism, window,
         tblocks = list(blocks_of(tgt_sum))
         soff = _parent_offsets(f.source, j, sblocks)
         toff = _parent_offsets(f.target, j, tblocks)
+        # f_{j,x} sliced to the parent blocks of each same-vertex block pair
+        subs = {}
+        for tb, (tkey, _) in enumerate(tblocks):
+            (y, _), (t0, t1) = tkey[-1], toff[tb]
+            fm = f.mats.get((j, y))
+            for sb, (skey, _) in enumerate(sblocks):
+                if fm is not None and skey[-1][0] == y:
+                    (s0, s1) = soff[sb]
+                    subs[(tb, sb)] = (Matrix(field, t1 - t0, s1 - s0,
+                                             [r[s0:s1] for r in fm.rows[t0:t1]]), s1 - s0)
         mats = {}
         for (d, w) in set(src_sum.dims) | set(tgt_sum.dims):
-            grid = []
-            for tb, (tkey, tmod) in enumerate(tblocks):
-                row = []
-                (y, _) = tkey[-1]
-                for sb, (skey, smod) in enumerate(sblocks):
-                    (x, _) = skey[-1]
-                    if x == y:
-                        fm = f.piece(j, x)
-                        t0, t1 = toff[tb]
-                        s0, s1 = soff[sb]
-                        sub = Matrix(field, t1 - t0, s1 - s0,
-                                     [[fm.rows[r][c] for c in range(s0, s1)]
-                                      for r in range(t0, t1)])
-                        base = _side_module(side, target_pres, x, j, window)
-                        row.append(Matrix.kron(sub, Matrix.identity(field, base.dim(d, w))))
-                    else:
-                        row.append(Matrix.zeros(field, tmod.dim(d, w), smod.dim(d, w)))
-                grid.append(row)
-            if grid and grid[0]:
-                mats[(d, w)] = Matrix.block(field, grid)
+            blocks = {(tb, sb): Matrix.kron(sub, Matrix.identity(
+                          field, sblocks[sb][1].dim(d, w) // mult))
+                      for (tb, sb), (sub, mult) in subs.items()}
+            mats[(d, w)] = Matrix.block(field, [m.dim(d, w) for _, m in tblocks],
+                                        [m.dim(d, w) for _, m in sblocks], blocks)
         parts[j] = GradedMorphism(src_sum, tgt_sum, mats)
     return ChainMap(src_cx, tgt_cx, parts)
 
@@ -445,7 +404,6 @@ def extend_functor(side: str, x: ComplexOfModules, window,
 
 def extend_functor_map(side: str, f: ChainMap, window,
                        source_pres=None, target_pres=None) -> ChainMap:
-    from .complexes import DoubleChainMap, total_chain_map
     source_pres = source_pres or f.source.pres
     target_pres = target_pres or source_pres.quadratic_dual()
     src_dc = functor_double_complex(side, f.source, window, source_pres, target_pres)
@@ -596,37 +554,24 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
     w_dual = (-mhi, policy.max_span + 1 - mlo)
     f_cx = koszul_functor("right", m, w_dual, pres, dual)
     tgt = extend_functor("left", f_cx, policy.degree_window, dual, pres)
-    field = pres.field
     tgt0 = tgt.module(0)
+    tblocks = blocks_of(tgt0)
     mats = {}
     for (j, y), dm in m.dims.items():
-        rows_total = tgt0.dim(j, y)
-        out = Matrix.zeros(field, rows_total, dm)
-        offset = 0
-        for key, sub in blocks_of(tgt0):
+        blocks = {}
+        for r, (key, sub) in enumerate(tblocks):
             (x, i) = key[0]
-            block_dim = sub.dim(j, y)
-            if not block_dim:
+            if i < j or not sub.dim(j, y):
                 continue
-            if i < j:
-                offset += block_dim
-                continue
-            opp_piece = opp.algebra_piece(i - j, x, y)
-            mult = m.dim(i, x)
             sign = _sign(((i - 1) * i) // 2)
-            for p, rho_opp in enumerate(opp_piece.basis_paths):
-                gamma = _reverse_path(pres, rho_opp, y)
-                amat = m.path_action(gamma, j)  # M_j(y) -> M_i(x)
-                for c in range(dm):
-                    for m_idx in range(mult):
-                        v = amat.rows[m_idx][c]
-                        if not v:
-                            continue
-                        if sign < 0:
-                            v = -v if field.characteristic == 0 else (-v) % field.p
-                        out.rows[offset + m_idx * opp_piece.dim + p][c] = v
-            offset += block_dim
-        mats[(j, y)] = out
+            # M_j(y) -> M_i(x) along each reversed opposite path; row m_idx of the
+            # p-th action goes to row m_idx * (number of paths) + p of the block
+            amats = [m.path_action(Path(y, tuple(reversed(rho.arrows))), j).scale(sign)
+                     for rho in opp.algebra_piece(i - j, x, y).basis_paths]
+            rows = [amat.rows[m_idx] for m_idx in range(m.dim(i, x)) for amat in amats]
+            blocks[(r, 0)] = Matrix(pres.field, len(rows), dm, rows)
+        mats[(j, y)] = Matrix.block(pres.field, [sub.dim(j, y) for _, sub in tblocks],
+                                    [dm], blocks)
     source = single_module_complex(m, 0)
     zeta = ChainMap(source, tgt, {0: GradedMorphism(m, tgt0, mats)}).validate()
     hi_built = max(tgt.positions()) if tgt.positions() else 0
@@ -637,11 +582,6 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
     h0_ok = _h0_isomorphism(zeta) and mono
     labels = functor_labels(tgt, "left", pres, policy.degree_window)
     return AugmentationResult(tgt, zeta, safe, qi, h0_ok, labels)
-
-
-def _reverse_path(pres, rho_opp, start):
-    from .quiver import Path
-    return Path(start, tuple(reversed(rho_opp.arrows)))
 
 
 def projective_resolution(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:

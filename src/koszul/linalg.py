@@ -275,35 +275,36 @@ class Matrix:
         return out
 
     @classmethod
-    def block(cls, field, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
-        """Assemble a block matrix; every row/column of blocks must agree in shape."""
-        if not grid:
-            return cls.zeros(field, 0, 0)
-        nrows = sum(row[0].nrows for row in grid)
-        ncols = sum(m.ncols for m in grid[0])
+    def block(cls, field, heights: Sequence[int], widths: Sequence[int], blocks) -> "Matrix":
+        """Block matrix with block rows of the given heights and block columns of
+        the given widths; `blocks` maps (r, c) to a Matrix and omitted blocks are zero."""
+        offsets = [0]
+        for w in widths:
+            offsets.append(offsets[-1] + w)
+        by_row: dict[int, list] = {}
+        for (r, c), m in blocks.items():
+            if not (0 <= r < len(heights) and 0 <= c < len(widths)) \
+                    or (m.nrows, m.ncols) != (heights[r], widths[c]):
+                raise ValueError(f"block ({r},{c}) has the wrong shape")
+            by_row.setdefault(r, []).append((offsets[c], offsets[c + 1], m.rows))
+        z = field.zero
         out = []
-        for brow in grid:
-            h = brow[0].nrows
-            for m in brow:
-                if m.nrows != h:
-                    raise ValueError("block height mismatch")
+        for r, h in enumerate(heights):
+            placed = by_row.get(r, ())
             for i in range(h):
-                acc: list = []
-                for m in brow:
-                    acc.extend(m.rows[i])
-                out.append(acc)
-        return cls(field, nrows, ncols, out)
+                row = [z] * offsets[-1]
+                for c0, c1, rows in placed:
+                    row[c0:c1] = rows[i]
+                out.append(row)
+        return cls(field, len(out), offsets[-1], out)
 
     @classmethod
     def kron(cls, a: "Matrix", b: "Matrix") -> "Matrix":
         """Kronecker product, `a`-index major."""
-        field = a.field
-        grid = []
-        for i in range(a.nrows):
-            grid.append([b.scale(a.rows[i][j]) for j in range(a.ncols)])
-        if a.nrows == 0 or a.ncols == 0:
-            return cls.zeros(field, a.nrows * b.nrows, a.ncols * b.ncols)
-        return cls.block(field, grid)
+        one = a.field.one
+        blocks = {(i, j): b if v == one else b.scale(v)
+                  for i, row in enumerate(a.rows) for j, v in enumerate(row) if v}
+        return cls.block(a.field, [b.nrows] * a.nrows, [b.ncols] * a.ncols, blocks)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Canonical reduced row echelon form (zero rows dropped)."""

@@ -131,13 +131,13 @@ def direct_sum(pres, window, summands) -> GradedModule:
         for k, v in m.dims.items():
             dims[k] = dims.get(k, 0) + v
     actions = {}
-    keys = {k for _, m in summands for k in m.actions}
-    field = pres.field
-    for (name, i) in keys:
-        mats = [m.action(name, i) for _, m in summands]
-        grid = [[mats[r] if r == c else Matrix.zeros(field, mats[r].nrows, mats[c].ncols)
-                 for c in range(len(mats))] for r in range(len(mats))]
-        actions[(name, i)] = Matrix.block(field, grid) if mats else Matrix.zeros(field, 0, 0)
+    for (name, i) in {k for _, m in summands for k in m.actions}:
+        arrow = pres.quiver.arrow(name)
+        actions[(name, i)] = Matrix.block(
+            pres.field, [m.dim(i + 1, arrow.target) for _, m in summands],
+            [m.dim(i, arrow.source) for _, m in summands],
+            {(r, r): m.actions[(name, i)] for r, (_, m) in enumerate(summands)
+             if (name, i) in m.actions})
     return GradedModule(pres, window, dims, actions, blocks=tuple(summands))
 
 

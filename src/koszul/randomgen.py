@@ -239,10 +239,9 @@ def random_double_complex(rng: random.Random, pres=None, window=(0, 0),
             cols = src_cell.dim(d, "v")
             if not rows or not cols:
                 continue
-            m = Matrix.zeros(field, rows, cols)
-            for (r, c, val) in table.get(key, {}).get(d, []):
-                m.rows[r][c] = field.of(val)
-            mats[(d, "v")] = m
+            vals = {(r, c): val for (r, c, val) in table.get(key, {}).get(d, [])}
+            mats[(d, "v")] = Matrix.from_rows(field, [[vals.get((r, c), 0) for c in range(cols)]
+                                                      for r in range(rows)])
         return mats
 
     vert = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .algebra import Presentation
-from .complexes import ComplexOfModules, blocks_of
+from .complexes import ComplexOfModules
 from .linalg import Matrix
 from .modules import GradedModule, GradedMorphism
 

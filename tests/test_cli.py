@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 import koszul
 from koszul.cli import main
 from koszul.dsl import parse_presentation
-from koszul.linalg import QQ
+from koszul.engine import TruncationPolicy, local_koszul_complex
+from koszul.linalg import GF, QQ
 from koszul.modules import projective_module
 from koszul.reports import dumps, module_json, complex_json, complex_from_json
 from koszul.complexes import single_module_complex
@@ -110,6 +112,63 @@ def test_json_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 prefixes of the JSON of every local Koszul complex K_a under
+# TruncationPolicy(4, (-1, 8)) and degree cap 10, keyed by (vertex, augmented);
+# recorded before K_a was rebuilt as the Koszul functor F of one module.
+PINNED_LOCAL_KOSZUL = {
+    ("biserial", None): {
+        ("1", True): "2c160ca05a05dd7a", ("1", False): "b072336d9cb20e8d",
+        ("2", True): "3d17bcb311bef1a5", ("2", False): "967c62abb695d325",
+        ("3", True): "fc712122f30642b4", ("3", False): "71a0bccdc4da46ef",
+        ("4", True): "7130d80da9866eeb", ("4", False): "f78ebed3568f87ea",
+        ("5", True): "51287308fbb9c155", ("5", False): "7314caa698392df4",
+        ("6", True): "cf2598f81e06c0d1", ("6", False): "e38512df3662c2ab",
+    },
+    ("multiserial", None): {
+        ("1", True): "1ca25aab0727b785", ("1", False): "7adaf54f5167beff",
+        ("2", True): "ae773001bbb59577", ("2", False): "587f52e926438b4b",
+        ("3", True): "11b481a4fe8daad4", ("3", False): "3cf1c7358b62cfaa",
+        ("4", True): "a2ae4bbd67bf82d1", ("4", False): "eb2c52398b611d0b",
+    },
+    ("kronecker", None): {
+        ("1", True): "023ece1742b0a805", ("1", False): "92f80eb932efa2e3",
+        ("2", True): "22b9b117b7f2fcb1", ("2", False): "5bdee8cacb4533af",
+    },
+    ("empty", None): {
+        ("1", True): "e237145a01f6a329", ("1", False): "cb6cf2694082a9dd",
+    },
+    ("multiserial", 101): {
+        ("1", True): "6373c64515b46b0a", ("1", False): "834cc762924bba9b",
+        ("2", True): "a1f8748980e9131f", ("2", False): "773ae8c21fb8cd16",
+        ("3", True): "11b481a4fe8daad4", ("3", False): "3cf1c7358b62cfaa",
+        ("4", True): "a2ae4bbd67bf82d1", ("4", False): "eb2c52398b611d0b",
+    },
+}
+
+
+@pytest.mark.parametrize("name,p", PINNED_LOCAL_KOSZUL,
+                         ids=[f"{n}-{'QQ' if p is None else f'GF({p})'}"
+                              for n, p in PINNED_LOCAL_KOSZUL])
+def test_local_koszul_complex_bytes_pinned(name, p):
+    field = QQ if p is None else GF(p)
+    pres = parse_presentation((presentations_dir() / f"{name}.kz").read_text(), field, 10)
+    policy = TruncationPolicy(4, (-1, 8))
+    digests = {}
+    for a in pres.quiver.vertices:
+        for augmented in (True, False):
+            cx = local_koszul_complex(pres, a, policy, augmented=augmented)
+            digests[(a, augmented)] = hashlib.sha256(
+                dumps(complex_json(cx)).encode()).hexdigest()[:16]
+            # position -n holds one block (x, -n) per x with R^(n)(a, x) != 0
+            keys = {-n: tuple(((x, -n),) for x in pres.quiver.vertices
+                              if pres.r_upper(n, a, x).dim) for n in range(5)}
+            keys = {n: k for n, k in keys.items() if k}
+            if augmented:
+                keys[1] = ((),)
+            assert cx.block_keys() == keys
+    assert digests == PINNED_LOCAL_KOSZUL[(name, p)]
+
+
 def test_human_and_json_verdicts_agree(capsys):
     _, human, _ = run(capsys, "check-koszul", MULTISERIAL)
     _, js, _ = run(capsys, "check-koszul", MULTISERIAL, "--json")
@@ -197,3 +256,27 @@ def test_package_reads_no_environment():
     for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "environ" not in text and "getenv" not in text, path.name
+
+
+def test_package_source_guards():
+    # matrices are built whole, never filled in place after Matrix.zeros, and
+    # every module-level import is used (__init__ re-exports on purpose)
+    for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+            for t in targets:
+                inner = t.value if isinstance(t, ast.Subscript) else None
+                assert not (isinstance(inner, ast.Subscript)
+                            and isinstance(inner.value, ast.Attribute)
+                            and inner.value.attr == "rows"), f"{path.name}:{node.lineno}"
+        if path.name == "__init__.py":
+            continue
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    assert name in used, f"{path.name}:{node.lineno} imports unused {name}"

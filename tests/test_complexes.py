@@ -200,20 +200,15 @@ def test_horizontal_homotopy_totalizes(seed):
         tgt_idx = sorted({i for (i, j) in n.cells if i + j == pos - 1})
         mats = {}
         for (deg, v) in set(x.module(pos).dims) | set(y.module(pos - 1).dims):
-            grid = []
-            for jj in tgt_idx:
-                row = []
-                for ii in src_idx:
+            blocks = {}
+            for r, jj in enumerate(tgt_idx):
+                for c, ii in enumerate(src_idx):
                     blk = u.get((ii, pos - ii))
                     if blk is not None and jj == ii - 1:
-                        row.append(blk.piece(deg, v))
-                    else:
-                        row.append(Matrix.zeros(pres.field,
-                                                n.cell(jj, pos - 1 - jj).dim(deg, v),
-                                                m.cell(ii, pos - ii).dim(deg, v)))
-                grid.append(row)
-            if grid and grid[0]:
-                mats[(deg, v)] = Matrix.block(pres.field, grid)
+                        blocks[(r, c)] = blk.piece(deg, v)
+            mats[(deg, v)] = Matrix.block(
+                pres.field, [n.cell(jj, pos - 1 - jj).dim(deg, v) for jj in tgt_idx],
+                [m.cell(ii, pos - ii).dim(deg, v) for ii in src_idx], blocks)
         homotopy[pos] = GradedMorphism(x.module(pos), y.module(pos - 1), mats)
     assert verify_homotopy(tf, homotopy)
     # and independently, a homotopy exists by linear solve

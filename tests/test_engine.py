@@ -8,7 +8,7 @@ from koszul.complexes import (blocks_of, homology_at, homology_tables, is_acycli
                               mapping_cone, relabel_positions, single_module_complex,
                               total_complex)
 from koszul.dsl import parse_presentation
-from koszul.engine import (TruncationPolicy, eta_augmentation, ext_table,
+from koszul.engine import (TruncationPolicy, _r_upper_module, eta_augmentation, ext_table,
                            extend_functor, extend_functor_map,
                            extension_conjecture_check, functor_labels,
                            injective_coresolution, koszul_functor,
@@ -21,7 +21,9 @@ from koszul.modules import (GradedMorphism, injective_module, kernel_module,
                             projective_cover, projective_module, simple_module)
 from koszul.quiver import Path
 from koszul.randomgen import (path_algebra, radical_square_zero, random_acyclic_quiver,
-                              random_module, random_morphism)
+                              random_module, random_morphism, random_presentation,
+                              random_quiver)
+from tests.conftest import EMPTY
 
 POLICY = TruncationPolicy(6, (-2, 10))
 
@@ -35,6 +37,22 @@ def test_path_algebra_koszul_complex_has_length_one(kronecker):
     m = cx.module(-1)
     # 0 -> P_2<-1> (x) kQ_1(1,2) -> P_1 -> 0, two arrows worth of multiplicity
     assert m.dim(1, "2") == 2
+
+
+def test_r_upper_is_a_module_over_the_quadratic_dual(biserial, multiserial, kronecker):
+    # R^(n)(a, -) with the restricted derivations is a Lambda^!-module whose
+    # (-n, x) piece has the dimension of e_a Lambda^!_n e_x
+    empty = parse_presentation(EMPTY, QQ, 10)
+    draws = [random_presentation(random.Random(s), random_quiver(random.Random(s), 3, 4))
+             for s in range(12)]
+    for pres in [biserial, multiserial, kronecker, empty] + draws:
+        dual = pres.quadratic_dual()
+        for a in pres.quiver.vertices:
+            n_a = _r_upper_module(pres, a, 5).validate()
+            assert n_a.pres is dual
+            for n in range(6):
+                for x in pres.quiver.vertices:
+                    assert n_a.dim(-n, x) == dual.dim_piece(n, x, a)
 
 
 def test_koszul_complex_augmentation_is_cover(biserial):

@@ -63,6 +63,57 @@ def test_from_columns_rejects_ragged_columns(field):
         Matrix.from_columns(field, 2, [[1, 2], [3, 4, 5]])
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_block_places_given_blocks_and_zeros_elsewhere(field):
+    a = Matrix.from_rows(field, [[1, 2], [3, 4]])
+    b = Matrix.from_rows(field, [[5], [-1], [Fraction(1, 2)]])
+    m = Matrix.block(field, [2, 3], [2, 1, 2], {(0, 0): a, (1, 1): b})
+    assert (m.nrows, m.ncols) == (5, 5)
+    expected = [[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 5, 0, 0], [0, 0, -1, 0, 0],
+                [0, 0, Fraction(1, 2), 0, 0]]
+    assert m == Matrix.from_rows(field, expected)
+    assert Matrix.block(field, [2, 3], [2, 1, 2], {}) == Matrix.zeros(field, 5, 5)
+    # empty heights or widths: no rows, or rows of length 0
+    assert Matrix.block(field, [], [2, 1], {}) == Matrix.zeros(field, 0, 3)
+    assert Matrix.block(field, [2, 1], [], {}) == Matrix.zeros(field, 3, 0)
+    assert Matrix.block(field, [], [], {}) == Matrix.zeros(field, 0, 0)
+    assert Matrix.block(field, [0, 2], [2], {(1, 0): a}) == a
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_block_rejects_wrong_shapes(field):
+    a = Matrix.from_rows(field, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        Matrix.block(field, [3], [2], {(0, 0): a})      # wrong height
+    with pytest.raises(ValueError):
+        Matrix.block(field, [2], [1, 2], {(0, 0): a})   # wrong width
+    with pytest.raises(ValueError):
+        Matrix.block(field, [2], [2], {(1, 0): a})      # no such block row
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+def test_kron_matches_entrywise_definition(field):
+    rng = random.Random(7)
+    for ra, ca, rb, cb in [(2, 3, 3, 2), (3, 1, 1, 4), (0, 2, 3, 1), (2, 0, 1, 3),
+                           (2, 2, 0, 3), (1, 2, 2, 0), (0, 0, 0, 0)]:
+        a = Matrix.from_rows(field, [[rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)])
+                                      for _ in range(ca)] for _ in range(ra)]) \
+            if ra else Matrix.zeros(field, 0, ca)
+        b = Matrix.from_rows(field, [[rng.choice([0, 1, -2, Fraction(2, 5)])
+                                      for _ in range(cb)] for _ in range(rb)]) \
+            if rb else Matrix.zeros(field, 0, cb)
+        k = Matrix.kron(a, b)
+        assert (k.nrows, k.ncols) == (ra * rb, ca * cb)
+        p = field.characteristic
+        for i in range(ra * rb):
+            for j in range(ca * cb):
+                v = a.rows[i // rb][j // cb] * b.rows[i % rb][j % cb]
+                assert k.rows[i][j] == (v % p if p else v)
+    # a zero factor gives a zero product of the right shape
+    zero = Matrix.zeros(field, 2, 2)
+    assert Matrix.kron(zero, Matrix.identity(field, 3)) == Matrix.zeros(field, 6, 6)
+
+
 def _reference_rref(rows, ncols, p=0):
     """Textbook Gauss-Jordan, column by column, over Fraction or mod p.
 
