@@ -55,6 +55,7 @@ class Presentation:
         self._rel_piece: dict[tuple, Subspace] = {}
         self._r_upper: dict[tuple, Subspace] = {}
         self._alg_piece: dict[tuple, AlgebraPiece] = {}
+        self._arrow_mat: dict[tuple, Matrix] = {}
         self._support: dict[tuple, frozenset] | None = None
         self._dual: Presentation | None = None
         self._opp: Presentation | None = None
@@ -153,7 +154,10 @@ class Presentation:
     # -- multiplication ------------------------------------------------------
 
     def left_arrow_matrix(self, arrow_name: str, n: int, x) -> Matrix:
-        """Left multiplication by an arrow a: w->z on e_w Lambda_n e_x."""
+        """Left multiplication by an arrow a: w->z on e_w Lambda_n e_x (cached, shared)."""
+        key = ("left", arrow_name, n, x)
+        if key in self._arrow_mat:
+            return self._arrow_mat[key]
         arrow = self.quiver.arrow(arrow_name)
         aidx = self.quiver.arrow_index(arrow_name)
         src = self.algebra_piece(n, x, arrow.source)
@@ -164,10 +168,15 @@ class Presentation:
             vec = [self.field.zero] * len(tgt_basis)
             vec[tgt_basis.index[p.arrows + (aidx,)]] = self.field.one
             cols.append(tgt.reduce_vector(vec))
-        return Matrix.from_columns(self.field, tgt.dim, cols)
+        mat = self._arrow_mat[key] = Matrix.from_columns(self.field, tgt.dim, cols)
+        return mat
 
     def right_arrow_matrix(self, arrow_name: str, n: int, w) -> Matrix:
-        """Right multiplication by an arrow a: y->x, e_w Lambda_n e_x -> e_w Lambda_{n+1} e_y."""
+        """Right multiplication by an arrow a: y->x, e_w Lambda_n e_x -> e_w Lambda_{n+1} e_y
+        (cached, shared)."""
+        key = ("right", arrow_name, n, w)
+        if key in self._arrow_mat:
+            return self._arrow_mat[key]
         arrow = self.quiver.arrow(arrow_name)
         aidx = self.quiver.arrow_index(arrow_name)
         src = self.algebra_piece(n, arrow.target, w)
@@ -178,7 +187,8 @@ class Presentation:
             vec = [self.field.zero] * len(tgt_basis)
             vec[tgt_basis.index[(aidx,) + p.arrows]] = self.field.one
             cols.append(tgt.reduce_vector(vec))
-        return Matrix.from_columns(self.field, tgt.dim, cols)
+        mat = self._arrow_mat[key] = Matrix.from_columns(self.field, tgt.dim, cols)
+        return mat
 
     # -- R^(n) ----------------------------------------------------------------
 

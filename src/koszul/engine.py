@@ -150,14 +150,15 @@ def koszulity_certificate(pres: Presentation, policy: TruncationPolicy) -> Koszu
                 if not lo <= d <= hi:
                     continue
                 for x in pres.quiver.vertices:
-                    dnp = dn.piece(d, x)
-                    dpp = dp.piece(d, x)
-                    ker = m.dim(d, x) - dnp.rank()
-                    im = dpp.rank()
+                    # a piece missing from the differential is zero: rank 0
+                    dnp = dn.mats.get((d, x))
+                    dpp = dp.mats.get((d, x))
+                    ker = m.dim(d, x) - (dnp.rank() if dnp is not None else 0)
+                    im = dpp.rank() if dpp is not None else 0
                     checked += 1
                     if ker != im:
-                        failures.append(CertEntry(a, pos, d, "failed",
-                                                  _exactness_witness(dnp, dpp), ker - im))
+                        failures.append(CertEntry(a, pos, d, "failed", _exactness_witness(
+                            dn.piece(d, x), dp.piece(d, x)), ker - im))
     ok = not failures
     verdict = ("KOSZUL" if complete else f"KOSZUL_UP_TO_{n_max}") if ok else "NOT_KOSZUL"
     return KoszulCertificate(n_max, policy.degree_window, verdict, complete,
@@ -312,10 +313,16 @@ def koszul_functor_map(side: str, f: GradedMorphism, window,
     """Image of a morphism: per vertex, id (x) f_{j,x} sliced along block offsets."""
     source_pres = source_pres or f.source.pres
     target_pres = target_pres or source_pres.quadratic_dual()
-    src_cx = koszul_functor(side, f.source, window, source_pres, target_pres)
-    tgt_cx = koszul_functor(side, f.target, window, source_pres, target_pres)
+    return _functor_map(f, koszul_functor(side, f.source, window, source_pres, target_pres),
+                        koszul_functor(side, f.target, window, source_pres, target_pres))
+
+
+def _functor_map(f: GradedMorphism, src_cx: ComplexOfModules,
+                 tgt_cx: ComplexOfModules) -> ChainMap:
+    """The image of f between src_cx and tgt_cx, the functor images of its
+    source and target built by the caller."""
     parts = {}
-    field = source_pres.field
+    field = f.source.pres.field
     for j in set(src_cx.modules) | set(tgt_cx.modules):
         src_sum = src_cx.module(j)
         tgt_sum = tgt_cx.module(j)
@@ -373,21 +380,30 @@ def functor_double_complex(side: str, x: ComplexOfModules, window,
     """F^{DC}: column i is the i-fold twist of the functor image of x^i."""
     source_pres = source_pres or x.pres
     target_pres = target_pres or source_pres.quadratic_dual()
+    cols = _functor_columns(side, x, window, source_pres, target_pres)
+    return _column_double_complex(x, cols, window, target_pres)
+
+
+def _functor_columns(side, x: ComplexOfModules, window, source_pres, target_pres):
+    """Position i -> the functor image of x^i, each built once."""
+    return {i: koszul_functor(side, x.module(i), window, source_pres, target_pres)
+            for i in x.positions()}
+
+
+def _column_double_complex(x: ComplexOfModules, cols, window, target_pres) -> DoubleComplex:
+    """F^{DC} from the built columns `cols` of x; the horizontal maps are the
+    images of x's differentials between neighbouring columns."""
     cells = {}
     vert = {}
     horiz = {}
-    cols = {}
-    for i in x.positions():
-        cx = koszul_functor(side, x.module(i), window, source_pres, target_pres)
-        cols[i] = cx
+    for i, cx in cols.items():
         for j, m in cx.modules.items():
             cells[(i, j)] = m
         for j, d in cx.diffs.items():
             vert[(i, j)] = d if _sign(i) == 1 else d.negate()
-    for i in x.positions():
-        if i + 1 not in cols:
-            continue
-        fmap = koszul_functor_map(side, x.diff(i), window, source_pres, target_pres)
+    # a non-zero d^i has non-zero x^i and x^(i+1), so both columns exist
+    for i, d in x.diffs.items():
+        fmap = _functor_map(d, cols[i], cols[i + 1])
         for j in set(cols[i].modules) | set(cols[i + 1].modules):
             part = fmap.part(j)
             if not part.is_zero():
@@ -406,11 +422,14 @@ def extend_functor_map(side: str, f: ChainMap, window,
                        source_pres=None, target_pres=None) -> ChainMap:
     source_pres = source_pres or f.source.pres
     target_pres = target_pres or source_pres.quadratic_dual()
-    src_dc = functor_double_complex(side, f.source, window, source_pres, target_pres)
-    tgt_dc = functor_double_complex(side, f.target, window, source_pres, target_pres)
+    src_cols = _functor_columns(side, f.source, window, source_pres, target_pres)
+    tgt_cols = _functor_columns(side, f.target, window, source_pres, target_pres)
+    src_dc = _column_double_complex(f.source, src_cols, window, target_pres)
+    tgt_dc = _column_double_complex(f.target, tgt_cols, window, target_pres)
     parts = {}
-    for i in set(f.source.positions()) | set(f.target.positions()):
-        cmap = koszul_functor_map(side, f.part(i), window, source_pres, target_pres)
+    # a non-zero part f^i has both x^i and y^i non-zero, so both columns exist
+    for i, fi in f.parts.items():
+        cmap = _functor_map(fi, src_cols[i], tgt_cols[i])
         for j in set(cmap.source.modules) | set(cmap.target.modules):
             part = cmap.part(j)
             if not part.is_zero():

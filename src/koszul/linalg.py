@@ -300,8 +300,10 @@ class Matrix:
 
     @classmethod
     def kron(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        """Kronecker product, `a`-index major."""
+        """Kronecker product, `a`-index major; `b` itself when `a` is the 1x1 identity."""
         one = a.field.one
+        if a.nrows == a.ncols == 1 and a.rows[0][0] == one:
+            return b
         blocks = {(i, j): b if v == one else b.scale(v)
                   for i, row in enumerate(a.rows) for j, v in enumerate(row) if v}
         return cls.block(a.field, [b.nrows] * a.nrows, [b.ncols] * a.ncols, blocks)

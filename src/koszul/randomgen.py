@@ -355,17 +355,17 @@ def double_hom_basis(m: DoubleComplex, n: DoubleComplex):
 def random_double_morphism(rng: random.Random, m: DoubleComplex, n: DoubleComplex):
     basis = double_hom_basis(m, n)
     parts = {}
-    out = DoubleChainMap(m, n, {})
     field = m.pres.field
     for f in basis:
         c = rng.randint(-1, 2)
         if not c:
             continue
         for k, g in f.parts.items():
-            cur = out.parts.get(k)
+            cur = parts.get(k)
             scaled = g.scale(field.of(c))
-            out.parts[k] = scaled if cur is None else cur.add(scaled)
-    return out
+            parts[k] = scaled if cur is None else cur.add(scaled)
+    # built whole, so that DoubleChainMap drops the parts that cancelled to zero
+    return DoubleChainMap(m, n, parts)
 
 
 def random_horizontal_homotopy(rng: random.Random, m: DoubleComplex, n: DoubleComplex):

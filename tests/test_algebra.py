@@ -281,3 +281,21 @@ def test_piece_cache_idempotent(multiserial):
     second = multiserial.algebra_piece(3, "1", "1")
     assert first is second
     assert multiserial.relation_piece(4, "1", "1") is multiserial.relation_piece(4, "1", "1")
+
+
+@pytest.mark.parametrize("name", ["biserial", "multiserial", "kronecker", "empty"])
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
+def test_arrow_matrix_memo_matches_fresh_presentation(name, field):
+    from tests.conftest import presentations_dir
+    text = (presentations_dir() / f"{name}.kz").read_text()
+    warm = parse_presentation(text, field, 10)
+    keys = [(arrow.name, n, v) for arrow in warm.quiver.arrows for n in range(5)
+            for v in warm.quiver.vertices]
+    first = {k: (warm.left_arrow_matrix(*k), warm.right_arrow_matrix(*k)) for k in keys}
+    fresh = parse_presentation(text, field, 10)
+    for k in reversed(keys):
+        left, right = first[k]
+        assert warm.left_arrow_matrix(*k) is left
+        assert warm.right_arrow_matrix(*k) is right
+        assert fresh.left_arrow_matrix(*k) == left
+        assert fresh.right_arrow_matrix(*k) == right

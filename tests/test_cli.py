@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,15 @@ import pytest
 import koszul
 from koszul.cli import main
 from koszul.dsl import parse_presentation
-from koszul.engine import TruncationPolicy, local_koszul_complex
+from koszul.engine import (TruncationPolicy, extend_functor, extend_functor_map,
+                           local_koszul_complex)
 from koszul.linalg import GF, QQ
-from koszul.modules import projective_module
-from koszul.reports import dumps, module_json, complex_json, complex_from_json
-from koszul.complexes import single_module_complex
-from tests.conftest import presentations_dir
+from koszul.modules import GradedMorphism, identity_morphism, projective_module
+from koszul.randomgen import random_module, random_morphism
+from koszul.reports import dumps, module_json, morphism_json, complex_json, complex_from_json
+from koszul.complexes import (ChainMap, ComplexOfModules, relabel_positions,
+                              single_module_complex)
+from tests.conftest import MULTISERIAL as MULTISERIAL_TEXT, presentations_dir
 
 BISERIAL = str(presentations_dir() / "biserial.kz")
 MULTISERIAL = str(presentations_dir() / "multiserial.kz")
@@ -169,6 +173,45 @@ def test_local_koszul_complex_bytes_pinned(name, p):
     assert digests == PINNED_LOCAL_KOSZUL[(name, p)]
 
 
+# sha256 prefixes of the JSON (with block labels) of extend_functor("right", x)
+# and of extend_functor_map("right", g), g the identity chain map of the cone
+# law, for the two-term complex x of random_module/random_morphism draws on
+# Random(seed) over multiserial, window (-2, 10); recorded before the functor
+# builders reused each column's Koszul functor image.
+PINNED_FUNCTOR_EXT = {
+    5: ("8fd5afa707eeac55", "72ca2fa52726cdd2"),
+    20: ("93d38ce14bf26c75", "16857ac27b8d8988"),
+}
+
+
+def _labeled_complex_json(cx):
+    return {"complex": complex_json(cx), "blocks": repr(sorted(cx.block_keys().items()))}
+
+
+@pytest.mark.parametrize("seed", PINNED_FUNCTOR_EXT)
+def test_extend_functor_bytes_pinned(seed):
+    pres = parse_presentation(MULTISERIAL_TEXT, QQ, 16)
+    w = (-2, 10)
+    rng = random.Random(seed)
+    m, n = random_module(rng, pres, (0, 3)), random_module(rng, pres, (0, 3))
+    f = random_morphism(rng, m, n)
+    assert not f.is_zero()
+    x = ComplexOfModules(pres, w, {0: m, 1: n}, {0: f})
+    xa, xb = relabel_positions(x, "A"), relabel_positions(x, "B")
+    g = ChainMap(xa, xb, {p: GradedMorphism(xa.module(p), xb.module(p),
+                                            identity_morphism(x.module(p)).mats)
+                          for p in x.modules}).validate()
+    fx = extend_functor("right", x, w)
+    fg = extend_functor_map("right", g, w)
+    positions = sorted(set(fg.source.modules) | set(fg.target.modules))
+    fg_json = {"source": _labeled_complex_json(fg.source),
+               "target": _labeled_complex_json(fg.target),
+               "parts": {str(p): morphism_json(fg.part(p)) for p in positions}}
+    digests = tuple(hashlib.sha256(dumps(js).encode()).hexdigest()[:16]
+                    for js in (_labeled_complex_json(fx), fg_json))
+    assert digests == PINNED_FUNCTOR_EXT[seed]
+
+
 def test_human_and_json_verdicts_agree(capsys):
     _, human, _ = run(capsys, "check-koszul", MULTISERIAL)
     _, js, _ = run(capsys, "check-koszul", MULTISERIAL, "--json")
@@ -258,19 +301,35 @@ def test_package_reads_no_environment():
         assert "environ" not in text and "getenv" not in text, path.name
 
 
+# attributes of matrices, modules, morphisms and complexes, which are shared
+# between callers (arrow matrices are cached, Kronecker factors reused)
+FROZEN_ATTRS = {"rows", "dims", "actions", "mats", "parts", "modules", "diffs"}
+
+
+def _subscript_base(node):
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
+
+
 def test_package_source_guards():
-    # matrices are built whole, never filled in place after Matrix.zeros, and
-    # every module-level import is used (__init__ re-exports on purpose)
+    # matrices and the containers above are built whole and never written in
+    # place (no `m.rows[i][j] = ...`, `out.parts[k] = ...` or `m.rows.append`),
+    # and every module-level import is used (__init__ re-exports on purpose)
     for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             targets = node.targets if isinstance(node, ast.Assign) else \
                 [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
             for t in targets:
-                inner = t.value if isinstance(t, ast.Subscript) else None
-                assert not (isinstance(inner, ast.Subscript)
-                            and isinstance(inner.value, ast.Attribute)
-                            and inner.value.attr == "rows"), f"{path.name}:{node.lineno}"
+                base = _subscript_base(t) if isinstance(t, ast.Subscript) else None
+                assert not (isinstance(base, ast.Attribute) and base.attr in FROZEN_ATTRS), \
+                    f"{path.name}:{node.lineno} writes into .{base.attr}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                assert not (node.func.attr in ("append", "extend", "insert")
+                            and isinstance(owner, ast.Attribute) and owner.attr == "rows"), \
+                    f"{path.name}:{node.lineno} grows .rows in place"
         if path.name == "__init__.py":
             continue
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

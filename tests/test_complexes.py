@@ -141,6 +141,7 @@ def test_cone_identities_bit_exact(seed):
     m = random_double_complex(rng, pres, grid=(0, 1, 0, 1), degrees=(0, 1))
     n = random_double_complex(rng, pres, grid=(0, 1, 0, 1), degrees=(0, 1))
     f = random_double_morphism(rng, m, n)
+    assert not any(part.is_zero() for part in f.parts.values())
     src = relabel_cells(m, 0)
     tgt = relabel_cells(n, 1)
     g = relabel_double_map(f, src, tgt).validate()

@@ -497,3 +497,35 @@ def test_zeta_iso_for_source_simple(kronecker):
     assert cor.complex.positions() == [0]
     assert cor.map.part(0).piece(0, "1").rank() == 1
     assert cor.quasi_iso and cor.h0_isomorphism
+
+
+def test_functor_builders_build_each_column_once(multiserial, monkeypatch):
+    # the Koszul functor image of each position is built once and reused for
+    # the horizontal maps, not rebuilt by koszul_functor_map
+    import koszul.engine as engine
+    from koszul.complexes import ChainMap, ComplexOfModules
+    from koszul.modules import identity_morphism
+    rng = random.Random(5)
+    m = random_module(rng, multiserial, (0, 3))
+    n = random_module(rng, multiserial, (0, 3))
+    f = random_morphism(rng, m, n)
+    assert not f.is_zero()
+    w = (-2, 8)
+    x = ComplexOfModules(multiserial, w, {0: m, 1: n}, {0: f})
+    xa, xb = relabel_positions(x, "A"), relabel_positions(x, "B")
+    g = ChainMap(xa, xb, {p: GradedMorphism(xa.module(p), xb.module(p),
+                                            identity_morphism(x.module(p)).mats)
+                          for p in x.modules}).validate()
+    calls = []
+    real = engine.koszul_functor
+
+    def counting(side, module, *args, **kwargs):
+        calls.append(module)
+        return real(side, module, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "koszul_functor", counting)
+    engine.functor_double_complex("right", x, w)
+    assert len(calls) == len(x.positions())
+    calls.clear()
+    engine.extend_functor_map("right", g, w)
+    assert len(calls) == len(g.source.positions()) + len(g.target.positions())

@@ -112,6 +112,9 @@ def test_kron_matches_entrywise_definition(field):
     # a zero factor gives a zero product of the right shape
     zero = Matrix.zeros(field, 2, 2)
     assert Matrix.kron(zero, Matrix.identity(field, 3)) == Matrix.zeros(field, 6, 6)
+    # the 1x1 identity factor hands back the other factor itself
+    b = Matrix.from_rows(field, [[1, 2, 0], [0, -1, 3]])
+    assert Matrix.kron(Matrix.identity(field, 1), b) is b
 
 
 def _reference_rref(rows, ncols, p=0):
