@@ -243,7 +243,7 @@ class Presentation:
         sub = self.r_upper(n, a, arrow.target)
         tgt = self.r_upper(n - 1, a, arrow.source)
         full = self.derivation_matrix(arrow_name, n, a)
-        cols = [tgt.coordinates(full.apply(row)) for row in sub.basis.rows]
+        cols = [tgt.coordinates(full.apply(row)) for row in sub.dense_rows()]
         return Matrix.from_columns(self.field, tgt.dim, cols)
 
     # -- opposites and duals ---------------------------------------------------
@@ -429,21 +429,18 @@ def subspace_circuits(space: Subspace):
             if any(supp <= s for supp, _ in found):
                 continue
             outside = [j for j in range(space.ambient) if j not in s]
-            if space.dim == 0:
-                continue
             restr = Matrix(space.field, space.dim, len(outside),
-                           [[row[j] for j in outside] for row in space.basis.rows])
-            combos = restr.transpose().kernel_basis()
-            if combos.nrows == 0:
+                           [[row.get(j, space.field.zero) for j in outside]
+                            for row in space.sparse_rows])
+            combos = restr.transpose().kernel()
+            if not combos.dim:
                 continue
             vec = [space.field.zero] * space.ambient
-            coefs = combos.rows[0]
-            for c, row in zip(coefs, space.basis.rows):
-                if c:
-                    for j, v in enumerate(row):
-                        if v:
-                            vec[j] = vec[j] + c * v if space.field.characteristic == 0 \
-                                else (vec[j] + c * v) % space.field.p
+            coefs = combos.sparse_rows[0]
+            for k, c in coefs.items():
+                for j, v in space.sparse_rows[k].items():
+                    vec[j] = vec[j] + c * v if space.field.characteristic == 0 \
+                        else (vec[j] + c * v) % space.field.p
             supp = frozenset(j for j, v in enumerate(vec) if v)
             lead = next(vec[j] for j in sorted(supp))
             if space.field.characteristic == 0:

@@ -438,9 +438,10 @@ def homology_at(x: ComplexOfModules, n: int):
     dn = x.diff(n)
     dp = x.diff(n - 1)
     for (i, v), d in m.dims.items():
-        ker = d - dn.piece(i, v).rank() if dn.piece(i, v).nrows else d
-        im = dp.piece(i, v).rank() if dp.piece(i, v).ncols else 0
-        val = ker - im
+        # a piece missing from a differential is zero: rank 0
+        dnp = dn.mats.get((i, v))
+        dpp = dp.mats.get((i, v))
+        val = d - (dnp.rank() if dnp is not None else 0) - (dpp.rank() if dpp is not None else 0)
         if val:
             table[(i, v)] = val
     return table
@@ -465,18 +466,15 @@ def homology_module(x: ComplexOfModules, n: int):
     dp = x.diff(n - 1)
     ker_pieces = {}
     for (i, v), d in m.dims.items():
-        mat = dn.piece(i, v)
-        ker_pieces[(i, v)] = Subspace.from_matrix(mat.kernel_basis())
+        mat = dn.mats.get((i, v))
+        ker_pieces[(i, v)] = mat.kernel() if mat is not None else Subspace.full(m.pres.field, d)
     ksub, incl = submodule(m, ker_pieces)
     img_in_k = {}
     for (i, v), sp in ker_pieces.items():
-        if not sp.dim:
+        mat = dp.mats.get((i, v))
+        if not sp.dim or mat is None:
             continue
-        mat = dp.piece(i, v)
-        vecs = []
-        for c in range(mat.ncols):
-            vec = [mat.rows[r][c] for r in range(mat.nrows)]
-            vecs.append(sp.coordinates(vec))
+        vecs = [sp.coordinates(col) for col in zip(*mat.rows)]
         img_in_k[(i, v)] = Subspace.from_vectors(m.pres.field, sp.dim, vecs)
     h, proj = quotient_module(ksub, img_in_k)
     reps = {}
@@ -485,7 +483,8 @@ def homology_module(x: ComplexOfModules, n: int):
         sub = img_in_k.get((i, v)) or Subspace.zero(m.pres.field, sp.dim)
         pivset = set(sub.pivots)
         free = [c for c in range(sp.dim) if c not in pivset]
-        reps[(i, v)] = [sp.basis.rows[c] for c in free]
+        rows = sp.dense_rows()
+        reps[(i, v)] = [rows[c] for c in free]
     return h, reps
 
 

@@ -289,7 +289,7 @@ def print_presentation(pres: Presentation) -> str:
     for (x, z) in sorted(pres.relations, key=lambda p: (order[p[0]], order[p[1]])):
         space = pres.relations[(x, z)]
         basis = pres.path_basis(2, x, z)
-        for row in space.basis.rows:
+        for row in space.sparse_rows:
             rel_lines.append("  " + _format_vector(pres, row, basis))
     if rel_lines:
         lines.append("relations")
@@ -300,10 +300,8 @@ def print_presentation(pres: Presentation) -> str:
 def _format_vector(pres: Presentation, row, basis) -> str:
     field = pres.field
     parts = []
-    for coeff, path in zip(row, basis.paths):
-        if not coeff:
-            continue
-        word = path.word(pres.quiver)
+    for c, coeff in sorted(row.items()):
+        word = basis.paths[c].word(pres.quiver)
         if field.characteristic == 0 and coeff < 0:
             sign, mag = "-", -coeff
         else:

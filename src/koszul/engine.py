@@ -556,8 +556,7 @@ def _h0_isomorphism(f: ChainMap) -> bool:
 
 
 def _position_kernel(cx: ComplexOfModules, n, i, x) -> Subspace:
-    mat = cx.diff(n).piece(i, x)
-    return Subspace.from_matrix(mat.kernel_basis())
+    return cx.diff(n).piece(i, x).kernel()
 
 
 def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:

@@ -1,15 +1,15 @@
 """Exact scalar arithmetic, matrices and canonical subspaces.
 
 Everything is computed over an exact field: arbitrary-precision rationals
-(`QQ`) or a prime field (`GF(p)`).  Subspaces are stored as canonical
-reduced row echelon bases, so subspace equality is plain data equality.
+(`QQ`) or a prime field (`GF(p)`).  A `Subspace` is its canonical reduced
+row echelon basis, so subspace equality is plain data equality.
 
 Matrices are dense row lists, but all row reduction is sparse: rows are
 handed to the kernels in `koszul._kernels` as ``{column: value}`` dicts of
 their non-zero entries, and over `QQ` only the non-zeros are converted to
-and from integers.  A `Subspace` keeps its canonical basis in this sparse
-form too (`Subspace.sparse_rows`), so spans of sparse vectors
-(`Subspace.from_sparse`) never materialise a dense matrix on the way in.
+and from integers.  A `Subspace` stores nothing but those sparse canonical
+rows (`Subspace.sparse_rows`) and their pivot columns: no span, kernel or
+relation piece ever materialises a dense basis.
 """
 
 from __future__ import annotations
@@ -314,14 +314,15 @@ class Matrix:
         return _dense(self.field, self.ncols, rows), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_rref_sparse(self.field, _nonzeros(self.rows))[1])
+
+    def kernel(self) -> "Subspace":
+        """The subspace {v : A v = 0}, in canonical form."""
+        return _null_space(self.field, self.ncols, *_rref_sparse(self.field, _nonzeros(self.rows)))
 
     def kernel_basis(self) -> "Matrix":
         """Canonical basis (as rows) of {v : A v = 0}."""
-        rows, pivots = _rref_sparse(self.field, _nonzeros(self.rows))
-        null = _null_rows(self.field, self.ncols, rows, pivots)
-        # canonicalize so two computations of the same kernel agree bit-exactly
-        return Subspace.from_sparse(self.field, self.ncols, null).basis
+        return _dense(self.field, self.ncols, self.kernel().sparse_rows)
 
     def column_space(self) -> "Subspace":
         return Subspace.from_matrix(self.transpose())
@@ -377,8 +378,9 @@ def _rref_sparse(field, rows: list[dict]) -> tuple[list[dict], tuple[int, ...]]:
     return out, pivots
 
 
-def _null_rows(field, ncols: int, rows: list[dict], pivots) -> list[dict]:
-    """Sparse null space vectors of a sparse RREF, one per free column."""
+def _null_space(field, ncols: int, rows: list[dict], pivots) -> "Subspace":
+    """Null space of a sparse RREF, spanned by one vector per free column and
+    re-reduced, so two computations of the same kernel agree bit-exactly."""
     p = field.characteristic
     entries: dict[int, dict] = {}
     for row, pc in zip(rows, pivots):
@@ -392,13 +394,16 @@ def _null_rows(field, ncols: int, rows: list[dict], pivots) -> list[dict]:
             vec = entries.get(c, {})
             vec[c] = field.one
             out.append(vec)
-    return out
+    return Subspace.from_sparse(field, ncols, out)
 
 
 def matrix_kernels(a: Matrix) -> tuple[int, Matrix, Matrix]:
     """(rank, kernel basis rows, image basis rows) of a matrix."""
-    rank = a.rank()
-    return rank, a.kernel_basis(), a.column_space().basis
+    rows, pivots = _rref_sparse(a.field, _nonzeros(a.rows))
+    ker = _null_space(a.field, a.ncols, rows, pivots)
+    img = a.column_space()
+    return (len(pivots), _dense(a.field, a.ncols, ker.sparse_rows),
+            _dense(a.field, a.nrows, img.sparse_rows))
 
 
 def solve(a: Matrix, b: Sequence) -> list | None:
@@ -418,19 +423,18 @@ def solve(a: Matrix, b: Sequence) -> list | None:
 
 
 class Subspace:
-    """Subspace of a coordinatized k^n, stored as a canonical RREF basis.
+    """Subspace of a coordinatized k^n, stored as its canonical RREF basis.
 
-    `basis` is the basis as a dense matrix; `sparse_rows` holds the same
-    rows as {column: value} dicts of their non-zero entries.
+    The basis is kept only in sparse form: `sparse_rows` holds its rows as
+    {column: value} dicts of their non-zero entries, and `pivots` their
+    leading columns, in increasing order.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "sparse_rows")
+    __slots__ = ("field", "ambient", "pivots", "sparse_rows")
 
-    def __init__(self, field, ambient: int, basis: Matrix, pivots: tuple[int, ...],
-                 sparse_rows: list[dict]):
+    def __init__(self, field, ambient: int, pivots: tuple[int, ...], sparse_rows: list[dict]):
         self.field = field
         self.ambient = ambient
-        self.basis = basis
         self.pivots = pivots
         self.sparse_rows = sparse_rows
 
@@ -438,7 +442,7 @@ class Subspace:
     def from_sparse(cls, field, ambient: int, rows: list[dict]) -> "Subspace":
         """Span of vectors given as {column: value} dicts of field elements."""
         red, pivots = _rref_sparse(field, rows)
-        return cls(field, ambient, _dense(field, ambient, red), pivots, red)
+        return cls(field, ambient, pivots, red)
 
     @classmethod
     def from_matrix(cls, mat: Matrix) -> "Subspace":
@@ -455,16 +459,16 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.zeros(field, 0, ambient), (), [])
+        return cls(field, ambient, (), [])
 
     @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient), tuple(range(ambient)),
+        return cls(field, ambient, tuple(range(ambient)),
                    [{i: field.one} for i in range(ambient)])
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.pivots)
 
     def __eq__(self, other):
         return (
@@ -480,6 +484,10 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
+    def dense_rows(self) -> list[list]:
+        """The basis rows as dense lists, built on each call."""
+        return _dense(self.field, self.ambient, self.sparse_rows).rows
+
     def reduce(self, vec: Sequence) -> list:
         """Remainder of vec after reduction modulo the subspace."""
         return self._eliminate(list(vec), None)
@@ -489,7 +497,7 @@ class Subspace:
         return all(a == z for a in self.reduce(vec))
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.rows)
+        return all(self.contains(r) for r in other.dense_rows())
 
     def coordinates(self, vec: Sequence) -> list:
         """Coefficients of vec in the stored basis; raises if not a member."""
@@ -526,9 +534,7 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Annihilator subspace in the dual coordinates."""
-        return Subspace.from_sparse(self.field, self.ambient,
-                                    _null_rows(self.field, self.ambient, self.sparse_rows,
-                                               self.pivots))
+        return _null_space(self.field, self.ambient, self.sparse_rows, self.pivots)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -541,9 +547,9 @@ class Subspace:
             raise ValueError("not a subspace: quotient undefined")
         rows = []
         current = sub
-        for r, sparse in zip(self.basis.rows, self.sparse_rows):
+        for r, sparse in zip(self.dense_rows(), self.sparse_rows):
             if not current.contains(r):
-                rows.append(list(r))
+                rows.append(r)
                 current = Subspace.from_sparse(self.field, self.ambient,
                                                current.sparse_rows + [sparse])
         return Matrix(self.field, len(rows), self.ambient, rows)

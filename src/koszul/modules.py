@@ -59,15 +59,13 @@ class GradedModule:
                 raise ValueError(f"action shape mismatch for ({name},{i})")
         for (x, z), space in self.pres.relations.items():
             basis = self.pres.path_basis(2, x, z)
-            for row in space.basis.rows:
+            for row in space.sparse_rows:
                 for i in range(lo, hi - 1):
                     if not self.dim(i, x):
                         continue
                     acc = None
-                    for coeff, p in zip(row, basis.paths):
-                        if not coeff:
-                            continue
-                        first, second = p.arrows
+                    for c, coeff in row.items():
+                        first, second = basis.paths[c].arrows
                         m = self.action(quiver.arrows[second].name, i + 1) * \
                             self.action(quiver.arrows[first].name, i)
                         m = m.scale(coeff)
@@ -172,10 +170,10 @@ class GradedMorphism:
         return self
 
     def compose(self, other: "GradedMorphism") -> "GradedMorphism":
-        """self after other."""
+        """self after other; a piece missing from either side composes to zero."""
         mats = {}
-        for (i, x) in set(self.mats) | set(other.mats):
-            mats[(i, x)] = self.piece(i, x) * other.piece(i, x)
+        for (i, x) in self.mats.keys() & other.mats.keys():
+            mats[(i, x)] = self.mats[(i, x)] * other.mats[(i, x)]
         return GradedMorphism(other.source, self.target, mats)
 
     def add(self, other: "GradedMorphism") -> "GradedMorphism":
@@ -307,14 +305,14 @@ def submodule(m: GradedModule, pieces: dict) -> tuple[GradedModule, GradedMorphi
                 tgt = Subspace.zero(field, m.dim(i + 1, arrow.target))
             mat = m.action(arrow.name, i)
             out = Matrix.from_columns(field, tgt.dim, [tgt.coordinates(mat.apply(row))
-                                                       for row in sp.basis.rows])
+                                                       for row in sp.dense_rows()])
             if out.nrows and out.ncols:
                 actions[(arrow.name, i)] = out
     sub = GradedModule(m.pres, m.window, dims, actions)
     incl = {}
     for (i, x), sp in pieces.items():
         if sp.dim:
-            incl[(i, x)] = sp.basis.transpose()
+            incl[(i, x)] = Matrix.from_columns(field, sp.ambient, sp.dense_rows())
     return sub, GradedMorphism(sub, m, incl)
 
 
@@ -398,8 +396,8 @@ def kernel_module(f: GradedMorphism):
     """Kernel with its inclusion morphism."""
     pieces = {}
     for (i, x), d in f.source.dims.items():
-        pieces[(i, x)] = Subspace.from_matrix(f.piece(i, x).kernel_basis()) \
-            if f.piece(i, x).nrows else Subspace.full(f.source.pres.field, d)
+        mat = f.mats.get((i, x))
+        pieces[(i, x)] = mat.kernel() if mat is not None else Subspace.full(f.source.pres.field, d)
     return submodule(f.source, pieces)
 
 

@@ -31,12 +31,9 @@ def presentation_json(pres: Presentation):
     for (x, z) in sorted(pres.relations, key=lambda p: (order[p[0]], order[p[1]])):
         space = pres.relations[(x, z)]
         basis = pres.path_basis(2, x, z)
-        for row in space.basis.rows:
-            terms = []
-            for coeff, path in zip(row, basis.paths):
-                if coeff:
-                    terms.append({"coefficient": scalar(pres.field, coeff),
-                                  "path": path.word(quiver)})
+        for row in space.sparse_rows:
+            terms = [{"coefficient": scalar(pres.field, row[c]),
+                      "path": basis.paths[c].word(quiver)} for c in sorted(row)]
             rels.append({"source": x, "target": z, "terms": terms})
     return {
         "field": pres.field.name,

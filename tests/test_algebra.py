@@ -35,11 +35,11 @@ def _ideal_piece_oracle(pres, n, x, y):
             gen_basis = pres.path_basis(2, a, b)
             for q in pres.path_basis(j, x, a).paths:
                 for r in pres.path_basis(n - 2 - j, b, y).paths:
-                    for row in gen.basis.rows:
+                    for row in gen.sparse_rows:
                         vec = [pres.field.zero] * len(target)
-                        for coeff, p in zip(row, gen_basis.paths):
-                            if coeff:
-                                vec[target.index[q.arrows + p.arrows + r.arrows]] = coeff
+                        for col, coeff in row.items():
+                            p = gen_basis.paths[col]
+                            vec[target.index[q.arrows + p.arrows + r.arrows]] = coeff
                         vectors.append(vec)
     return Subspace.from_vectors(pres.field, len(target), vectors)
 
@@ -59,11 +59,11 @@ def _r_upper_oracle(pres, n, a, x):
             gen_basis = pres.path_basis(2, b, c)
             for q in pres.path_basis(j, a, b).paths:
                 for r in pres.path_basis(n - 2 - j, c, x).paths:
-                    for row in gen.basis.rows:
+                    for row in gen.sparse_rows:
                         vec = [pres.field.zero] * len(target)
-                        for coeff, p in zip(row, gen_basis.paths):
-                            if coeff:
-                                vec[target.index[q.arrows + p.arrows + r.arrows]] = coeff
+                        for col, coeff in row.items():
+                            p = gen_basis.paths[col]
+                            vec[target.index[q.arrows + p.arrows + r.arrows]] = coeff
                         vectors.append(vec)
         layer = Subspace.from_vectors(pres.field, len(target), vectors)
         result = layer if result is None else result.intersect(layer)
@@ -89,7 +89,7 @@ def test_multiserial_relation_piece_example(multiserial):
     space = multiserial.relation_space("1", "1")
     assert space.dim == 1
     basis = multiserial.path_basis(2, "1", "1")
-    words = {p.word(multiserial.quiver): c for c, p in zip(space.basis.rows[0], basis.paths)}
+    words = {basis.paths[j].word(multiserial.quiver): c for j, c in space.sparse_rows[0].items()}
     assert words["al*al"] == 1 and words["be*ga"] == 1
 
 
@@ -154,15 +154,14 @@ def test_r_upper_membership_criterion(multiserial):
                     arrow = pres.quiver.arrows[aidx]
                     sub = pres.r_upper(n - 1, a, arrow.source)
                     src = pres.path_basis(n - 1, a, arrow.source)
-                    for row in sub.basis.rows:
+                    for row in sub.sparse_rows:
                         vec = [pres.field.zero] * len(target)
-                        for coeff, p in zip(row, src.paths):
-                            if coeff:
-                                vec[target.index[p.arrows + (aidx,)]] = coeff
+                        for c, coeff in row.items():
+                            vec[target.index[src.paths[c].arrows + (aidx,)]] = coeff
                         left_vectors.append(vec)
                 left = Subspace.from_vectors(pres.field, len(target), left_vectors)
                 right = _ideal_right_oracle(pres, n, a, x, target)
-                for row in left.basis.rows:
+                for row in left.dense_rows():
                     expected = right.contains(row)
                     assert pres.r_upper(n, a, x).contains(row) == expected
 
@@ -175,11 +174,10 @@ def _ideal_right_oracle(pres, n, a, x, target):
             continue
         gen_basis = pres.path_basis(2, b, x)
         for q in pres.path_basis(n - 2, a, b).paths:
-            for row in gen.basis.rows:
+            for row in gen.sparse_rows:
                 vec = [pres.field.zero] * len(target)
-                for coeff, p in zip(row, gen_basis.paths):
-                    if coeff:
-                        vec[target.index[q.arrows + p.arrows]] = coeff
+                for c, coeff in row.items():
+                    vec[target.index[q.arrows + gen_basis.paths[c].arrows]] = coeff
                 vectors.append(vec)
     return Subspace.from_vectors(pres.field, len(target), vectors)
 

@@ -78,6 +78,8 @@ PINNED_JSON = [
      "fd264fb35d262d7ddeb9cbb81758eb69532e8a6758116ca64b61b1278c745e03"),
     (("check-koszul", MULTISERIAL, "-N", "8", "--window", "-2", "14"),
      "9605bbf2a25acbe044f56bba0e521a878398469b98fc245997fce1ec1641802d"),
+    (("check-koszul", MULTISERIAL, "-N", "8", "--window", "-2", "16", "-D", "16"),
+     "36cc20a734f8eace75595e7cd68015784fa664685538e5bd1d84d5c29fb5a943"),
     (("check-koszul", KRONECKER),
      "1d3a732a272494c09f5f8ebf889b9b9f962952d8856112d12bf3139455635687"),
     (("check-koszul", EMPTY),

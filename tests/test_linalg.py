@@ -34,7 +34,7 @@ def test_subspace_same_space_canonical():
     u1 = Subspace.from_vectors(QQ, 3, [[1, 1, 0], [0, 1, 1]])
     u2 = Subspace.from_vectors(QQ, 3, [[1, 2, 1], [2, 3, 1], [1, 0, -1]])
     assert u1 == u2
-    assert u1.basis.rows == u2.basis.rows
+    assert u1.sparse_rows == u2.sparse_rows
 
 
 def test_subspace_trivial_cases():
@@ -216,7 +216,8 @@ def _check_rref(field, rows, ncols):
     before = [dict(r) for r in sparse]
     space = Subspace.from_sparse(field, ncols, sparse)
     assert sparse == before                      # the kernels leave their input alone
-    assert space.pivots == want_piv and space.basis.rows == want_rows
+    assert space.pivots == want_piv
+    assert space.dense_rows() == want_rows
     assert space.sparse_rows == [{c: v for c, v in enumerate(r) if v} for r in want_rows]
     if not p:
         # integer lane: the canonical RREF scaled to content 1, leading entries positive
@@ -243,6 +244,25 @@ def test_rref_matches_reference_gauss_jordan(seed):
     ints = _random_rows(rng, m, n, density, rational=False)
     for p in (2, 3, 101, P_CHECK):
         _check_rref(GF(p), ints, n)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_and_rank_agree_with_rref(seed):
+    rng = random.Random(400 + seed)
+    m, n = rng.randint(0, 8), rng.randint(0, 8)
+    density = (0.15, 0.9)[seed % 2]
+    cases = [(QQ, _random_rows(rng, m, n, density, rational=True))]
+    ints = _random_rows(rng, m, n, density, rational=False)
+    cases += [(GF(p), ints) for p in (2, 101, P_CHECK)]
+    for field, rows in cases:
+        mat = Matrix(field, len(rows), n, [[field.of(v) for v in r] for r in rows])
+        ker = mat.kernel()
+        dense = mat.kernel_basis()
+        assert ker == Subspace.from_matrix(dense)
+        assert mat.rank() == len(mat.rref()[1])
+        assert ker.dim == n - mat.rank()
+        for row in ker.dense_rows():
+            assert not any(mat.apply(row))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(P_CHECK)], ids=str)

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from koszul.dsl import ParseError, parse_presentation, print_presentation
+from koszul.linalg import QQ
 from koszul.quiver import Path, Quiver, derive_initial, derive_terminal, enumerate_paths
+
+from .conftest import MULTISERIAL
 
 
 def test_trivial_path_basis():
@@ -22,6 +28,17 @@ def test_kronecker_paths_and_adjacency(kronecker):
     basis = kronecker.path_basis(1, "1", "2")
     assert [p.word(kronecker.quiver) for p in basis.paths] == ["a", "b"]
     assert kronecker.quiver.adjacency_power_count(1, "1", "2") == 2
+
+
+def test_dropped_presentation_frees_its_path_enumerator():
+    pres = parse_presentation(MULTISERIAL, QQ, degree_cap=6)
+    pres.relation_piece(4, "1", "1")            # fills the path and relation caches
+    assert pres.paths.count(4, "1", "1") == len(pres.path_basis(4, "1", "1"))
+    enumerator = weakref.ref(pres.paths)
+    quiver = weakref.ref(pres.quiver)
+    del pres
+    gc.collect()
+    assert enumerator() is None and quiver() is None
 
 
 @pytest.mark.parametrize("n", range(0, 9))
