@@ -68,13 +68,6 @@ class Presentation:
     def zero_space(self, n, x, y) -> Subspace:
         return Subspace.zero(self.field, len(self.path_basis(n, x, y)))
 
-    def path_vector(self, path: Path):
-        """Indicator coordinate vector of a path in its kQ_n(x,y) basis."""
-        basis = self.path_basis(path.length(), path.start, path.end(self.quiver))
-        vec = [self.field.zero] * len(basis)
-        vec[basis.position(path)] = self.field.one
-        return vec
-
     def relation_space(self, x, z) -> Subspace:
         return self.relations.get((x, z)) or self.zero_space(2, x, z)
 

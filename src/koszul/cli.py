@@ -371,21 +371,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        kind = "assertion-failed" if exc.code == 2 else "input-error"
-        payload = {"error": str(exc), "exit": exc.code, "code": kind}
+    except (CliError, ValueError, MemoryError, RecursionError) as exc:
+        code = exc.code if isinstance(exc, CliError) else 1
+        message = str(exc)
+        if isinstance(exc, (MemoryError, RecursionError)):
+            message = f"input too large: {type(exc).__name__} {message}".rstrip()
         if args.json:
-            sys.stdout.write(reports.dumps(payload))
+            sys.stdout.write(reports.dumps({
+                "error": message, "exit": code,
+                "code": "assertion-failed" if code == 2 else "input-error"}))
         else:
-            print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        if args.json:
-            sys.stdout.write(reports.dumps(
-                {"error": str(exc), "exit": 1, "code": "input-error"}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+            print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ constructions compare bit-exactly.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, solve
+from .linalg import Matrix, MatrixEquations, Subspace
 from .modules import (GradedModule, GradedMorphism, direct_sum, zero_module,
                       zero_morphism)
 
@@ -503,94 +503,33 @@ def null_homotopy_solve(f: ChainMap):
     the entries of the u^n, so this is one exact linear solve.
     """
     x, y = f.source, f.target
-    pres = x.pres
-    field = pres.field
-    quiver = pres.quiver
-    slots = []
-    offset = {}
-    total = 0
     positions = sorted(set(x.modules) | {n + 1 for n in y.modules})
-    for n in positions:
-        for (i, v) in sorted(set(x.module(n).dims) & set(y.module(n - 1).dims)):
-            size = x.module(n).dim(i, v) * y.module(n - 1).dim(i, v)
-            offset[(n, i, v)] = total
-            slots.append((n, i, v))
-            total += size
-
-    def var(n, i, v, r, c):
-        return offset[(n, i, v)] + r * x.module(n).dim(i, v) + c
-
-    rows = []
-    rhs = []
-
-    def add_equation(coeffs, value):
-        row = [field.zero] * total
-        for idx, cf in coeffs.items():
-            row[idx] = row[idx] + cf if field.characteristic == 0 else (row[idx] + cf) % field.p
-        rows.append(row)
-        rhs.append(value)
-
-    # homotopy equations: f^n = u^{n+1} d_x^n + d_y^{n-1} u^n, per piece entry
+    eqs = MatrixEquations(x.pres.field, [
+        ((n, i, v), y.module(n - 1).dim(i, v), x.module(n).dim(i, v)) for n in positions
+        for (i, v) in sorted(set(x.module(n).dims) & set(y.module(n - 1).dims))])
+    # homotopy equations: f^n = u^{n+1} d_x^n + d_y^{n-1} u^n
     for n in set(x.modules) | set(y.modules):
-        xm = x.module(n)
-        ym = y.module(n)
-        dxn = x.diff(n)
-        dyn = y.diff(n - 1)
+        xm, ym = x.module(n), y.module(n)
         for (i, v) in set(xm.dims) | set(ym.dims):
-            fmat = f.part(n).piece(i, v)
-            for r in range(ym.dim(i, v)):
-                for c in range(xm.dim(i, v)):
-                    coeffs = {}
-                    dx = dxn.piece(i, v)
-                    for k in range(x.module(n + 1).dim(i, v)):
-                        if dx.rows[k][c] and (n + 1, i, v) in offset:
-                            idx = var(n + 1, i, v, r, k)
-                            coeffs[idx] = coeffs.get(idx, field.zero) + dx.rows[k][c]
-                    dy = dyn.piece(i, v)
-                    for k in range(y.module(n - 1).dim(i, v)):
-                        if dy.rows[r][k] and (n, i, v) in offset:
-                            idx = var(n, i, v, k, c)
-                            coeffs[idx] = coeffs.get(idx, field.zero) + dy.rows[r][k]
-                    add_equation(coeffs, fmat.rows[r][c] if fmat.nrows else field.zero)
+            eqs.add(ym.dim(i, v), xm.dim(i, v),
+                    [(1, None, (n + 1, i, v), x.diff(n).piece(i, v)),
+                     (1, y.diff(n - 1).piece(i, v), (n, i, v), None)],
+                    f.part(n).piece(i, v))
     # linearity: y-action . u = u . x-action
     for n in positions:
-        xm = x.module(n)
-        ym1 = y.module(n - 1)
-        for arrow in quiver.arrows:
+        xm, ym1 = x.module(n), y.module(n - 1)
+        for arrow in x.pres.quiver.arrows:
             for i in range(x.window[0] - 1, x.window[1] + 1):
-                ax = xm.action(arrow.name, i)
-                ay = ym1.action(arrow.name, i)
-                for r in range(ym1.dim(i + 1, arrow.target)):
-                    for c in range(xm.dim(i, arrow.source)):
-                        coeffs = {}
-                        for k in range(ym1.dim(i, arrow.source)):
-                            if ay.rows[r][k] and (n, i, arrow.source) in offset:
-                                idx = var(n, i, arrow.source, k, c)
-                                coeffs[idx] = coeffs.get(idx, field.zero) + ay.rows[r][k]
-                        for k in range(xm.dim(i + 1, arrow.target)):
-                            if ax.rows[k][c] and (n, i + 1, arrow.target) in offset:
-                                idx = var(n, i + 1, arrow.target, r, k)
-                                coeffs[idx] = coeffs.get(idx, field.zero) - ax.rows[k][c]
-                        if coeffs:
-                            add_equation(coeffs, field.zero)
-    if total == 0:
-        zero = all(v == field.zero for v in rhs)
-        return {} if zero else None
-    mat = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, total)
-    sol = solve(mat, rhs)
+                eqs.add(ym1.dim(i + 1, arrow.target), xm.dim(i, arrow.source),
+                        [(1, ym1.action(arrow.name, i), (n, i, arrow.source), None),
+                         (-1, None, (n, i + 1, arrow.target), xm.action(arrow.name, i))])
+    sol = eqs.solve()
     if sol is None:
         return None
-    out = {}
-    for n in positions:
-        mats = {}
-        for (i, v) in set(x.module(n).dims) & set(y.module(n - 1).dims):
-            entries = [[sol[var(n, i, v, r, c)] for c in range(x.module(n).dim(i, v))]
-                       for r in range(y.module(n - 1).dim(i, v))]
-            mats[(i, v)] = Matrix(field, y.module(n - 1).dim(i, v),
-                                  x.module(n).dim(i, v), entries)
-        if mats:
-            out[n] = GradedMorphism(x.module(n), y.module(n - 1), mats)
-    return out
+    mats: dict = {}
+    for (n, i, v), mat in sol.items():
+        mats.setdefault(n, {})[(i, v)] = mat
+    return {n: GradedMorphism(x.module(n), y.module(n - 1), m) for n, m in mats.items()}
 
 
 def verify_homotopy(f: ChainMap, homotopy) -> bool:

@@ -10,6 +10,10 @@ their non-zero entries, and over `QQ` only the non-zeros are converted to
 and from integers.  A `Subspace` stores nothing but those sparse canonical
 rows (`Subspace.sparse_rows`) and their pivot columns: no span, kernel or
 relation piece ever materialises a dense basis.
+
+`MatrixEquations` is the one place where linear systems whose unknowns are
+the entries of matrices (Hom spaces, null-homotopies, maps of double
+complexes) are built and solved; it and `solve` share one sparse solve.
 """
 
 from __future__ import annotations
@@ -406,20 +410,110 @@ def matrix_kernels(a: Matrix) -> tuple[int, Matrix, Matrix]:
             _dense(a.field, a.nrows, img.sparse_rows))
 
 
+def _solve_sparse(field, rows: list[dict], ncols: int) -> dict | None:
+    """One solution, as {column: value}, of sparse augmented rows whose column
+    `ncols` holds the right side; free unknowns are 0, and None means the
+    system is inconsistent."""
+    red, pivots = _rref_sparse(field, rows)
+    if ncols in pivots:
+        return None
+    return {c: row[ncols] for row, c in zip(red, pivots) if ncols in row}
+
+
 def solve(a: Matrix, b: Sequence) -> list | None:
     """One solution of A x = b (free variables set to zero), or None."""
     if len(b) != a.nrows:
         raise ValueError("rhs length mismatch")
     field = a.field
-    aug = Matrix(field, a.nrows, a.ncols + 1,
-                 [list(r) + [field.of(v)] for r, v in zip(a.rows, b)])
-    red, pivots = aug.rref()
-    if a.ncols in pivots:
+    rows = _nonzeros(a.rows)
+    for row, v in zip(rows, b):
+        row[a.ncols] = field.of(v)
+    sol = _solve_sparse(field, rows, a.ncols)
+    if sol is None:
         return None
-    x = [field.zero] * a.ncols
-    for row, c in zip(red.rows, pivots):
-        x[c] = row[a.ncols]
-    return x
+    return [sol.get(c, field.zero) for c in range(a.ncols)]
+
+
+class MatrixEquations:
+    """Linear equations whose unknowns are the entries of matrices X_s.
+
+    The unknowns are laid out slot by slot, in the order the slots are
+    given, each matrix in row-major order.  Each equation is a sparse
+    ``{column: value}`` row, with its right side in the column after the
+    last unknown.
+    """
+
+    def __init__(self, field, slots: Iterable[tuple]):
+        """`slots` holds (key, nrows, ncols) for each unknown matrix."""
+        self.field = field
+        self.slots: dict = {}       # key -> (offset, nrows, ncols)
+        size = 0
+        for key, nrows, ncols in slots:
+            self.slots[key] = (size, nrows, ncols)
+            size += nrows * ncols
+        self.size = size
+        self.equations: list[dict] = []
+        self.homogeneous = True
+
+    def add(self, nrows: int, ncols: int, terms, rhs: Matrix | None = None):
+        """Add the nrows x ncols equations: sum of `terms` = `rhs` (zero if None).
+
+        Each term is (sign, A, key, B) with sign 1 or -1 and exactly one of A
+        and B a Matrix, the other None: it stands for sign·A·X_key or
+        sign·X_key·B.  A term on a key that is not a slot is zero, as that
+        matrix has no entries.  An equation whose two sides are both zero is
+        dropped; one with a zero left side and a non-zero right side is kept,
+        and makes the system inconsistent.
+        """
+        eqs: dict = {}
+        for sign, a, key, b in terms:
+            if key not in self.slots:
+                continue
+            off, snr, snc = self.slots[key]
+            if a is not None:
+                fits = (a.nrows, a.ncols, snc) == (nrows, snr, ncols)
+                # (A X)[r, c] = sum_k A[r, k] X[k, c]
+                hits = [((r, c), off + k * snc + c, v) for r, row in enumerate(a.rows)
+                        for k, v in enumerate(row) if v for c in range(ncols)]
+            else:
+                fits = (snr, b.nrows, b.ncols) == (nrows, snc, ncols)
+                # (X B)[r, c] = sum_k X[r, k] B[k, c]
+                hits = [((r, c), off + r * snc + k, v) for k, row in enumerate(b.rows)
+                        for c, v in enumerate(row) if v for r in range(nrows)]
+            if not fits:
+                raise ValueError(f"a term on {key} does not fit the equation shape")
+            for rc, idx, v in hits:
+                eq = eqs.setdefault(rc, {})
+                eq[idx] = eq.get(idx, 0) + (v if sign > 0 else -v)
+        if rhs is not None:
+            if (rhs.nrows, rhs.ncols) != (nrows, ncols):
+                raise ValueError("right side does not fit the equation shape")
+            self.homogeneous = False
+            for r, row in enumerate(rhs.rows):
+                for c, v in enumerate(row):
+                    if v:
+                        eqs.setdefault((r, c), {})[self.size] = v
+        self.equations.extend(eqs.values())
+
+    def kernel(self) -> list[dict]:
+        """The canonical basis of the solutions, each as {key: Matrix}."""
+        if not self.homogeneous:
+            raise ValueError("kernel of a system with a right side")
+        space = _null_space(self.field, self.size,
+                            *_rref_sparse(self.field, self.equations))
+        return [self._unpack(vec) for vec in space.sparse_rows]
+
+    def solve(self) -> dict | None:
+        """One solution as {key: Matrix}, free unknowns 0; None if inconsistent."""
+        sol = _solve_sparse(self.field, self.equations, self.size)
+        return None if sol is None else self._unpack(sol)
+
+    def _unpack(self, vec: dict) -> dict:
+        z = self.field.zero
+        return {key: Matrix(self.field, nrows, ncols,
+                            [[vec.get(off + r * ncols + c, z) for c in range(ncols)]
+                             for r in range(nrows)])
+                for key, (off, nrows, ncols) in self.slots.items()}
 
 
 class Subspace:

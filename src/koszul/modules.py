@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 
 from .algebra import Presentation
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, MatrixEquations, Subspace
 
 
 class GradedModule:
@@ -403,55 +403,13 @@ def kernel_module(f: GradedMorphism):
 
 def hom_basis(m: GradedModule, n: GradedModule) -> list[GradedMorphism]:
     """Basis of the space of graded morphisms m -> n."""
-    field = m.pres.field
-    quiver = m.pres.quiver
-    slots = []
-    offset = {}
-    total = 0
-    for (i, x) in sorted(set(m.dims) & set(n.dims)):
-        size = m.dim(i, x) * n.dim(i, x)
-        offset[(i, x)] = total
-        slots.append((i, x))
-        total += size
-
-    def var(i, x, r, c):
-        return offset[(i, x)] + r * m.dim(i, x) + c
-
-    rows = []
-    for (name, i) in {(a.name, i) for a in quiver.arrows
-                      for i in range(m.window[0] - 1, m.window[1] + 1)}:
-        arrow = quiver.arrow(name)
+    eqs = MatrixEquations(m.pres.field, [((i, x), n.dim(i, x), m.dim(i, x))
+                                         for (i, x) in sorted(set(m.dims) & set(n.dims))])
+    for arrow in m.pres.quiver.arrows:
         x, y = arrow.source, arrow.target
-        am = m.action(name, i)
-        an = n.action(name, i)
-        # n-action . f_{i,x} = f_{i+1,y} . m-action, entry (r, c)
-        for r in range(n.dim(i + 1, y)):
-            for c in range(m.dim(i, x)):
-                row = [field.zero] * total
-                touched = False
-                if (i, x) in offset:
-                    for k in range(n.dim(i, x)):
-                        if an.rows[r][k]:
-                            row[var(i, x, k, c)] = row[var(i, x, k, c)] + an.rows[r][k]
-                            touched = True
-                if (i + 1, y) in offset:
-                    for k in range(m.dim(i, x)):
-                        if am.rows[k][c]:
-                            idx = var(i + 1, y, r, k)
-                            row[idx] = row[idx] - am.rows[k][c]
-                            touched = True
-                if touched:
-                    rows.append(row)
-    if total == 0:
-        return []
-    mat = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, total)
-    basis = mat.kernel_basis()
-    out = []
-    for vec in basis.rows:
-        mats = {}
-        for (i, x) in slots:
-            entries = [[vec[var(i, x, r, c)] for c in range(m.dim(i, x))]
-                       for r in range(n.dim(i, x))]
-            mats[(i, x)] = Matrix(field, n.dim(i, x), m.dim(i, x), entries)
-        out.append(GradedMorphism(m, n, mats))
-    return out
+        for i in range(m.window[0] - 1, m.window[1] + 1):
+            # n-action . f_{i,x} = f_{i+1,y} . m-action
+            eqs.add(n.dim(i + 1, y), m.dim(i, x),
+                    [(1, n.action(arrow.name, i), (i, x), None),
+                     (-1, None, (i + 1, y), m.action(arrow.name, i))])
+    return [GradedMorphism(m, n, mats) for mats in eqs.kernel()]

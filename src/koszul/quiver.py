@@ -131,31 +131,35 @@ class PathEnumerator:
     def __init__(self, quiver: Quiver, degree_cap: int = 8):
         self.quiver = quiver
         self.degree_cap = degree_cap
-        self._layers = {}
+        self._layers = {}       # (n, x) -> (paths, {end vertex: paths ending there})
         self._bases = {}
 
-    def _layer(self, n: int, x) -> tuple[Path, ...]:
+    def _layer(self, n: int, x):
+        """The paths of length n from x, in lexicographic order, and the same
+        paths grouped by end vertex, each group keeping that order."""
         if n > self.degree_cap:
             raise ValueError(f"degree {n} exceeds cap {self.degree_cap}")
         key = (n, x)
         if key in self._layers:
             return self._layers[key]
         if n == 0:
-            layer = (Path(x, ()),)
+            paths = [Path(x, ())]
+            ends = {x: paths}
         else:
-            layer = tuple(
-                Path(x, p.arrows + (a,))
-                for p in self._layer(n - 1, x)
-                for a in self.quiver.out_arrows(p.end(self.quiver))
-            )
-        self._layers[key] = layer
+            paths, ends = [], {}
+            for p in self._layer(n - 1, x)[0]:
+                for a in self.quiver.out_arrows(p.end(self.quiver)):
+                    path = Path(x, p.arrows + (a,))
+                    paths.append(path)
+                    ends.setdefault(self.quiver.arrows[a].target, []).append(path)
+        layer = self._layers[key] = (paths, {y: tuple(g) for y, g in ends.items()})
         return layer
 
     def basis(self, n: int, x, y) -> PathBasis:
         found = self._bases.get((n, x, y))
         _basis_counts[found is None] += 1
         if found is None:
-            paths = tuple(p for p in self._layer(n, x) if p.end(self.quiver) == y)
+            paths = self._layer(n, x)[1].get(y, ())
             found = self._bases[(n, x, y)] = PathBasis(n, x, y, paths)
         return found
 

@@ -11,7 +11,7 @@ import string
 
 from .algebra import Presentation
 from .complexes import DoubleChainMap, DoubleComplex
-from .linalg import Matrix, Subspace, QQ
+from .linalg import Matrix, MatrixEquations, Subspace, QQ
 from .modules import (GradedModule, GradedMorphism, direct_sum, hom_basis,
                       projective_module, quotient_module)
 from .quiver import Quiver
@@ -114,11 +114,8 @@ def random_module(rng: random.Random, pres: Presentation, window,
 
 
 def random_morphism(rng: random.Random, m: GradedModule, n: GradedModule):
-    basis = hom_basis(m, n)
-    if not basis:
-        return GradedMorphism(m, n, {})
     out = GradedMorphism(m, n, {})
-    for f in basis:
+    for f in hom_basis(m, n):
         c = rng.randint(-2, 2)
         if c:
             out = out.add(f.scale(m.pres.field.of(c)))
@@ -289,67 +286,31 @@ def conjugate_double_complex(rng: random.Random, dc: DoubleComplex) -> DoubleCom
     return DoubleComplex(dc.pres, dc.window, dict(dc.cells), vert, horiz, validate=True)
 
 
+def _by_cell(mats: dict) -> dict:
+    """{(i, j, d, x): Matrix} regrouped as {(i, j): {(d, x): Matrix}}."""
+    out: dict = {}
+    for (i, j, d, x), mat in mats.items():
+        out.setdefault((i, j), {})[(d, x)] = mat
+    return out
+
+
 def double_hom_basis(m: DoubleComplex, n: DoubleComplex):
     """Basis of morphisms of double complexes over a point presentation."""
-    field = m.pres.field
-    slots = []
-    offset = {}
-    total = 0
-    keys = sorted(set(m.cells) & set(n.cells))
-    for (i, j) in keys:
-        for (d, x) in sorted(set(m.cell(i, j).dims) & set(n.cell(i, j).dims)):
-            size = m.cell(i, j).dim(d, x) * n.cell(i, j).dim(d, x)
-            offset[(i, j, d, x)] = total
-            slots.append((i, j, d, x))
-            total += size
-    if not total:
-        return []
-
-    def var(i, j, d, x, r, c):
-        return offset[(i, j, d, x)] + r * m.cell(i, j).dim(d, x) + c
-
-    rows = []
-
-    def constraint(src, tgt, dm_mor, dn_mor):
-        """entries of f_tgt . dm - dn . f_src = 0"""
-        (i1, j1), (i2, j2) = src, tgt
-        for (d, x) in set(m.cell(*src).dims) | set(n.cell(*tgt).dims):
-            a = dm_mor.piece(d, x)   # m-cell src -> m-cell tgt
-            b = dn_mor.piece(d, x)   # n-cell src -> n-cell tgt
-            nr = n.cell(*tgt).dim(d, x)
-            nc = m.cell(*src).dim(d, x)
-            for r in range(nr):
-                for c in range(nc):
-                    row = [field.zero] * total
-                    touched = False
-                    if (i2, j2, d, x) in offset:
-                        for k in range(m.cell(*tgt).dim(d, x)):
-                            if a.rows[k][c]:
-                                row[var(i2, j2, d, x, r, k)] += a.rows[k][c]
-                                touched = True
-                    if (i1, j1, d, x) in offset:
-                        for k in range(n.cell(*src).dim(d, x)):
-                            if b.rows[r][k]:
-                                row[var(i1, j1, d, x, k, c)] -= b.rows[r][k]
-                                touched = True
-                    if touched:
-                        rows.append(row)
-
+    eqs = MatrixEquations(m.pres.field, [
+        ((i, j, d, x), n.cell(i, j).dim(d, x), m.cell(i, j).dim(d, x))
+        for (i, j) in sorted(set(m.cells) & set(n.cells))
+        for (d, x) in sorted(set(m.cell(i, j).dims) & set(n.cell(i, j).dims))])
     for (i, j) in set(m.cells) | set(n.cells):
-        constraint((i, j), (i, j + 1), m.v(i, j), n.v(i, j))
-        constraint((i, j), (i + 1, j), m.h(i, j), n.h(i, j))
-    mat = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, total)
-    out = []
-    for vec in mat.kernel_basis().rows:
-        parts = {}
-        for (i, j, d, x) in slots:
-            nr = n.cell(i, j).dim(d, x)
-            nc = m.cell(i, j).dim(d, x)
-            entries = [[vec[var(i, j, d, x, r, c)] for c in range(nc)] for r in range(nr)]
-            parts.setdefault((i, j), {})[(d, x)] = Matrix(field, nr, nc, entries)
-        out.append(DoubleChainMap(m, n, {k: GradedMorphism(m.cell(*k), n.cell(*k), v)
-                                         for k, v in parts.items()}))
-    return out
+        for tgt, dm, dn in (((i, j + 1), m.v(i, j), n.v(i, j)),
+                            ((i + 1, j), m.h(i, j), n.h(i, j))):
+            # f_tgt . dm = dn . f_src
+            for (d, x) in set(m.cell(i, j).dims) | set(n.cell(*tgt).dims):
+                eqs.add(n.cell(*tgt).dim(d, x), m.cell(i, j).dim(d, x),
+                        [(1, None, (*tgt, d, x), dm.piece(d, x)),
+                         (-1, dn.piece(d, x), (i, j, d, x), None)])
+    return [DoubleChainMap(m, n, {k: GradedMorphism(m.cell(*k), n.cell(*k), v)
+                                  for k, v in _by_cell(mats).items()})
+            for mats in eqs.kernel()]
 
 
 def random_double_morphism(rng: random.Random, m: DoubleComplex, n: DoubleComplex):
@@ -372,63 +333,24 @@ def random_horizontal_homotopy(rng: random.Random, m: DoubleComplex, n: DoubleCo
     """Random u^{i,j}: M^{i,j} -> N^{i-1,j} with v u + u v = 0, and the induced
     horizontally null-homotopic morphism f = u h + h u."""
     field = m.pres.field
-    slots = []
-    offset = {}
-    total = 0
-    for (i, j) in sorted(m.cells):
-        if (i - 1, j) not in n.cells:
-            continue
-        for (d, x) in sorted(set(m.cell(i, j).dims) & set(n.cell(i - 1, j).dims)):
-            size = m.cell(i, j).dim(d, x) * n.cell(i - 1, j).dim(d, x)
-            offset[(i, j, d, x)] = total
-            slots.append((i, j, d, x))
-            total += size
-    if not total:
-        return {}, DoubleChainMap(m, n, {})
-
-    def var(i, j, d, x, r, c):
-        return offset[(i, j, d, x)] + r * m.cell(i, j).dim(d, x) + c
-
-    rows = []
+    eqs = MatrixEquations(field, [
+        ((i, j, d, x), n.cell(i - 1, j).dim(d, x), m.cell(i, j).dim(d, x))
+        for (i, j) in sorted(m.cells) if (i - 1, j) in n.cells
+        for (d, x) in sorted(set(m.cell(i, j).dims) & set(n.cell(i - 1, j).dims))])
     # v_N^{i-1,j} u^{i,j} + u^{i,j+1} v_M^{i,j} = 0
-    for (i, j) in set(m.cells):
+    for (i, j) in m.cells:
         for (d, x) in set(m.cell(i, j).dims) | set(n.cell(i - 1, j + 1).dims):
-            vn = n.v(i - 1, j).piece(d, x)
-            vm = m.v(i, j).piece(d, x)
-            nr = n.cell(i - 1, j + 1).dim(d, x)
-            nc = m.cell(i, j).dim(d, x)
-            for r in range(nr):
-                for c in range(nc):
-                    row = [field.zero] * total
-                    touched = False
-                    if (i, j, d, x) in offset:
-                        for k in range(n.cell(i - 1, j).dim(d, x)):
-                            if vn.rows[r][k]:
-                                row[var(i, j, d, x, k, c)] += vn.rows[r][k]
-                                touched = True
-                    if (i, j + 1, d, x) in offset:
-                        for k in range(m.cell(i, j + 1).dim(d, x)):
-                            if vm.rows[k][c]:
-                                row[var(i, j + 1, d, x, r, k)] += vm.rows[k][c]
-                                touched = True
-                    if touched:
-                        rows.append(row)
-    mat = Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, total)
-    sol_basis = mat.kernel_basis()
-    u_vec = [field.zero] * total
-    for vec in sol_basis.rows:
+            eqs.add(n.cell(i - 1, j + 1).dim(d, x), m.cell(i, j).dim(d, x),
+                    [(1, n.v(i - 1, j).piece(d, x), (i, j, d, x), None),
+                     (1, None, (i, j + 1, d, x), m.v(i, j).piece(d, x))])
+    u = {key: Matrix.zeros(field, nrows, ncols)
+         for key, (_, nrows, ncols) in eqs.slots.items()}
+    for sol in eqs.kernel():
         c = rng.randint(-1, 2)
         if c:
-            u_vec = [a + field.of(c) * b if not field.characteristic
-                     else (a + c * b) % field.p for a, b in zip(u_vec, vec)]
-    homotopy = {}
-    for (i, j, d, x) in slots:
-        nr = n.cell(i - 1, j).dim(d, x)
-        nc = m.cell(i, j).dim(d, x)
-        entries = [[u_vec[var(i, j, d, x, r, c)] for c in range(nc)] for r in range(nr)]
-        homotopy.setdefault((i, j), {})[(d, x)] = Matrix(field, nr, nc, entries)
+            u = {key: mat + sol[key].scale(c) for key, mat in u.items()}
     u_mors = {k: GradedMorphism(m.cell(*k), n.cell(k[0] - 1, k[1]), v)
-              for k, v in homotopy.items()}
+              for k, v in _by_cell(u).items()}
     # f = u h_M + h_N u
     parts = {}
     for (i, j) in set(m.cells) | set(n.cells):

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import koszul
-from koszul.cli import main
+from koszul import cli
+from koszul.cli import CliError, main
 from koszul.dsl import parse_presentation
 from koszul.engine import (TruncationPolicy, extend_functor, extend_functor_map,
                            local_koszul_complex)
@@ -262,6 +263,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("quiver\n vertices: 1\n arrows: a: 1->2\n")
     code, _, err = run(capsys, "check-koszul", str(bad))
     assert code == 1 and "unknown vertex" in err
+
+
+@pytest.mark.parametrize("exc,code,kind", [
+    (CliError("expected koszul", 2), 2, "assertion-failed"),
+    (CliError("bad field"), 1, "input-error"),
+    (ValueError("degree 9 exceeds cap 8"), 1, "input-error"),
+    (MemoryError(), 1, "input-error"),
+    (RecursionError("maximum recursion depth exceeded"), 1, "input-error"),
+], ids=["cli-2", "cli-1", "value", "memory", "recursion"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_one_error_exit(monkeypatch, capsys, exc, code, kind, as_json):
+    def fail(args):
+        raise exc
+    monkeypatch.setitem(cli._COMMANDS, "dual", fail)
+    got, out, err = run(capsys, "dual", MULTISERIAL, *(["--json"] if as_json else []))
+    assert got == code
+    assert "Traceback" not in out + err
+    if as_json:
+        data = json.loads(out)
+        assert (data["exit"], data["code"]) == (code, kind) and data["error"]
+        assert not err
+    else:
+        assert not out and err.startswith("error: ") and err.strip() != "error:"
 
 
 def test_homology_command_roundtrip(tmp_path, capsys):

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from koszul import _kernels
-from koszul.linalg import GF, Matrix, QQ, Subspace, matrix_kernels, solve
+from koszul.linalg import GF, Matrix, MatrixEquations, QQ, Subspace, matrix_kernels, solve
 
 P_CHECK = 1000003
 
@@ -300,3 +300,59 @@ def test_quotient_extension_requires_containment():
     w = Subspace.from_vectors(QQ, 3, [[0, 1, 0]])
     with pytest.raises(ValueError):
         w.quotient_extension(u)
+
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
+def test_matrix_equations_solve_and_kernel(field):
+    rng = random.Random(31)
+
+    def draw(nrows, ncols):
+        return Matrix.from_rows(field, [[rng.randint(-3, 3) for _ in range(ncols)]
+                                        for _ in range(nrows)])
+
+    a, b, x = draw(2, 3), draw(2, 2), draw(3, 2)
+    # A X - Y B = A x is solvable, by (X, Y) = (x, 0) at least
+    eqs = MatrixEquations(field, [("x", 3, 2), ("y", 2, 2)])
+    eqs.add(2, 2, [(1, a, "x", None), (-1, None, "y", b)], a * x)
+    sol = eqs.solve()
+    assert a * sol["x"] - sol["y"] * b == a * x
+    # the unknowns are laid out slot by slot, row-major, so the kernel is the
+    # canonical kernel basis of the flattened coefficient matrix
+    eqs = MatrixEquations(field, [("x", 3, 2), ("y", 2, 2)])
+    eqs.add(2, 2, [(1, a, "x", None), (-1, None, "y", b)])
+    flat = [[0] * 10 for _ in range(4)]
+    for r in range(2):
+        for c in range(2):
+            for k in range(3):
+                flat[2 * r + c][2 * k + c] += a.rows[r][k]
+            for k in range(2):
+                flat[2 * r + c][6 + 2 * r + k] -= b.rows[k][c]
+    got = [sum(sol["x"].rows + sol["y"].rows, []) for sol in eqs.kernel()]
+    assert got == Matrix.from_rows(field, flat).kernel_basis().rows
+
+
+def test_matrix_equations_keep_an_inconsistent_equation():
+    one = Matrix.identity(QQ, 1)
+    eqs = MatrixEquations(QQ, [])
+    eqs.add(1, 1, [(1, one, "absent", None)], one)      # 0 = 1, with no unknowns
+    assert eqs.solve() is None
+    eqs = MatrixEquations(QQ, [("x", 1, 1)])
+    eqs.add(1, 1, [(1, one, "x", None), (-1, None, "x", one)], one)     # x - x = 1
+    assert eqs.solve() is None
+    with pytest.raises(ValueError, match="right side"):
+        eqs.kernel()
+    eqs = MatrixEquations(QQ, [("x", 1, 1)])
+    eqs.add(1, 1, [(1, one, "x", None), (-1, None, "x", one)])          # x - x = 0
+    assert [sol["x"] for sol in eqs.kernel()] == [one]
+    assert eqs.solve() == {"x": Matrix.zeros(QQ, 1, 1)}
+
+
+def test_matrix_equations_reject_misfitting_terms():
+    eqs = MatrixEquations(QQ, [("x", 2, 3)])
+    with pytest.raises(ValueError, match="does not fit"):
+        eqs.add(2, 3, [(1, Matrix.identity(QQ, 3), "x", None)])
+    with pytest.raises(ValueError, match="does not fit"):
+        eqs.add(2, 3, [(1, None, "x", Matrix.identity(QQ, 2))])
+    with pytest.raises(ValueError, match="does not fit"):
+        eqs.add(2, 3, [], Matrix.identity(QQ, 2))

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
 
 import pytest
 
 from koszul.dsl import ParseError, parse_presentation, print_presentation
 from koszul.linalg import QQ
-from koszul.quiver import Path, Quiver, derive_initial, derive_terminal, enumerate_paths
+from koszul.quiver import (Path, PathEnumerator, Quiver, derive_initial, derive_terminal,
+                           enumerate_paths)
 
 from .conftest import MULTISERIAL
 
@@ -50,6 +52,25 @@ def test_path_counts_match_adjacency_power(biserial, kronecker, n):
         for x in q.vertices:
             for y in q.vertices:
                 assert len(pres.path_basis(n, x, y)) == q.adjacency_power_count(n, x, y)
+
+
+def test_path_bases_are_lexicographic_layers_and_counted(multiserial):
+    q = multiserial.quiver
+    enum = PathEnumerator(q, 5)
+    before = PathEnumerator.basis.cache_info()
+    asked = 0
+    for n in range(6):
+        for x in q.vertices:
+            words = [w for w in itertools.product(range(len(q.arrows)), repeat=n)
+                     if all(q.arrows[a].target == q.arrows[b].source for a, b in zip(w, w[1:]))
+                     and (not w or q.arrows[w[0]].source == x)]
+            for y in q.vertices:
+                expected = [w for w in words if Path(x, w).end(q) == y]
+                assert [p.arrows for p in enum.basis(n, x, y).paths] == expected
+                assert enum.basis(n, x, y) is enum.basis(n, x, y)
+                asked += 1
+    after = PathEnumerator.basis.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2 * asked, asked)
 
 
 def test_derivation_basic():
