@@ -421,9 +421,9 @@ def subspace_circuits(space: Subspace):
             s = set(combo)
             if any(supp <= s for supp, _ in found):
                 continue
-            outside = [j for j in range(space.ambient) if j not in s]
+            outside = {j: k for k, j in enumerate(j for j in range(space.ambient) if j not in s)}
             restr = Matrix(space.field, space.dim, len(outside),
-                           [[row.get(j, space.field.zero) for j in outside]
+                           [{outside[j]: v for j, v in row.items() if j in outside}
                             for row in space.sparse_rows])
             combos = restr.transpose().kernel()
             if not combos.dim:

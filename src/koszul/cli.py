@@ -239,9 +239,8 @@ def cmd_functor(args):
     policy = _policy_of(args)
     m = _module_of(args, pres, policy)
     side = "right" if args.side == "F" else "left"
-    window = policy.degree_window
-    cx = engine.koszul_functor(side, m, window)
-    labels = engine.functor_labels(cx, side, pres.quadratic_dual(), window)
+    cx = engine.koszul_functor(side, m, policy.degree_window)
+    labels = engine.functor_labels(cx, side, pres.quadratic_dual())
     payload = {"command": "functor", "side": args.side,
                "complex": reports.labeled_complex_json(cx, labels),
                "homology": reports.homology_json(homology_tables(cx))}

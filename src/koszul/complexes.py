@@ -148,12 +148,14 @@ def _perm_ranges(perm_entry, i, x):
 
 
 def _permute_matrix(mat: Matrix, rows, cols) -> Matrix:
-    rws = mat.rows
+    """Row r of the result is row rows[r] of mat, column c is column cols[c]."""
+    rws = mat.sparse_rows
     if rows is not None:
         rws = [rws[r] for r in rows]
     if cols is not None:
-        rws = [[row[c] for c in cols] for row in rws]
-    return Matrix(mat.field, mat.nrows, mat.ncols, [list(r) for r in rws])
+        new = {c: k for k, c in enumerate(cols)}
+        rws = [{new[c]: v for c, v in row.items()} for row in rws]
+    return Matrix(mat.field, mat.nrows, mat.ncols, rws)
 
 
 def single_module_complex(m: GradedModule, position: int = 0) -> ComplexOfModules:
@@ -474,7 +476,7 @@ def homology_module(x: ComplexOfModules, n: int):
         mat = dp.mats.get((i, v))
         if not sp.dim or mat is None:
             continue
-        vecs = [sp.coordinates(col) for col in zip(*mat.rows)]
+        vecs = [sp.coordinates(col) for col in mat.transpose().rows]
         img_in_k[(i, v)] = Subspace.from_vectors(m.pres.field, sp.dim, vecs)
     h, proj = quotient_module(ksub, img_in_k)
     reps = {}

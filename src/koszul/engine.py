@@ -168,9 +168,8 @@ def koszulity_certificate(pres: Presentation, policy: TruncationPolicy) -> Koszu
 def _exactness_witness(dn: Matrix, dp: Matrix):
     """A kernel vector of dn outside the column space of dp, as scalar strings."""
     field = dn.field
-    ker = dn.kernel_basis()
     img = dp.column_space()
-    for row in ker.rows:
+    for row in dn.kernel().dense_rows():
         if not img.contains(row):
             assert all(v == field.zero for v in dn.apply(row))
             return [field.to_str(v) for v in row]
@@ -219,7 +218,8 @@ def _functor_term(side: str, source_pres, target_pres, n_module: GradedModule,
             d = sub.dim(j, x)
             if not d:
                 continue
-            base = _side_module(side, target_pres, x, j, window)
+            base = projective_module(target_pres, x, j, window) if side == "right" \
+                else injective_module(target_pres, x, j, window)
             blocks.append((key + ((x, j),), base.tensor(d)))
     return direct_sum(target_pres, window, blocks)
 
@@ -268,13 +268,6 @@ def _block_by_key(m: GradedModule, key):
     if key == ():
         return m
     raise KeyError(key)
-
-
-def _side_module(side, pres, x, shift, window) -> GradedModule:
-    """P_x<shift> on the right (F) side, I_x<shift> on the left (G) side."""
-    if side == "right":
-        return projective_module(pres, x, shift, window)
-    return injective_module(pres, x, shift, window)
 
 
 def _side_right_mult_piece(side, target_pres, arrow_name, shift, d, w) -> Matrix | None:
@@ -338,8 +331,9 @@ def _functor_map(f: GradedMorphism, src_cx: ComplexOfModules,
             for sb, (skey, _) in enumerate(sblocks):
                 if fm is not None and skey[-1][0] == y:
                     (s0, s1) = soff[sb]
-                    subs[(tb, sb)] = (Matrix(field, t1 - t0, s1 - s0,
-                                             [r[s0:s1] for r in fm.rows[t0:t1]]), s1 - s0)
+                    subs[(tb, sb)] = (Matrix(field, t1 - t0, s1 - s0, [
+                        {c - s0: v for c, v in r.items() if s0 <= c < s1}
+                        for r in fm.sparse_rows[t0:t1]]), s1 - s0)
         mats = {}
         for (d, w) in set(src_sum.dims) | set(tgt_sum.dims):
             blocks = {(tb, sb): Matrix.kron(sub, Matrix.identity(
@@ -438,16 +432,21 @@ def extend_functor_map(side: str, f: ChainMap, window,
     return total_chain_map(dmap)
 
 
-def functor_labels(cx: ComplexOfModules, side: str, target_pres, window):
-    """Per position, the (vertex, shift, multiplicity) of each labeled summand."""
+def functor_labels(cx: ComplexOfModules, side: str, target_pres):
+    """Per position, the (vertex, shift, multiplicity) of each labeled summand.
+
+    A summand is P_x<j> (right side) or I_x<j> (left side) tensored with a
+    space of the multiplicity's dimension, so any one of its pieces gives it.
+    """
     out = {}
     for n in cx.positions():
         entries = []
         for key, sub in blocks_of(cx.module(n)):
             (x, j) = key[-1]
-            base = _side_module(side, target_pres, x, j, window)
-            mult = sub.total_dim() // base.total_dim()
-            entries.append({"vertex": x, "shift": j, "multiplicity": mult,
+            (i, y), d = next(iter(sub.dims.items()))
+            base = target_pres.dim_piece(j + i, x, y) if side == "right" else \
+                target_pres.opposite().dim_piece(-(j + i), x, y)
+            entries.append({"vertex": x, "shift": j, "multiplicity": d // base,
                             "key": repr(key)})
         out[n] = entries
     return out
@@ -509,17 +508,14 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
             (x, i) = key[0]
             if not sub.dim(p, a):
                 continue
-            piece = pres.algebra_piece(p - i, x, a)
-            amats = [m.path_action(rho, i) for rho in piece.basis_paths]
             sign = _sign((i * (i + 1)) // 2)
-            for m_idx in range(m.dim(i, x)):
-                for amat in amats:
-                    col = [row[m_idx] for row in amat.rows]
-                    if sign < 0:
-                        col = [-v if field.characteristic == 0 else (-v) % field.p
-                               for v in col]
-                    cols.append(col)
-        mats[(p, a)] = Matrix.from_columns(field, m.dim(p, a), cols)
+            # column m_idx of the t-th path action is column m_idx * (number of
+            # paths) + t of the block; columns are taken as transposed rows
+            amats = [m.path_action(rho, i).scale(sign).transpose()
+                     for rho in pres.algebra_piece(p - i, x, a).basis_paths]
+            cols.extend(amat.sparse_rows[m_idx] for m_idx in range(m.dim(i, x))
+                        for amat in amats)
+        mats[(p, a)] = Matrix(field, len(cols), m.dim(p, a), cols).transpose()
     target = single_module_complex(m, 0)
     eta = ChainMap(src, target, {0: GradedMorphism(src0, m, mats)}).validate()
     lo_built = min(src.positions()) if src.positions() else 0
@@ -527,7 +523,7 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
     cone = mapping_cone(eta)
     qi = is_acyclic(cone, range(safe[0], safe[1] + 1))
     h0_ok = _h0_isomorphism(eta)
-    labels = functor_labels(src, "right", pres, policy.degree_window)
+    labels = functor_labels(src, "right", pres)
     return AugmentationResult(src, eta, safe, qi, h0_ok, labels)
 
 
@@ -586,7 +582,7 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
             # p-th action goes to row m_idx * (number of paths) + p of the block
             amats = [m.path_action(Path(y, tuple(reversed(rho.arrows))), j).scale(sign)
                      for rho in opp.algebra_piece(i - j, x, y).basis_paths]
-            rows = [amat.rows[m_idx] for m_idx in range(m.dim(i, x)) for amat in amats]
+            rows = [amat.sparse_rows[m_idx] for m_idx in range(m.dim(i, x)) for amat in amats]
             blocks[(r, 0)] = Matrix(pres.field, len(rows), dm, rows)
         mats[(j, y)] = Matrix.block(pres.field, [sub.dim(j, y) for _, sub in tblocks],
                                     [dm], blocks)
@@ -598,7 +594,7 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
     qi = is_acyclic(cone, range(safe[0], safe[1] + 1))
     mono = all(zeta.part(0).piece(i, x).rank() == d for (i, x), d in m.dims.items())
     h0_ok = _h0_isomorphism(zeta) and mono
-    labels = functor_labels(tgt, "left", pres, policy.degree_window)
+    labels = functor_labels(tgt, "left", pres)
     return AugmentationResult(tgt, zeta, safe, qi, h0_ok, labels)
 
 

@@ -4,12 +4,12 @@ Everything is computed over an exact field: arbitrary-precision rationals
 (`QQ`) or a prime field (`GF(p)`).  A `Subspace` is its canonical reduced
 row echelon basis, so subspace equality is plain data equality.
 
-Matrices are dense row lists, but all row reduction is sparse: rows are
-handed to the kernels in `koszul._kernels` as ``{column: value}`` dicts of
-their non-zero entries, and over `QQ` only the non-zeros are converted to
-and from integers.  A `Subspace` stores nothing but those sparse canonical
-rows (`Subspace.sparse_rows`) and their pivot columns: no span, kernel or
-relation piece ever materialises a dense basis.
+There is one matrix representation: a `Matrix` and a `Subspace` both store
+their rows as ``{column: value}`` dicts of the non-zero entries
+(`sparse_rows`), every operation touches only the non-zeros, and the rows
+go to the kernels in `koszul._kernels` as they are; over `QQ` only the
+non-zeros are converted to and from integers.  Dense row lists exist only
+as output views (`Matrix.rows`, `Subspace.dense_rows()`).
 
 `MatrixEquations` is the one place where linear systems whose unknowns are
 the entries of matrices (Hom spaces, null-homotopies, maps of double
@@ -137,53 +137,59 @@ Field = RationalField | PrimeField
 
 
 class Matrix:
-    """Dense matrix over an exact field; treated as immutable.
+    """Matrix over an exact field, stored sparse; treated as immutable.
+
+    `sparse_rows` holds one ``{column: value}`` dict per row with that row's
+    non-zero entries only, so equal matrices have equal rows.  Row dicts may
+    be shared between matrices and are never written in place.  `rows` is a
+    dense copy built on each read, for output.
 
     Columns index the source basis, rows the target basis: a morphism
     matrix A sends the column vector v to A*v.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "sparse_rows")
 
-    def __init__(self, field: Field, nrows: int, ncols: int, rows):
+    def __init__(self, field: Field, nrows: int, ncols: int, sparse_rows: list[dict]):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self.sparse_rows = sparse_rows
+
+    @property
+    def rows(self) -> list[list]:
+        """The rows as dense lists, built on each read."""
+        z = self.field.zero
+        return [[r.get(c, z) for c in range(self.ncols)] for r in self.sparse_rows]
 
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [[field.of(v) for v in r] for r in rows]
         ncols = len(rows[0]) if rows else 0
+        out = []
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        return cls(field, len(rows), ncols, rows)
+            # zeros are dropped after `field.of`, which maps p to 0 in GF(p)
+            out.append({c: w for c, v in enumerate(r) if (w := field.of(v))})
+        return cls(field, len(out), ncols, out)
 
     @classmethod
     def from_columns(cls, field, nrows: int, cols: Sequence[Sequence]) -> "Matrix":
         """The nrows x len(cols) matrix whose j-th column is cols[j], read as by `from_rows`."""
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("ragged columns")
-        rows = [[field.of(v) for v in r] for r in zip(*cols)] if cols else \
-            [[] for _ in range(nrows)]
-        return cls(field, nrows, len(cols), rows)
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("ragged columns")
+        return cls(field, len(cols), nrows, cls.from_rows(field, cols).sparse_rows).transpose()
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return cls(field, nrows, ncols, [{} for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        rows = [[o if i == j else z for j in range(n)] for i in range(n)]
-        return cls(field, n, n, rows)
+        return cls(field, n, n, [{i: field.one} for i in range(n)])
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(v == z for row in self.rows for v in row)
+        return not any(self.sparse_rows)
 
     def __eq__(self, other):
         return (
@@ -191,7 +197,7 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
@@ -203,79 +209,70 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
-        if self.field.characteristic == 0:
-            rows = [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        else:
-            p = self.field.p
-            rows = [
-                [(a + b) % p for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+        rows = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            if not (ra and rb):
+                rows.append(ra or rb)
+                continue
+            acc = dict(ra)
+            for c, v in rb.items():
+                acc[c] = acc.get(c, 0) + v
+            rows.append(_nonzero_sums(acc, self.field.characteristic))
         return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __neg__(self) -> "Matrix":
-        if self.field.characteristic == 0:
-            rows = [[-a for a in r] for r in self.rows]
-        else:
-            p = self.field.p
-            rows = [[(-a) % p for a in r] for r in self.rows]
+        p = self.field.characteristic
+        rows = [{c: -v % p if p else -v for c, v in r.items()} for r in self.sparse_rows]
         return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def scale(self, c) -> "Matrix":
+        """c times the matrix; the matrix itself when c is 1."""
         c = self.field.of(c)
-        if self.field.characteristic == 0:
-            rows = [[c * a for a in r] for r in self.rows]
-        else:
-            p = self.field.p
-            rows = [[c * a % p for a in r] for r in self.rows]
+        if c == self.field.one:
+            return self
+        if not c:
+            return Matrix.zeros(self.field, self.nrows, self.ncols)
+        p = self.field.characteristic
+        rows = [{k: c * v % p if p else c * v for k, v in r.items()} for r in self.sparse_rows]
         return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        z = self.field.zero
-        modp = self.field.characteristic
-        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        brows = other.sparse_rows
         out = []
-        for ra in self.rows:
-            row = []
-            for cb in bt:
-                s = z
-                for a, b in zip(ra, cb):
-                    if a and b:
-                        s += a * b
-                row.append(s % modp if modp else s)
-            out.append(row)
-        if not self.rows:
-            out = []
+        for ra in self.sparse_rows:
+            acc: dict = {}
+            for k, a in ra.items():
+                for c, b in brows[k].items():
+                    acc[c] = acc.get(c, 0) + a * b
+            out.append(_nonzero_sums(acc, self.field.characteristic))
         return Matrix(self.field, self.nrows, other.ncols, out)
 
     def transpose(self) -> "Matrix":
-        if self.nrows == 0:
-            rows = [[] for _ in range(self.ncols)]
-        else:
-            rows = [list(r) for r in zip(*self.rows)]
-        return Matrix(self.field, self.ncols, self.nrows, rows)
+        cols = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.sparse_rows):
+            for c, v in r.items():
+                cols[c][i] = v
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix times column vector (vec given as a flat sequence)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         z = self.field.zero
-        modp = self.field.characteristic
+        p = self.field.characteristic
         out = []
-        for row in self.rows:
+        for r in self.sparse_rows:
             s = z
-            for a, b in zip(row, vec):
-                if a and b:
+            for c, a in r.items():
+                b = vec[c]
+                if b:
                     s += a * b
-            out.append(s % modp if modp else s)
+            out.append(s % p if p else s)
         return out
 
     @classmethod
@@ -290,66 +287,55 @@ class Matrix:
             if not (0 <= r < len(heights) and 0 <= c < len(widths)) \
                     or (m.nrows, m.ncols) != (heights[r], widths[c]):
                 raise ValueError(f"block ({r},{c}) has the wrong shape")
-            by_row.setdefault(r, []).append((offsets[c], offsets[c + 1], m.rows))
-        z = field.zero
+            by_row.setdefault(r, []).append((offsets[c], m.sparse_rows))
         out = []
         for r, h in enumerate(heights):
             placed = by_row.get(r, ())
+            if len(placed) == 1 and not placed[0][0]:
+                out.extend(placed[0][1])        # one block in the first column: rows as they are
+                continue
             for i in range(h):
-                row = [z] * offsets[-1]
-                for c0, c1, rows in placed:
-                    row[c0:c1] = rows[i]
+                row = {}
+                for off, rows in placed:
+                    for c, v in rows[i].items():
+                        row[c + off] = v
                 out.append(row)
         return cls(field, len(out), offsets[-1], out)
 
     @classmethod
     def kron(cls, a: "Matrix", b: "Matrix") -> "Matrix":
         """Kronecker product, `a`-index major; `b` itself when `a` is the 1x1 identity."""
-        one = a.field.one
-        if a.nrows == a.ncols == 1 and a.rows[0][0] == one:
+        if a.nrows == a.ncols == 1 and a.sparse_rows[0].get(0) == a.field.one:
             return b
-        blocks = {(i, j): b if v == one else b.scale(v)
-                  for i, row in enumerate(a.rows) for j, v in enumerate(row) if v}
+        blocks = {(i, j): b.scale(v) for i, row in enumerate(a.sparse_rows) for j, v in row.items()}
         return cls.block(a.field, [b.nrows] * a.nrows, [b.ncols] * a.ncols, blocks)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Canonical reduced row echelon form (zero rows dropped)."""
-        rows, pivots = _rref_sparse(self.field, _nonzeros(self.rows))
-        return _dense(self.field, self.ncols, rows), pivots
+        rows, pivots = _rref_sparse(self.field, self.sparse_rows)
+        return Matrix(self.field, len(rows), self.ncols, rows), pivots
 
     def rank(self) -> int:
-        return len(_rref_sparse(self.field, _nonzeros(self.rows))[1])
+        return len(_rref_sparse(self.field, self.sparse_rows)[1])
 
     def kernel(self) -> "Subspace":
         """The subspace {v : A v = 0}, in canonical form."""
-        return _null_space(self.field, self.ncols, *_rref_sparse(self.field, _nonzeros(self.rows)))
+        return _null_space(self.field, self.ncols, *_rref_sparse(self.field, self.sparse_rows))
 
     def kernel_basis(self) -> "Matrix":
         """Canonical basis (as rows) of {v : A v = 0}."""
-        return _dense(self.field, self.ncols, self.kernel().sparse_rows)
+        ker = self.kernel()
+        return Matrix(self.field, ker.dim, self.ncols, ker.sparse_rows)
 
     def column_space(self) -> "Subspace":
         return Subspace.from_matrix(self.transpose())
 
-    def to_lists(self):
-        return [list(r) for r in self.rows]
 
-
-def _nonzeros(rows) -> list[dict]:
-    """Dense rows as {column: value} dicts of their non-zero entries."""
-    return [{c: v for c, v in enumerate(r) if v} for r in rows]
-
-
-def _dense(field, ncols: int, rows) -> Matrix:
-    """A dense matrix from {column: value} rows."""
-    z = field.zero
-    out = []
-    for r in rows:
-        d = [z] * ncols
-        for c, v in r.items():
-            d[c] = v
-        out.append(d)
-    return Matrix(field, len(out), ncols, out)
+def _nonzero_sums(acc: dict, p: int) -> dict:
+    """The non-zero entries of a row of sums, reduced mod p when p is non-zero."""
+    if p:
+        return {c: s % p for c, s in acc.items() if s % p}
+    return {c: s for c, s in acc.items() if s}
 
 
 def _rref_sparse(field, rows: list[dict]) -> tuple[list[dict], tuple[int, ...]]:
@@ -403,11 +389,10 @@ def _null_space(field, ncols: int, rows: list[dict], pivots) -> "Subspace":
 
 def matrix_kernels(a: Matrix) -> tuple[int, Matrix, Matrix]:
     """(rank, kernel basis rows, image basis rows) of a matrix."""
-    rows, pivots = _rref_sparse(a.field, _nonzeros(a.rows))
-    ker = _null_space(a.field, a.ncols, rows, pivots)
+    ker = a.kernel()
     img = a.column_space()
-    return (len(pivots), _dense(a.field, a.ncols, ker.sparse_rows),
-            _dense(a.field, a.nrows, img.sparse_rows))
+    return (a.ncols - ker.dim, Matrix(a.field, ker.dim, a.ncols, ker.sparse_rows),
+            Matrix(a.field, img.dim, a.nrows, img.sparse_rows))
 
 
 def _solve_sparse(field, rows: list[dict], ncols: int) -> dict | None:
@@ -425,9 +410,10 @@ def solve(a: Matrix, b: Sequence) -> list | None:
     if len(b) != a.nrows:
         raise ValueError("rhs length mismatch")
     field = a.field
-    rows = _nonzeros(a.rows)
-    for row, v in zip(rows, b):
-        row[a.ncols] = field.of(v)
+    rows = []
+    for row, v in zip(a.sparse_rows, b):
+        v = field.of(v)
+        rows.append({**row, a.ncols: v} if v else row)
     sol = _solve_sparse(field, rows, a.ncols)
     if sol is None:
         return None
@@ -473,13 +459,13 @@ class MatrixEquations:
             if a is not None:
                 fits = (a.nrows, a.ncols, snc) == (nrows, snr, ncols)
                 # (A X)[r, c] = sum_k A[r, k] X[k, c]
-                hits = [((r, c), off + k * snc + c, v) for r, row in enumerate(a.rows)
-                        for k, v in enumerate(row) if v for c in range(ncols)]
+                hits = [((r, c), off + k * snc + c, v) for r, row in enumerate(a.sparse_rows)
+                        for k, v in row.items() for c in range(ncols)]
             else:
                 fits = (snr, b.nrows, b.ncols) == (nrows, snc, ncols)
                 # (X B)[r, c] = sum_k X[r, k] B[k, c]
-                hits = [((r, c), off + r * snc + k, v) for k, row in enumerate(b.rows)
-                        for c, v in enumerate(row) if v for r in range(nrows)]
+                hits = [((r, c), off + r * snc + k, v) for k, row in enumerate(b.sparse_rows)
+                        for c, v in row.items() for r in range(nrows)]
             if not fits:
                 raise ValueError(f"a term on {key} does not fit the equation shape")
             for rc, idx, v in hits:
@@ -489,10 +475,9 @@ class MatrixEquations:
             if (rhs.nrows, rhs.ncols) != (nrows, ncols):
                 raise ValueError("right side does not fit the equation shape")
             self.homogeneous = False
-            for r, row in enumerate(rhs.rows):
-                for c, v in enumerate(row):
-                    if v:
-                        eqs.setdefault((r, c), {})[self.size] = v
+            for r, row in enumerate(rhs.sparse_rows):
+                for c, v in row.items():
+                    eqs.setdefault((r, c), {})[self.size] = v
         self.equations.extend(eqs.values())
 
     def kernel(self) -> list[dict]:
@@ -509,10 +494,9 @@ class MatrixEquations:
         return None if sol is None else self._unpack(sol)
 
     def _unpack(self, vec: dict) -> dict:
-        z = self.field.zero
         return {key: Matrix(self.field, nrows, ncols,
-                            [[vec.get(off + r * ncols + c, z) for c in range(ncols)]
-                             for r in range(nrows)])
+                            [{c: vec[off + r * ncols + c] for c in range(ncols)
+                              if off + r * ncols + c in vec} for r in range(nrows)])
                 for key, (off, nrows, ncols) in self.slots.items()}
 
 
@@ -540,7 +524,7 @@ class Subspace:
 
     @classmethod
     def from_matrix(cls, mat: Matrix) -> "Subspace":
-        return cls.from_sparse(mat.field, mat.ncols, _nonzeros(mat.rows))
+        return cls.from_sparse(mat.field, mat.ncols, mat.sparse_rows)
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -580,7 +564,7 @@ class Subspace:
 
     def dense_rows(self) -> list[list]:
         """The basis rows as dense lists, built on each call."""
-        return _dense(self.field, self.ambient, self.sparse_rows).rows
+        return Matrix(self.field, self.dim, self.ambient, self.sparse_rows).rows
 
     def reduce(self, vec: Sequence) -> list:
         """Remainder of vec after reduction modulo the subspace."""
@@ -643,7 +627,7 @@ class Subspace:
         current = sub
         for r, sparse in zip(self.dense_rows(), self.sparse_rows):
             if not current.contains(r):
-                rows.append(r)
+                rows.append(sparse)
                 current = Subspace.from_sparse(self.field, self.ambient,
                                                current.sparse_rows + [sparse])
         return Matrix(self.field, len(rows), self.ambient, rows)

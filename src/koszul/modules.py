@@ -26,9 +26,6 @@ class GradedModule:
     def dim(self, i, x) -> int:
         return self.dims.get((i, x), 0)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def is_zero(self) -> bool:
         return not self.dims
 
@@ -60,9 +57,8 @@ class GradedModule:
         for (x, z), space in self.pres.relations.items():
             basis = self.pres.path_basis(2, x, z)
             for row in space.sparse_rows:
-                for i in range(lo, hi - 1):
-                    if not self.dim(i, x):
-                        continue
+                # the degrees of the pieces at x, not the whole window, which may be huge
+                for i in sorted(i for (i, y) in self.dims if y == x and i < hi - 1):
                     acc = None
                     for c, coeff in row.items():
                         first, second = basis.paths[c].arrows
@@ -280,12 +276,10 @@ def radical_pieces(m: GradedModule) -> dict:
     out = {}
     quiver = m.pres.quiver
     for (i, x), d in m.dims.items():
-        vecs = []
-        for aidx in quiver.in_arrows(x):
-            mat = m.action(quiver.arrows[aidx].name, i - 1)
-            for col in range(mat.ncols):
-                vecs.append([mat.rows[r][col] for r in range(mat.nrows)])
-        out[(i, x)] = Subspace.from_vectors(m.pres.field, d, vecs)
+        # the columns of the arrow actions into the piece, as transposed rows
+        cols = [col for aidx in quiver.in_arrows(x)
+                for col in m.action(quiver.arrows[aidx].name, i - 1).transpose().sparse_rows]
+        out[(i, x)] = Subspace.from_sparse(m.pres.field, d, cols)
     return out
 
 
@@ -343,12 +337,13 @@ def quotient_module(m: GradedModule, pieces: dict) -> tuple[GradedModule, Graded
             continue
         for aidx in quiver.out_arrows(x):
             arrow = quiver.arrows[aidx]
-            mat = m.action(arrow.name, i)
             tgt_proj = proj_mats.get((i + 1, arrow.target))
             if tgt_proj is None or not tgt_proj.nrows:
                 continue
-            cols = [tgt_proj.apply([row[c] for row in mat.rows]) for c in free]
-            actions[(arrow.name, i)] = Matrix.from_columns(field, tgt_proj.nrows, cols)
+            # the free columns of the projected action, as transposed rows
+            cols = (tgt_proj * m.action(arrow.name, i)).transpose().sparse_rows
+            actions[(arrow.name, i)] = Matrix(field, len(free), tgt_proj.nrows,
+                                              [cols[c] for c in free]).transpose()
     quot = GradedModule(m.pres, m.window, dims, actions)
     return quot, GradedMorphism(m, quot, {k: v for k, v in proj_mats.items() if v.nrows})
 
@@ -380,13 +375,11 @@ def projective_cover(m: GradedModule, window=None):
     field = pres.field
     mats = {}
     for (d, w) in cover.dims:
-        cols = []
-        for (i, x, c), (_, summand) in zip(gens, summands):
-            if not summand.dim(d, w):
-                continue
-            for rho in pres.algebra_piece(d - i, x, w).basis_paths:
-                cols.append([row[c] for row in m.path_action(rho, i).rows])
-        mats[(d, w)] = Matrix.from_columns(field, m.dim(d, w), cols)
+        # column c of each path action, as a transposed row
+        cols = [m.path_action(rho, i).transpose().sparse_rows[c]
+                for (i, x, c), (_, summand) in zip(gens, summands) if summand.dim(d, w)
+                for rho in pres.algebra_piece(d - i, x, w).basis_paths]
+        mats[(d, w)] = Matrix(field, len(cols), m.dim(d, w), cols).transpose()
     f = GradedMorphism(cover, m, mats)
     labels = [(x, i) for (i, x, _) in gens]
     return cover, f, labels

@@ -151,19 +151,10 @@ def random_invertible(rng, field, n: int) -> tuple[Matrix, Matrix]:
         c = field.of(rng.randint(-2, 2))
         if not c:
             continue
-        # row_i += c * row_j on a; inverse accumulates the opposite op on the right
-        arows = a.to_lists()
-        for k in range(n):
-            arows[i][k] = arows[i][k] + c * arows[j][k]
-        a = Matrix(field, n, n, arows)
-        brows = b.to_lists()
-        for k in range(n):
-            brows[k][j] = brows[k][j] - c * brows[k][i]
-        b = Matrix(field, n, n, brows)
-    if field.characteristic:
-        p = field.p
-        a = Matrix(field, n, n, [[v % p for v in r] for r in a.rows])
-        b = Matrix(field, n, n, [[v % p for v in r] for r in b.rows])
+        # row_i += c * row_j on a; the inverse takes c * column_i from column_j of b
+        e = Matrix(field, n, n, [{j: c} if r == i else {} for r in range(n)])
+        a = a + e * a
+        b = b - b * e
     return a, b
 
 

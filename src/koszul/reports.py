@@ -53,18 +53,55 @@ def module_json(m: GradedModule):
     }
 
 
+def _expect(value, kind, what):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _int(value, what) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what}: not an integer: {value!r}") from None
+
+
+def _piece_key(pres: Presentation, key: str):
+    i, sep, x = key.partition(":")
+    if not sep or x not in pres.quiver.vertices:
+        raise ValueError(f"bad piece {key!r}: expected degree:vertex with a known vertex")
+    return _int(i, f"piece {key!r}"), x
+
+
+def _matrix_from_json(field, rows, what) -> Matrix:
+    rows = [_expect(row, list, what) for row in _expect(rows, list, what)]
+    try:
+        return Matrix.from_rows(field, [[field.from_str(v) for v in row] for row in rows])
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def module_from_json(pres: Presentation, data) -> GradedModule:
-    window = tuple(data["window"])
+    """The module of `module_json`; malformed data raises ValueError."""
+    _expect(data, dict, "a module")
+    window = _expect(data.get("window"), list, "the module window")
+    if len(window) != 2:
+        raise ValueError("the module window must hold two degrees")
     dims = {}
-    for key, d in data["pieces"].items():
-        i, x = key.split(":", 1)
-        dims[(int(i), x)] = int(d)
+    for key, d in _expect(data.get("pieces"), dict, "the module pieces").items():
+        d = _int(d, f"piece {key!r}")
+        if d < 0:
+            raise ValueError(f"piece {key!r} has negative dimension")
+        dims[_piece_key(pres, key)] = d
     actions = {}
-    for key, rows in data.get("actions", {}).items():
-        name, i = key.rsplit("@", 1)
-        actions[(name, int(i))] = Matrix.from_rows(
-            pres.field, [[pres.field.from_str(v) for v in row] for row in rows])
-    mod = GradedModule(pres, window, dims, actions)
+    for key, rows in _expect(data.get("actions", {}), dict, "the module actions").items():
+        name, _, i = key.rpartition("@")
+        if name not in {a.name for a in pres.quiver.arrows}:
+            raise ValueError(f"bad action {key!r}: expected arrow@degree with a known arrow")
+        actions[(name, _int(i, f"action {key!r}"))] = _matrix_from_json(
+            pres.field, rows, f"action {key!r}")
+    mod = GradedModule(pres, (_int(window[0], "window"), _int(window[1], "window")),
+                       dims, actions)
     mod.validate()
     return mod
 
@@ -84,26 +121,27 @@ def complex_json(cx: ComplexOfModules):
 
 
 def complex_from_json(pres: Presentation, data) -> ComplexOfModules:
-    modules = {int(n): module_from_json(pres, mdata)
-               for n, mdata in data["positions"].items()}
+    """The complex of `complex_json`; malformed data, or a differential that is
+    not a morphism of modules, raises ValueError."""
+    _expect(data, dict, "a complex")
+    modules = {_int(n, "position"): module_from_json(pres, mdata)
+               for n, mdata in _expect(data.get("positions"), dict, "positions").items()}
     window = None
     for m in modules.values():
         window = m.window if window is None else (
             min(window[0], m.window[0]), max(window[1], m.window[1]))
     window = window or (0, 0)
     diffs = {}
-    for n, mats in data.get("differentials", {}).items():
-        n = int(n)
+    for n, mats in _expect(data.get("differentials", {}), dict, "differentials").items():
+        n = _int(n, "position")
         src = modules.get(n)
         tgt = modules.get(n + 1)
         if src is None or tgt is None:
             raise ValueError(f"differential at {n} without endpoints")
-        dm = {}
-        for key, rows in mats.items():
-            i, x = key.split(":", 1)
-            dm[(int(i), x)] = Matrix.from_rows(
-                pres.field, [[pres.field.from_str(v) for v in row] for row in rows])
-        diffs[n] = GradedMorphism(src, tgt, dm)
+        dm = {_piece_key(pres, key): _matrix_from_json(pres.field, rows,
+                                                       f"differential {n} at {key!r}")
+              for key, rows in _expect(mats, dict, f"differential {n}").items()}
+        diffs[n] = GradedMorphism(src, tgt, dm).validate()
     return ComplexOfModules(pres, window, modules, diffs, validate=True)
 
 

@@ -8,7 +8,8 @@ import pytest
 from koszul.algebra import Presentation, subspace_circuits
 from koszul.dsl import parse_presentation, print_presentation
 from koszul.linalg import GF, QQ, Subspace
-from koszul.randomgen import path_algebra, radical_square_zero, random_presentation, random_quiver
+from koszul.randomgen import (path_algebra, radical_square_zero, random_module,
+                              random_presentation, random_quiver)
 
 P_CHECK = 1000003
 
@@ -284,16 +285,34 @@ def test_piece_cache_idempotent(multiserial):
 @pytest.mark.parametrize("name", ["biserial", "multiserial", "kronecker", "empty"])
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
 def test_arrow_matrix_memo_matches_fresh_presentation(name, field):
+    from koszul.complexes import single_module_complex
+    from koszul.engine import (TruncationPolicy, extend_functor, injective_coresolution,
+                               projective_resolution)
+    from koszul.modules import injective_module, projective_module, simple_module
     from tests.conftest import presentations_dir
     text = (presentations_dir() / f"{name}.kz").read_text()
     warm = parse_presentation(text, field, 10)
-    keys = [(arrow.name, n, v) for arrow in warm.quiver.arrows for n in range(5)
-            for v in warm.quiver.vertices]
-    first = {k: (warm.left_arrow_matrix(*k), warm.right_arrow_matrix(*k)) for k in keys}
+    # the engine runs first: results share row dicts with the cached matrices
+    # (kron returns a factor, + and block reuse rows), so a write in place
+    # anywhere would show as a memo differing from a fresh presentation's
+    policy = TruncationPolicy(3, (-2, 6))
+    w = policy.degree_window
+    for v in warm.quiver.vertices:
+        for m in (simple_module(warm, v, 0, w), projective_module(warm, v, 0, w),
+                  injective_module(warm, v, 0, w), random_module(random.Random(3), warm, (0, 3))):
+            projective_resolution(m, policy)
+            injective_coresolution(m, policy)
+            extend_functor("right", single_module_complex(m), w)
+            extend_functor("left", single_module_complex(m), w)
     fresh = parse_presentation(text, field, 10)
-    for k in reversed(keys):
-        left, right = first[k]
-        assert warm.left_arrow_matrix(*k) is left
-        assert warm.right_arrow_matrix(*k) is right
-        assert fresh.left_arrow_matrix(*k) == left
-        assert fresh.right_arrow_matrix(*k) == right
+    for pw, pf in [(warm, fresh), (warm.opposite(), fresh.opposite()),
+                   (warm.quadratic_dual(), fresh.quadratic_dual())]:
+        keys = [(arrow.name, n, v) for arrow in pw.quiver.arrows for n in range(5)
+                for v in pw.quiver.vertices]
+        first = {k: (pw.left_arrow_matrix(*k), pw.right_arrow_matrix(*k)) for k in keys}
+        for k in reversed(keys):
+            left, right = first[k]
+            assert pw.left_arrow_matrix(*k) is left
+            assert pw.right_arrow_matrix(*k) is right
+            assert pf.left_arrow_matrix(*k) == left
+            assert pf.right_arrow_matrix(*k) == right

@@ -7,6 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import koszul
 from koszul import cli
@@ -301,6 +302,98 @@ def test_homology_command_roundtrip(tmp_path, capsys):
     assert again.module(0).same_content(p)
 
 
+# a complex 0:1 -> 0:1 on kronecker.kz whose differential is no module morphism:
+# (pieces, actions) of both positions, the differential, the expected error
+BAD_DIFFERENTIALS = {
+    "shape": ({"0:1": 1}, {}, {"0:1": [["1", "0"], ["0", "1"]]},
+              "morphism shape mismatch at (0,1)"),
+    "commute": ({"0:1": 1, "1:2": 1}, {"a@0": [["1"]]}, {"0:1": [["1"]]},
+                "morphism does not commute with a at degree 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIFFERENTIALS))
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_homology_rejects_a_differential_that_is_no_morphism(tmp_path, capsys, case, as_json):
+    pieces, actions, diff, message = BAD_DIFFERENTIALS[case]
+    module = {"window": [0, 1], "pieces": pieces, "actions": actions}
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"positions": {"0": module, "1": module},
+                                "differentials": {"0": diff}}))
+    code, out, err = run(capsys, "homology", KRONECKER, "--complex", str(path),
+                         *(["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        data = json.loads(out)
+        assert data["code"] == "input-error" and message in data["error"] and not err
+    else:
+        assert not out and message in err
+
+
+def test_module_file_with_a_huge_window(tmp_path, capsys):
+    # module checks visit the stored pieces, not every degree of the window
+    module = {"window": [-10 ** 12, 10 ** 12], "pieces": {"0:1": 1}}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    code, out, _ = run(capsys, "resolve", MULTISERIAL, "--module", str(path), "-N", "3")
+    assert code == 0 and "quasi-isomorphism: True" in out
+    path.write_text(json.dumps({"positions": {"0": module}}))
+    code, out, _ = run(capsys, "homology", MULTISERIAL, "--complex", str(path))
+    assert code == 0 and out == "H^0: (0,1):1\n"
+
+
+# JSON values for the loader fuzz test.  Integers stay small: a piece dimension
+# has no size budget yet, and a huge one would be built, not rejected.
+SMALL = st.integers(-2, 3)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | SMALL | st.sampled_from([2.5, float("nan"), float("inf")])
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=6)
+
+
+def mostly(good, other=ANY_JSON):
+    """Usually a well-formed value, sometimes any JSON value (or any `other`)."""
+    return st.sampled_from([True] * 5 + [False]).flatmap(lambda ok: good if ok else other)
+
+
+SCALAR = mostly(st.sampled_from(["0", "1", "-2", "1/2"])) | st.sampled_from(["1/0", "x", 3, 2.5])
+PIECE = mostly(st.builds("{}:{}".format, st.integers(0, 2), st.sampled_from(["1", "2"])),
+               st.sampled_from(["0:9", "0", "x:1", ":"]) | st.text(max_size=3))
+ARROW = mostly(st.builds("{}@{}".format, st.sampled_from(["a", "b"]), st.integers(0, 1)),
+               st.sampled_from(["z@0", "a", "a@x"]) | st.text(max_size=3))
+MATRIX = mostly(st.lists(mostly(st.lists(SCALAR, min_size=1, max_size=2)), min_size=1,
+                         max_size=2))
+MODULE = mostly(st.fixed_dictionaries(
+    {"window": mostly(st.lists(SMALL, min_size=2, max_size=2)),
+     "pieces": mostly(st.dictionaries(PIECE, mostly(st.integers(0, 2)), max_size=3))},
+    optional={"actions": mostly(st.dictionaries(ARROW, MATRIX, max_size=2))}))
+POSITION = mostly(st.sampled_from(["0", "1"]), st.text(max_size=2))
+COMPLEX = mostly(st.fixed_dictionaries(
+    {"positions": mostly(st.dictionaries(POSITION, MODULE, min_size=1, max_size=2))},
+    optional={"differentials": mostly(st.dictionaries(
+        POSITION, mostly(st.dictionaries(PIECE, MATRIX, max_size=2)), max_size=1))}))
+
+
+def test_json_loaders_exit_cleanly(tmp_path, capsys):
+    # malformed module and complex files end in exit 1 with a message, never a traceback
+    path = tmp_path / "input.json"
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.tuples(st.just("--module"), MODULE) | st.tuples(st.just("--complex"), COMPLEX))
+    def check(case):
+        flag, data = case
+        path.write_text(json.dumps(data))
+        command = "resolve" if flag == "--module" else "homology"
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, command, KRONECKER, flag, str(path), "-N", "2",
+                                 "--window", "0", "2", *extra)
+            assert code in (0, 1) and "Traceback" not in out + err
+
+    check()
+
+
 def test_ext_and_pairing(capsys):
     code, out, _ = run(capsys, "ext-table", MULTISERIAL, "--from", "1", "--to", "1",
                        "-N", "8")
@@ -328,8 +421,9 @@ def test_package_reads_no_environment():
 
 
 # attributes of matrices, modules, morphisms and complexes, which are shared
-# between callers (arrow matrices are cached, Kronecker factors reused)
-FROZEN_ATTRS = {"rows", "dims", "actions", "mats", "parts", "modules", "diffs"}
+# between callers (arrow matrices are cached, Kronecker factors reused, and
+# matrices share row dicts with each other and with subspaces)
+FROZEN_ATTRS = {"rows", "sparse_rows", "dims", "actions", "mats", "parts", "modules", "diffs"}
 
 
 def _subscript_base(node):
@@ -340,8 +434,9 @@ def _subscript_base(node):
 
 def test_package_source_guards():
     # matrices and the containers above are built whole and never written in
-    # place (no `m.rows[i][j] = ...`, `out.parts[k] = ...` or `m.rows.append`),
-    # and every module-level import is used (__init__ re-exports on purpose)
+    # place (no `m.sparse_rows[i][j] = ...`, `out.parts[k] = ...` or
+    # `m.sparse_rows.append`), and every module-level import is used (__init__
+    # re-exports on purpose)
     for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -354,8 +449,9 @@ def test_package_source_guards():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 owner = node.func.value
                 assert not (node.func.attr in ("append", "extend", "insert")
-                            and isinstance(owner, ast.Attribute) and owner.attr == "rows"), \
-                    f"{path.name}:{node.lineno} grows .rows in place"
+                            and isinstance(owner, ast.Attribute)
+                            and owner.attr in ("rows", "sparse_rows")), \
+                    f"{path.name}:{node.lineno} grows .{owner.attr} in place"
         if path.name == "__init__.py":
             continue
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

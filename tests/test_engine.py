@@ -169,7 +169,7 @@ def test_functor_on_simple_is_single_projective(multiserial):
     s = simple_module(multiserial, "2", 0, (-2, 10))
     cx = koszul_functor("right", s, (-2, 10))
     assert cx.positions() == [0]
-    labels = functor_labels(cx, "right", multiserial.quadratic_dual(), (-2, 10))
+    labels = functor_labels(cx, "right", multiserial.quadratic_dual())
     assert labels[0] == [{"vertex": "2", "shift": 0, "multiplicity": 1,
                           "key": repr((("2", 0),))}]
 
@@ -181,7 +181,7 @@ def test_f_of_injectives_resolve_dual_simples(multiserial):
         cx = koszul_functor("right", i_a, (-1, 9), multiserial, dual)
         assert homology_tables(cx) == {0: {(0, a): 1}}
         # linear: position -n summands are P^!_x<-n>
-        labels = functor_labels(cx, "right", dual, (-1, 9))
+        labels = functor_labels(cx, "right", dual)
         for n, entries in labels.items():
             assert all(e["shift"] == n for e in entries)
 
@@ -201,11 +201,36 @@ def test_functor_dimension_tables_transport(multiserial):
     dual = multiserial.quadratic_dual()
     f_cx = koszul_functor("right", m, (-2, 8), multiserial, dual)
     g_cx = koszul_functor("left", m, (-8, 2), multiserial, dual)
-    lf = functor_labels(f_cx, "right", dual, (-2, 8))
-    lg = functor_labels(g_cx, "left", dual, (-8, 2))
+    lf = functor_labels(f_cx, "right", dual)
+    lg = functor_labels(g_cx, "left", dual)
     for n in set(lf) | set(lg):
         key = lambda e: (e["vertex"], e["shift"], e["multiplicity"])
         assert sorted(map(key, lf.get(n, []))) == sorted(map(key, lg.get(n, [])))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_functor_labels_build_no_module(multiserial, monkeypatch, side):
+    # a summand is P_x<j> or I_x<j> tensored with the multiplicity, so one of
+    # its pieces gives the multiplicity: no module is built to divide dimensions
+    import koszul.engine as engine
+    import koszul.modules as modules
+    dual = multiserial.quadratic_dual()
+    window = (-2, 8) if side == "right" else (-8, 2)
+    m = random_module(random.Random(31), multiserial, (0, 6)).tensor(2)
+    cx = koszul_functor(side, m, window, multiserial, dual)
+    build = projective_module if side == "right" else injective_module
+    want = {n: [sum(sub.dims.values()) // sum(build(dual, *key[-1], window).dims.values())
+                for key, sub in blocks_of(cx.module(n))] for n in cx.positions()}
+    assert any(mult > 1 for mults in want.values() for mult in mults)
+    calls = []
+    for mod in (engine, modules):
+        for name in ("projective_module", "injective_module"):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *args, _real=real, **kwargs:
+                                calls.append(args) or _real(*args, **kwargs))
+    labels = functor_labels(cx, side, dual)
+    assert not calls
+    assert {n: [e["multiplicity"] for e in entries] for n, entries in labels.items()} == want
 
 
 def test_functor_map_is_chain_map_and_functorial(multiserial):

@@ -117,6 +117,69 @@ def test_kron_matches_entrywise_definition(field):
     assert Matrix.kron(Matrix.identity(field, 1), b) is b
 
 
+def _entries(rng, field, nrows, ncols):
+    """Dense rows of raw entries: zeros, small integers, fractions over QQ and
+    multiples of p over GF(p), which `from_rows` must store as no entry."""
+    p = field.characteristic
+    pool = [0, 0, 0, 1, -1, 2, -3] + ([p, -2 * p, 3 * p + 1] if p else
+                                      [Fraction(1, 3), Fraction(-5, 2)])
+    return [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _from_dense(field, rows, ncols):
+    return Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, ncols)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_matrix_operations_match_dense_reference(field, seed):
+    rng = random.Random(900 + seed)
+    of, z = field.of, field.zero
+    # the first seeds give empty operands: 0 x k, k x 0 and 0 x 0
+    m, n, k = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)][seed] if seed < 4 else \
+        [rng.randint(1, 5) for _ in range(3)]
+    da, db, dc = _entries(rng, field, m, n), _entries(rng, field, m, n), _entries(rng, field, n, k)
+    a, b, c = _from_dense(field, da, n), _from_dense(field, db, n), _from_dense(field, dc, k)
+    ra, rb, rc = ([[of(v) for v in r] for r in d] for d in (da, db, dc))
+    zeros = [[z] * n for _ in range(m)]
+    results = {     # name -> (result, entrywise reference, number of columns)
+        "from_rows": (a, ra, n),
+        "from_columns": (Matrix.from_columns(field, m, [[r[j] for r in da] for j in range(n)]),
+                         ra, n),
+        "zeros": (Matrix.zeros(field, m, n), zeros, n),
+        "identity": (Matrix.identity(field, n),
+                     [[of(int(i == j)) for j in range(n)] for i in range(n)], n),
+        "add": (a + b, [[of(x + y) for x, y in zip(u, v)] for u, v in zip(ra, rb)], n),
+        "sub": (a - b, [[of(x - y) for x, y in zip(u, v)] for u, v in zip(ra, rb)], n),
+        "sub-self": (a - a, zeros, n),
+        "neg": (-a, [[of(-x) for x in u] for u in ra], n),
+        "scale": (a.scale(-3), [[of(-3 * x) for x in u] for u in ra], n),
+        "scale-0": (a.scale(0), zeros, n),
+        "scale-1": (a.scale(1), ra, n),
+        "mul": (a * c, [[of(sum((u[t] * rc[t][j] for t in range(n)), 0)) for j in range(k)]
+                        for u in ra], k),
+        "transpose": (a.transpose(), [[u[j] for u in ra] for j in range(n)], m),
+        "block": (Matrix.block(field, [m, k], [n, n], {(0, 1): a, (1, 0): c.transpose()}),
+                  [[z] * n + u for u in ra] + [[r[i] for r in rc] + [z] * n for i in range(k)],
+                  2 * n),
+        "kron": (Matrix.kron(a, c), [[of(ra[i // n][j // k] * rc[i % n][j % k])
+                                      for j in range(n * k)] for i in range(m * n)], n * k),
+    }
+    for name, (got, want, ncols) in results.items():
+        assert (got.nrows, got.ncols, got.rows) == (len(want), ncols, want), name
+        # `__eq__` compares the row dicts, so none may hold an explicit zero
+        assert len(got.sparse_rows) == got.nrows, name
+        for row in got.sparse_rows:
+            assert all(0 <= j < ncols and v and type(v) is type(field.one) and v == of(v)
+                       for j, v in row.items()), name
+        assert got == _from_dense(field, want, ncols), name
+        assert got.is_zero() == (want == [[z] * ncols for _ in want]), name
+    vec = [of(rng.choice([0, 1, -2, 5])) for _ in range(n)]
+    assert a.apply(vec) == [of(sum((x * y for x, y in zip(u, vec)), 0)) for u in ra]
+    assert (a == b) == (ra == rb)
+    assert a != Matrix.zeros(field, m + 1, n) and a != Matrix.zeros(field, m, n + 1)
+
+
 def _reference_rref(rows, ncols, p=0):
     """Textbook Gauss-Jordan, column by column, over Fraction or mod p.
 
@@ -209,7 +272,8 @@ def _random_rows(rng, nrows, ncols, density, rational):
 def _check_rref(field, rows, ncols):
     p = field.characteristic
     want_rows, want_piv = _reference_rref(rows, ncols, p)
-    red, piv = Matrix(field, len(rows), ncols, [[field.of(v) for v in r] for r in rows]).rref()
+    nonzeros = [{c: w for c, v in enumerate(r) if (w := field.of(v))} for r in rows]
+    red, piv = Matrix(field, len(rows), ncols, nonzeros).rref()
     assert piv == want_piv
     assert red.rows == want_rows
     sparse = [{c: field.of(v) for c, v in enumerate(r) if v} for r in rows]
@@ -255,7 +319,8 @@ def test_kernel_and_rank_agree_with_rref(seed):
     ints = _random_rows(rng, m, n, density, rational=False)
     cases += [(GF(p), ints) for p in (2, 101, P_CHECK)]
     for field, rows in cases:
-        mat = Matrix(field, len(rows), n, [[field.of(v) for v in r] for r in rows])
+        mat = Matrix(field, len(rows), n,
+                     [{c: w for c, v in enumerate(r) if (w := field.of(v))} for r in rows])
         ker = mat.kernel()
         dense = mat.kernel_basis()
         assert ker == Subspace.from_matrix(dense)
