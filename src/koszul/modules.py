@@ -2,7 +2,9 @@
 
 A module stores piece dimensions and one action matrix per (arrow, degree);
 vectors are columns, morphism matrices map source pieces to target pieces.
-Pieces outside the stored window are zero by construction.
+Pieces outside the stored window are zero by construction.  A direct sum
+stores only its ordered blocks: its block-diagonal actions are built from
+them on the first read of `actions`, which most sums never see.
 """
 
 from __future__ import annotations
@@ -18,8 +20,17 @@ class GradedModule:
         self.pres = pres
         self.window = (int(window[0]), int(window[1]))
         self.dims = {k: v for k, v in dims.items() if v}
-        self.actions = {k: m for k, m in actions.items() if m.nrows and m.ncols}
+        # actions=None (a direct sum) builds them from the blocks on first read
+        self._actions = None if actions is None else \
+            {k: m for k, m in actions.items() if m.nrows and m.ncols}
         self.blocks = blocks  # optional ordered ((key, GradedModule), ...)
+
+    @property
+    def actions(self) -> dict:
+        """(arrow, degree) -> action matrix; read-only, shared by every reader."""
+        if self._actions is None:
+            self._actions = _block_diagonal_actions(self.pres, self.blocks)
+        return self._actions
 
     # -- basics ---------------------------------------------------------------
 
@@ -77,12 +88,12 @@ class GradedModule:
         if s == 0:
             return self
         dims = {(i - s, x): d for (i, x), d in self.dims.items()}
-        actions = {(a, i - s): m for (a, i), m in self.actions.items()}
         lo, hi = self.window
-        blocks = None
-        if self.blocks is not None:
-            blocks = tuple((key, mod.shift(s)) for key, mod in self.blocks)
-        return GradedModule(self.pres, (lo - s, hi - s), dims, actions, blocks)
+        if self.blocks is not None:     # a sum stays lazy: shift its blocks
+            return GradedModule(self.pres, (lo - s, hi - s), dims, None,
+                                tuple((key, mod.shift(s)) for key, mod in self.blocks))
+        actions = {(a, i - s): m for (a, i), m in self.actions.items()}
+        return GradedModule(self.pres, (lo - s, hi - s), dims, actions)
 
     def tensor(self, d: int) -> "GradedModule":
         """Tensor with a d-dimensional space; the tensor index is major."""
@@ -119,11 +130,17 @@ def zero_module(pres: Presentation, window) -> GradedModule:
 
 
 def direct_sum(pres, window, summands) -> GradedModule:
-    """Ordered direct sum; `summands` is a sequence of (key, GradedModule)."""
+    """Ordered direct sum; `summands` is a sequence of (key, GradedModule).
+    Its block-diagonal actions are built on the first read of `actions`."""
     dims: dict = {}
     for _, m in summands:
         for k, v in m.dims.items():
             dims[k] = dims.get(k, 0) + v
+    return GradedModule(pres, window, dims, None, blocks=tuple(summands))
+
+
+def _block_diagonal_actions(pres, summands) -> dict:
+    """The actions of the direct sum of `summands`, block-diagonal."""
     actions = {}
     for (name, i) in {k for _, m in summands for k in m.actions}:
         arrow = pres.quiver.arrow(name)
@@ -132,7 +149,7 @@ def direct_sum(pres, window, summands) -> GradedModule:
             [m.dim(i, arrow.source) for _, m in summands],
             {(r, r): m.actions[(name, i)] for r, (_, m) in enumerate(summands)
              if (name, i) in m.actions})
-    return GradedModule(pres, window, dims, actions, blocks=tuple(summands))
+    return {k: m for k, m in actions.items() if m.nrows and m.ncols}
 
 
 class GradedMorphism:
@@ -322,14 +339,13 @@ def quotient_module(m: GradedModule, pieces: dict) -> tuple[GradedModule, Graded
         pivset = set(sp.pivots)
         free = [c for c in range(d) if c not in pivset]
         reps[(i, x)] = (sp, free)
-        # projection: reduce modulo sp, then read the free coordinates
-        cols = []
-        for col in range(d):
-            unit = [field.zero] * d
-            unit[col] = field.one
-            red = sp.reduce(unit)
-            cols.append([red[c] for c in free])
-        proj_mats[(i, x)] = Matrix.from_columns(field, len(free), cols)
+        # reduction modulo sp sends a free column to its unit vector and the
+        # pivot column of row r to -(row r), both read at the free columns
+        index = {c: k for k, c in enumerate(free)}
+        cols = [{index[c]: field.one} if c in index else {} for c in range(d)]
+        for row, c in zip((-Matrix(field, sp.dim, d, sp.sparse_rows)).sparse_rows, sp.pivots):
+            cols[c] = {index[k]: v for k, v in row.items() if k in index}
+        proj_mats[(i, x)] = Matrix(field, d, len(free), cols).transpose()
     dims = {k: len(free) for k, (sp, free) in reps.items() if free}
     actions = {}
     for (i, x), (sp, free) in reps.items():

@@ -423,7 +423,8 @@ def test_package_reads_no_environment():
 # attributes of matrices, modules, morphisms and complexes, which are shared
 # between callers (arrow matrices are cached, Kronecker factors reused, and
 # matrices share row dicts with each other and with subspaces)
-FROZEN_ATTRS = {"rows", "sparse_rows", "dims", "actions", "mats", "parts", "modules", "diffs"}
+FROZEN_ATTRS = {"rows", "sparse_rows", "dims", "actions", "_actions", "mats", "parts", "modules",
+                "diffs"}
 
 
 def _subscript_base(node):

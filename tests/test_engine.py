@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from koszul.complexes import (blocks_of, homology_at, homology_tables, is_acyclic,
+from koszul.complexes import (ChainMap, ComplexOfModules, blocks_of, homology_at,
+                              homology_module, homology_tables, is_acyclic,
                               mapping_cone, relabel_positions, single_module_complex,
                               total_complex)
 from koszul.dsl import parse_presentation
-from koszul.engine import (TruncationPolicy, _r_upper_module, eta_augmentation, ext_table,
+from koszul.engine import (TruncationPolicy, _h0_isomorphism, _r_upper_module,
+                           eta_augmentation, ext_table,
                            extend_functor, extend_functor_map,
                            extension_conjecture_check, functor_labels,
                            injective_coresolution, koszul_functor,
@@ -16,9 +18,10 @@ from koszul.engine import (TruncationPolicy, _r_upper_module, eta_augmentation, 
                            linear_presentation_check, local_koszul_complex,
                            pairing_table, projective_resolution,
                            zeta_coaugmentation)
-from koszul.linalg import Matrix, QQ
-from koszul.modules import (GradedMorphism, injective_module, kernel_module,
-                            projective_cover, projective_module, simple_module)
+from koszul.linalg import Matrix, QQ, Subspace
+from koszul.modules import (GradedModule, GradedMorphism, hom_basis, identity_morphism,
+                            injective_module, kernel_module, projective_cover,
+                            projective_module, simple_module)
 from koszul.quiver import Path
 from koszul.randomgen import (path_algebra, radical_square_zero, random_acyclic_quiver,
                               random_module, random_morphism, random_presentation,
@@ -554,3 +557,97 @@ def test_functor_builders_build_each_column_once(multiserial, monkeypatch):
     calls.clear()
     engine.extend_functor_map("right", g, w)
     assert len(calls) == len(g.source.positions()) + len(g.target.positions())
+
+
+# -- the H^0 check ----------------------------------------------------------------------
+
+
+def _h0_reference(f: ChainMap) -> bool:
+    """H^0(f) is an isomorphism, decided on the homology modules: equal
+    dimensions, and the images of the representatives of the source classes
+    independent modulo the target boundaries."""
+    h_src, reps = homology_module(f.source, 0)
+    h_tgt, _ = homology_module(f.target, 0)
+    if h_src.dims != h_tgt.dims:
+        return False
+    field = h_src.pres.field
+    for (i, x) in h_src.dims:
+        sub = f.target.diff(-1).piece(i, x).column_space()
+        for row in reps[(i, x)]:
+            count = sub.dim
+            vec = f.part(0).piece(i, x).apply(row)
+            sub = sub.add(Subspace.from_vectors(field, len(vec), [vec]))
+            if sub.dim == count:
+                return False
+    return True
+
+
+def _single_map(f: GradedMorphism) -> ChainMap:
+    return ChainMap(single_module_complex(f.source), single_module_complex(f.target),
+                    {0: f}).validate()
+
+
+def test_h0_check_rejects_zero_maps(multiserial):
+    s = simple_module(multiserial, "1", 0, POLICY.degree_window)
+    cx = single_module_complex(s)
+    zero = ComplexOfModules(multiserial, POLICY.degree_window, {}, {})
+    for f in (ChainMap(cx, cx, {}), ChainMap(cx, zero, {}), ChainMap(zero, cx, {})):
+        assert not _h0_isomorphism(f.validate())
+        assert not _h0_reference(f)
+    assert _h0_isomorphism(_single_map(identity_morphism(s)))
+
+
+def test_h0_check_rejects_endomorphisms_with_a_kernel(multiserial):
+    # on M + M, hom_basis holds endomorphisms that kill one summand
+    m = random_module(random.Random(4), multiserial, (0, 4))
+    mm = GradedModule(multiserial, m.window, {k: 2 * d for k, d in m.dims.items()},
+                      {k: Matrix.kron(Matrix.identity(QQ, 2), a) for k, a in m.actions.items()})
+    kinds = set()
+    for f in hom_basis(mm, mm):
+        injective = all(f.piece(*k).rank() == d for k, d in mm.dims.items())
+        assert _h0_isomorphism(_single_map(f)) == injective
+        kinds.add(injective)
+    assert False in kinds
+    assert _h0_isomorphism(_single_map(identity_morphism(mm)))
+
+
+def test_h0_check_accepts_eta_and_zeta(multiserial):
+    m = random_module(random.Random(6), multiserial, (0, 4))
+    for res in (eta_augmentation(m, POLICY), zeta_coaugmentation(m, POLICY)):
+        assert res.h0_isomorphism and _h0_isomorphism(res.map) and _h0_reference(res.map)
+        zero = ChainMap(res.map.source, res.map.target, {})
+        assert not _h0_isomorphism(zero) and not _h0_reference(zero)
+
+
+def test_h0_check_matches_homology_modules_on_random_maps(multiserial):
+    # seeded morphisms between (and endomorphisms of) random modules, as maps
+    # of single-module complexes; the endomorphisms are often isomorphisms
+    verdicts = []
+    for seed in range(36):
+        rng = random.Random(seed)
+        m = random_module(rng, multiserial, (0, 4))
+        n = m if seed % 2 else random_module(rng, multiserial, (0, 4))
+        f = _single_map(random_morphism(rng, m, n))
+        verdicts.append(_h0_isomorphism(f))
+        assert verdicts[-1] == _h0_reference(f), seed
+    assert True in verdicts and False in verdicts
+
+
+def test_resolutions_build_no_block_diagonal_action(multiserial, monkeypatch):
+    # a direct sum builds its block-diagonal actions only when they are read,
+    # and neither resolutions (with their H^0 check) nor the certificate reads them
+    import koszul.modules as modules
+    w = POLICY.degree_window
+    inputs = [simple_module(multiserial, "1", 0, w), projective_module(multiserial, "2", 0, w),
+              random_module(random.Random(2), multiserial, (0, 4))]
+    calls = []
+    real = modules._block_diagonal_actions
+    monkeypatch.setattr(modules, "_block_diagonal_actions",
+                        lambda *args: calls.append(args) or real(*args))
+    results = [build(m, POLICY) for m in inputs
+               for build in (projective_resolution, injective_coresolution)]
+    assert koszulity_certificate(multiserial, POLICY).is_koszul
+    assert not calls
+    assert all(res.quasi_iso and res.h0_isomorphism for res in results)
+    results[0].complex.module(-1).actions        # the counter sees a read
+    assert calls

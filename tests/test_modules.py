@@ -6,12 +6,14 @@ import random
 import pytest
 
 from koszul.dsl import parse_presentation
-from koszul.linalg import Matrix, QQ
+from koszul.linalg import GF, Matrix, QQ, Subspace
 from koszul.modules import (GradedModule, GradedMorphism, direct_sum, hom_basis,
                             injective_module, kernel_module, projective_cover,
-                            projective_module, radical_pieces, simple_module,
-                            standard_module, top_generators)
-from koszul.randomgen import radical_square_zero, random_module, random_morphism
+                            projective_module, quotient_module, radical_pieces,
+                            simple_module, standard_module, top_generators, zero_module)
+from koszul.randomgen import (point_presentation, radical_square_zero, random_module,
+                              random_morphism)
+from tests.conftest import MULTISERIAL
 
 
 def test_simple_module_indicator(multiserial):
@@ -146,6 +148,84 @@ def test_direct_sum_block_structure(multiserial):
     s.validate()
     assert s.dim(0, "1") == p1.dim(0, "1") + p2.dim(0, "1")
     assert [k for k, _ in s.blocks] == ["a", "b"]
+
+
+def _block_diagonal_reference(pres, leaves, name, i):
+    """The action of arrow `name` at degree i on the sum of `leaves`, placed
+    entry by entry at the leaves' offsets."""
+    arrow = pres.quiver.arrow(name)
+    heights = [m.dim(i + 1, arrow.target) for m in leaves]
+    widths = [m.dim(i, arrow.source) for m in leaves]
+    dense = [[pres.field.zero] * sum(widths) for _ in range(sum(heights))]
+    r0 = c0 = 0
+    for m, h, w in zip(leaves, heights, widths):
+        for r, row in enumerate(m.action(name, i).rows):
+            dense[r0 + r][c0:c0 + w] = row
+        r0, c0 = r0 + h, c0 + w
+    return Matrix.from_rows(pres.field, dense)
+
+
+@pytest.mark.parametrize("p", [None, 2, 101], ids=["QQ", "GF(2)", "GF(101)"])
+def test_direct_sum_actions_are_the_block_diagonal(p):
+    # a sum stores only its blocks; `actions` is built on first read and equals
+    # the block diagonal of its leaves, for nested sums, zero blocks and shifts
+    pres = parse_presentation(MULTISERIAL, QQ if p is None else GF(p), degree_cap=8)
+    w = (0, 4)
+    p1 = projective_module(pres, "1", 0, w)
+    p2 = projective_module(pres, "2", -1, w)
+    p3 = injective_module(pres, "3", -3, w)
+    inner = direct_sum(pres, w, [("a", p1), ("z", zero_module(pres, w)), ("b", p2)])
+    outer = direct_sum(pres, w, [("in", inner), ("c", p3), ("b2", p2)])
+    cases = [(inner, [p1, p2]), (outer, [p1, p2, p3, p2])]
+    cases.append((outer.shift(2), [m.shift(2) for m in (p1, p2, p3, p2)]))
+    cases.append((outer.shift(-1).shift(1), [p1, p2, p3, p2]))
+    for s, leaves in cases:
+        assert s._actions is None and s.blocks is not None     # nothing built yet
+        keys = {k for m in leaves for k in m.actions}
+        assert keys and set(s.actions) == keys
+        for (name, i) in keys:
+            assert s.actions[(name, i)] == _block_diagonal_reference(pres, leaves, name, i)
+        assert s.actions is s.actions                          # built once
+        s.validate()
+    assert outer.shift(2).dims == {(i - 2, x): d for (i, x), d in outer.dims.items()}
+
+
+def _reduce_projection(sp: Subspace):
+    """The projection onto the free coordinates, reducing each unit vector."""
+    field, d = sp.field, sp.ambient
+    free = [c for c in range(d) if c not in set(sp.pivots)]
+    cols = []
+    for col in range(d):
+        unit = [field.zero] * d
+        unit[col] = field.one
+        red = sp.reduce(unit)
+        cols.append([red[c] for c in free])
+    return Matrix.from_columns(field, len(free), cols)
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["QQ", "GF(101)"])
+@pytest.mark.parametrize("seed", range(4))
+def test_quotient_projection_matches_reduction(p, seed):
+    # one vertex and no arrows, so any piece subspace is stable; the projection
+    # read off the canonical rows equals reducing every unit vector
+    field = QQ if p is None else GF(p)
+    pres = point_presentation(field)
+    rng = random.Random(seed)
+    dims = {(i, "v"): rng.randint(1, 9) for i in range(6)}
+    m = GradedModule(pres, (0, 6), dims, {})
+    pieces = {(0, "v"): Subspace.zero(field, dims[(0, "v")]),
+              (1, "v"): Subspace.full(field, dims[(1, "v")])}
+    for i in range(2, 5):
+        d = dims[(i, "v")]
+        vecs = [[rng.choice((0, 0, 1, -1, 2, rng.randint(-50, 50))) for _ in range(d)]
+                for _ in range(rng.randint(1, d))]
+        pieces[(i, "v")] = Subspace.from_vectors(field, d, vecs)
+    # piece 5 is left out of `pieces`: it is divided by zero
+    quot, proj = quotient_module(m, pieces)
+    for key, d in dims.items():
+        ref = _reduce_projection(pieces.get(key) or Subspace.zero(field, d))
+        assert proj.piece(*key) == ref
+        assert quot.dim(*key) == ref.nrows
 
 
 def test_standard_module_warns_on_empty_window(multiserial):
