@@ -37,7 +37,15 @@ class AlgebraPiece:
 
 
 class Presentation:
-    """A quadratic presentation Lambda = kQ/R over an exact field."""
+    """A quadratic presentation Lambda = kQ/R over an exact field.
+
+    Immutable after construction, so its derived data is memoized on it and
+    dropped with it: relation pieces (`_rel_piece`, `_r_upper`), algebra
+    pieces (`_alg_piece`), arrow-multiplication matrices and their injective
+    mates (`_arrow_mat`), and the standard projective and injective modules
+    (`_modules`, filled by `koszul.modules`).  Every memoized value is shared
+    and never written into.
+    """
 
     def __init__(self, quiver: Quiver, field: Field = QQ, relations=None,
                  degree_cap: int = 8):
@@ -56,6 +64,7 @@ class Presentation:
         self._r_upper: dict[tuple, Subspace] = {}
         self._alg_piece: dict[tuple, AlgebraPiece] = {}
         self._arrow_mat: dict[tuple, Matrix] = {}
+        self._modules: dict[tuple, object] = {}
         self._support: dict[tuple, frozenset] | None = None
         self._dual: Presentation | None = None
         self._opp: Presentation | None = None

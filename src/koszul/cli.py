@@ -7,6 +7,7 @@ failed (for example `check-koszul --expect koszul` on a non-Koszul input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -26,13 +27,16 @@ class CliError(Exception):
         self.code = code
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every `main`;
+    defaults are immutable, so no parsed namespace shares a mutable value."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="rationals",
                         help="'rationals' or a prime p for F_p arithmetic")
     common.add_argument("-N", "--span", type=int, default=6,
                         help="max homological span for truncated claims")
-    common.add_argument("--window", nargs=2, type=int, default=[-2, 10],
+    common.add_argument("--window", nargs=2, type=int, default=(-2, 10),
                         metavar=("LO", "HI"), help="internal degree window")
     common.add_argument("-D", "--degree-cap", type=int, default=None,
                         help="degree cap for algebra pieces (default: fits the window)")

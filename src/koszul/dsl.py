@@ -193,7 +193,10 @@ def _parse_relation(p: _Parser, quiver: Quiver, field):
             coeff, word = _parse_term(p, quiver)
         else:
             raise ParseError(f"expected '+' or '-', found {tok.text!r}", tok.line, tok.col)
-        terms.append((field.of(sign * coeff), word, tok))
+        try:
+            terms.append((field.of(sign * coeff), word, tok))
+        except ZeroDivisionError as exc:        # a denominator divisible by p
+            raise ParseError(str(exc), tok.line, tok.col) from None
         sign = 1
         first = False
     return terms

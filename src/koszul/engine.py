@@ -212,16 +212,26 @@ def linear_presentation_check(m: GradedModule, n: int, window=None):
 def _functor_term(side: str, source_pres, target_pres, n_module: GradedModule,
                   j: int, window) -> GradedModule:
     """F(N)^j (side='right') or G(N)^j (side='left') as a labeled direct sum."""
+    standard = projective_module if side == "right" else injective_module
     blocks = []
-    for key, sub in blocks_of(n_module):
-        for x in source_pres.quiver.vertices:
-            d = sub.dim(j, x)
-            if not d:
-                continue
-            base = projective_module(target_pres, x, j, window) if side == "right" \
-                else injective_module(target_pres, x, j, window)
-            blocks.append((key + ((x, j),), base.tensor(d)))
+    for key, (sub, _) in _argument_blocks(n_module, j, source_pres.quiver.vertices).items():
+        (x, _) = key[-1]
+        blocks.append((key, standard(target_pres, x, j, window).tensor(sub.dim(j, x))))
     return direct_sum(target_pres, window, blocks)
+
+
+def _argument_blocks(n_module: GradedModule, j, vertices) -> dict:
+    """Functor block key (parent key + ((x, j),)) -> (the parent block of the
+    argument, its offset in the piece (j, x)), for every non-zero piece, in
+    the order of the functor term's blocks; one walk of the argument's blocks."""
+    out, pos = {}, {}
+    for key, sub in blocks_of(n_module):
+        for x in vertices:
+            d = sub.dim(j, x)
+            if d:
+                out[key + ((x, j),)] = (sub, pos.get(x, 0))
+                pos[x] = pos.get(x, 0) + d
+    return out
 
 
 def _functor_diff(side, source_pres, target_pres, n_module, j, window,
@@ -230,20 +240,19 @@ def _functor_diff(side, source_pres, target_pres, n_module, j, window,
     quiver = source_pres.quiver
     src_blocks = list(blocks_of(src_sum))
     tgt_blocks = list(blocks_of(tgt_sum))
+    parents = _argument_blocks(n_module, j, quiver.vertices)
+    rows = {tkey: r for r, (tkey, _) in enumerate(tgt_blocks)}
     # block (r, c) sums v (x) P[arrow] over the arrows x -> y acting by v on the parent
     terms = {}
     for c, (skey, _) in enumerate(src_blocks):
         (x, _) = skey[-1]
-        sub = _block_by_key(n_module, skey[:-1])
-        for r, (tkey, _) in enumerate(tgt_blocks):
-            (y, _) = tkey[-1]
-            if tkey[:-1] != skey[:-1]:
-                continue
-            for aidx in quiver.out_arrows(x):
-                arrow = quiver.arrows[aidx]
-                vmap = sub.actions.get((arrow.name, j))
-                if arrow.target == y and vmap is not None:
-                    terms.setdefault((r, c), []).append((vmap, arrow.name))
+        sub = parents[skey][0]
+        for aidx in quiver.out_arrows(x):
+            arrow = quiver.arrows[aidx]
+            vmap = sub.actions.get((arrow.name, j))
+            r = rows.get(skey[:-1] + ((arrow.target, j + 1),))
+            if vmap is not None and r is not None:
+                terms.setdefault((r, c), []).append((vmap, arrow.name))
     mats = {}
     for (d, w) in set(src_sum.dims) | set(tgt_sum.dims):
         blocks = {}
@@ -251,7 +260,7 @@ def _functor_diff(side, source_pres, target_pres, n_module, j, window,
             acc = None
             for vmap, name in pairs:
                 mmap = _side_right_mult_piece(side, target_pres, name, j, d, w)
-                if mmap is not None:
+                if mmap is not None and mmap.nrows and mmap.ncols:     # else a zero block
                     term = Matrix.kron(vmap, mmap)
                     acc = term if acc is None else acc + term
             if acc is not None:
@@ -261,25 +270,22 @@ def _functor_diff(side, source_pres, target_pres, n_module, j, window,
     return GradedMorphism(src_sum, tgt_sum, mats)
 
 
-def _block_by_key(m: GradedModule, key):
-    for k, sub in blocks_of(m):
-        if k == key:
-            return sub
-    if key == ():
-        return m
-    raise KeyError(key)
-
-
 def _side_right_mult_piece(side, target_pres, arrow_name, shift, d, w) -> Matrix | None:
     """Piece (d, w) of P[arrow^!]: P_x<shift> -> P_y<shift+1>, or its injective mate;
     None where the algebra degree is negative and the piece has no columns (rows)."""
     if side == "right":
         alg = shift + d
         return target_pres.right_arrow_matrix(arrow_name, alg, w) if alg >= 0 else None
-    # injective side: transpose of right multiplication over the opposite algebra
+    # injective side: transpose of right multiplication over the opposite
+    # algebra, memoized next to the arrow matrices under its own side tag
     alg = -(shift + d) - 1
-    return target_pres.opposite().right_arrow_matrix(arrow_name, alg, w).transpose() \
-        if alg >= 0 else None
+    if alg < 0:
+        return None
+    key = ("right-opposite-transpose", arrow_name, alg, w)
+    if key not in target_pres._arrow_mat:
+        target_pres._arrow_mat[key] = \
+            target_pres.opposite().right_arrow_matrix(arrow_name, alg, w).transpose()
+    return target_pres._arrow_mat[key]
 
 
 def koszul_functor(side: str, m: GradedModule, window,
@@ -316,21 +322,24 @@ def _functor_map(f: GradedMorphism, src_cx: ComplexOfModules,
     source and target built by the caller."""
     parts = {}
     field = f.source.pres.field
+    vertices = f.source.pres.quiver.vertices
     for j in set(src_cx.modules) | set(tgt_cx.modules):
         src_sum = src_cx.module(j)
         tgt_sum = tgt_cx.module(j)
         sblocks = list(blocks_of(src_sum))
         tblocks = list(blocks_of(tgt_sum))
-        soff = _parent_offsets(f.source, j, sblocks)
-        toff = _parent_offsets(f.target, j, tblocks)
+        sparents = _argument_blocks(f.source, j, vertices)
+        tparents = _argument_blocks(f.target, j, vertices)
         # f_{j,x} sliced to the parent blocks of each same-vertex block pair
         subs = {}
         for tb, (tkey, _) in enumerate(tblocks):
-            (y, _), (t0, t1) = tkey[-1], toff[tb]
+            (y, _), (tsub, t0) = tkey[-1], tparents[tkey]
+            t1 = t0 + tsub.dim(j, y)
             fm = f.mats.get((j, y))
             for sb, (skey, _) in enumerate(sblocks):
                 if fm is not None and skey[-1][0] == y:
-                    (s0, s1) = soff[sb]
+                    ssub, s0 = sparents[skey]
+                    s1 = s0 + ssub.dim(j, y)
                     subs[(tb, sb)] = (Matrix(field, t1 - t0, s1 - s0, [
                         {c - s0: v for c, v in r.items() if s0 <= c < s1}
                         for r in fm.sparse_rows[t0:t1]]), s1 - s0)
@@ -343,30 +352,6 @@ def _functor_map(f: GradedMorphism, src_cx: ComplexOfModules,
                                         [m.dim(d, w) for _, m in sblocks], blocks)
         parts[j] = GradedMorphism(src_sum, tgt_sum, mats)
     return ChainMap(src_cx, tgt_cx, parts)
-
-
-def _parent_offsets(module: GradedModule, j, functor_blocks):
-    """For each functor block (key, _), the slice of its parent block inside
-    the piece module_j(x) of the functor argument."""
-    out = []
-    for key, _ in functor_blocks:
-        parent = key[:-1]
-        (x, _) = key[-1]
-        pos = 0
-        found = None
-        for pkey, pmod in blocks_of(module):
-            d = pmod.dim(j, x)
-            if pkey == parent:
-                found = (pos, pos + d)
-                break
-            pos += d
-        if found is None:
-            if parent == ():
-                found = (0, module.dim(j, x))
-            else:
-                raise KeyError(parent)
-        out.append(found)
-    return out
 
 
 def functor_double_complex(side: str, x: ComplexOfModules, window,

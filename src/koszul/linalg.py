@@ -142,19 +142,21 @@ class Matrix:
     `sparse_rows` holds one ``{column: value}`` dict per row with that row's
     non-zero entries only, so equal matrices have equal rows.  Row dicts may
     be shared between matrices and are never written in place.  `rows` is a
-    dense copy built on each read, for output.
+    dense copy built on each read, for output.  The rank is eliminated on the
+    first `rank()` call and kept in `_rank`.
 
     Columns index the source basis, rows the target basis: a morphism
     matrix A sends the column vector v to A*v.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "sparse_rows")
+    __slots__ = ("field", "nrows", "ncols", "sparse_rows", "_rank")
 
     def __init__(self, field: Field, nrows: int, ncols: int, sparse_rows: list[dict]):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.sparse_rows = sparse_rows
+        self._rank = None
 
     @property
     def rows(self) -> list[list]:
@@ -316,7 +318,10 @@ class Matrix:
         return Matrix(self.field, len(rows), self.ncols, rows), pivots
 
     def rank(self) -> int:
-        return len(_rref_sparse(self.field, self.sparse_rows)[1])
+        """The rank, eliminated once per matrix and then remembered."""
+        if self._rank is None:
+            self._rank = len(_rref_sparse(self.field, self.sparse_rows)[1])
+        return self._rank
 
     def kernel(self) -> "Subspace":
         """The subspace {v : A v = 0}, in canonical form."""

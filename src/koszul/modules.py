@@ -2,7 +2,10 @@
 
 A module stores piece dimensions and one action matrix per (arrow, degree);
 vectors are columns, morphism matrices map source pieces to target pieces.
-Pieces outside the stored window are zero by construction.  A direct sum
+Pieces outside the stored window are zero by construction.  Modules are
+never written into after construction: the standard projectives and
+injectives are shared, one per (vertex, shift, window) and presentation,
+and `tensor(1)` and `shift(0)` return the module itself.  A direct sum
 stores only its ordered blocks: its block-diagonal actions are built from
 them on the first read of `actions`, which most sums never see.
 """
@@ -98,7 +101,7 @@ class GradedModule:
     def tensor(self, d: int) -> "GradedModule":
         """Tensor with a d-dimensional space; the tensor index is major."""
         if d == 1:
-            return GradedModule(self.pres, self.window, dict(self.dims), dict(self.actions))
+            return self
         dims = {k: v * d for k, v in self.dims.items()}
         eye = Matrix.identity(self.pres.field, d)
         actions = {k: Matrix.kron(eye, m) for k, m in self.actions.items()}
@@ -231,9 +234,16 @@ def simple_module(pres: Presentation, a, shift: int = 0, window=(0, 0)) -> Grade
 
 def projective_module(pres: Presentation, a, shift: int = 0,
                       window=(0, 8)) -> GradedModule:
-    """P_a<shift> on the given degree window."""
+    """P_a<shift> on the given degree window; one shared module per presentation."""
+    lo, hi = window = (int(window[0]), int(window[1]))
+    key = ("projective", a, shift, window)
+    if key not in pres._modules:
+        pres._modules[key] = _projective_module(pres, a, shift, lo, hi)
+    return pres._modules[key]
+
+
+def _projective_module(pres: Presentation, a, shift: int, lo: int, hi: int) -> GradedModule:
     quiver = pres.quiver
-    lo, hi = window
     vanish = None
     dims = {}
     for i in range(lo, hi + 1):
@@ -258,15 +268,19 @@ def projective_module(pres: Presentation, a, shift: int = 0,
         for arrow in quiver.arrows:
             if dims.get((i, arrow.source)):
                 actions[(arrow.name, i)] = pres.left_arrow_matrix(arrow.name, d, a)
-    return GradedModule(pres, window, dims, actions)
+    return GradedModule(pres, (lo, hi), dims, actions)
 
 
 def injective_module(pres: Presentation, a, shift: int = 0,
                      window=(-8, 0)) -> GradedModule:
-    """I_a<shift> on the given degree window, as a dualized opposite projective."""
-    opp = pres.opposite()
-    p = projective_module(opp, a, 0, (-(shift + window[1]), -(shift + window[0])))
-    return p.dualize().shift(shift)
+    """I_a<shift> on the given degree window, as a dualized opposite projective;
+    one shared module per presentation."""
+    lo, hi = window = (int(window[0]), int(window[1]))
+    key = ("injective", a, shift, window)
+    if key not in pres._modules:
+        p = _projective_module(pres.opposite(), a, 0, -(shift + hi), -(shift + lo))
+        pres._modules[key] = p.dualize().shift(shift)
+    return pres._modules[key]
 
 
 def standard_module(pres: Presentation, kind: str, a, shift: int = 0,

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -462,3 +463,71 @@ def test_package_source_guards():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     assert name in used, f"{path.name}:{node.lineno} imports unused {name}"
+
+
+def test_parser_is_built_once_and_namespaces_keep_their_own_window(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def record(args):
+        seen.append(args.window)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "check-koszul", record)
+    assert main(["check-koszul", BISERIAL, "--window", "0", "3"]) == 0
+    assert main(["check-koszul", BISERIAL, "--window", "1", "5"]) == 0
+    assert main(["check-koszul", BISERIAL]) == 0
+    assert [list(w) for w in seen] == [[0, 3], [1, 5], [-2, 10]]
+    # a namespace's window is its own list or the immutable default
+    assert seen[0] is not seen[1] and isinstance(seen[2], tuple)
+
+
+KZ_TEXTS = [p.read_text() for p in sorted(presentations_dir().glob("*.kz"))]
+
+
+@st.composite
+def mutated_kz(draw):
+    """A shipped presentation text with a few tokens deleted, duplicated or
+    swapped, and stray arrows, vertices or fraction coefficients inserted."""
+    text = re.sub(r"#[^\n]*", "", draw(st.sampled_from(KZ_TEXTS)))
+    tokens = re.findall(r"\n|->|[:;*+/-]|\w+", text)
+    names = sorted({t for t in tokens if t.isalnum()}) + ["9", "q"]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "arrow", "vertex",
+                                     "coefficient"]))
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif kind == "arrow":
+            src, tgt = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+            tokens[i:i] = [draw(st.sampled_from(names)), ":", src, "->", tgt]
+        elif kind == "vertex":
+            tokens.insert(i, draw(st.sampled_from(names)))
+        else:       # in front of a relation term where there is one
+            starts = [k for k in range(1, len(tokens)) if tokens[k - 1] in "\n;+-"
+                      and "relations" in tokens[:k]]
+            k = draw(st.sampled_from(starts)) if starts else i
+            tokens[k:k] = [draw(st.sampled_from(["0", "1", "2", "3"])), "/",
+                           draw(st.sampled_from(["0", "2", "3"])), "*"]
+    return " ".join(tokens)
+
+
+def test_kz_parser_exits_cleanly(tmp_path, capsys):
+    # a mangled presentation ends in exit 0 or 1, never a traceback
+    path = tmp_path / "input.kz"
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(mutated_kz(), st.sampled_from(["rationals", "2", "3"]))
+    def check(text, field):
+        path.write_text(text)
+        for argv in (["dual", str(path)],
+                     ["check-koszul", str(path), "-N", "2", "--window", "0", "3"]):
+            code, out, err = run(capsys, *argv, "--field", field)
+            assert code in (0, 1) and "Traceback" not in out + err
+
+    check()

@@ -651,3 +651,56 @@ def test_resolutions_build_no_block_diagonal_action(multiserial, monkeypatch):
     assert all(res.quasi_iso and res.h0_isomorphism for res in results)
     results[0].complex.module(-1).actions        # the counter sees a read
     assert calls
+
+
+def _counting_eliminations(monkeypatch):
+    """Count `_rref_sparse` calls per row list; the lists are kept alive, so
+    ids are not reused."""
+    import koszul.linalg as linalg
+    seen = {}
+    real = linalg._rref_sparse
+
+    def counting(field, rows):
+        seen.setdefault(id(rows), [rows, 0])[1] += 1
+        return real(field, rows)
+
+    monkeypatch.setattr(linalg, "_rref_sparse", counting)
+    return seen, real
+
+
+def _assert_ranked_once(seen, real, complexes):
+    pieces = [m for cx in complexes for d in cx.diffs.values() for m in d.mats.values()]
+    ranked = [m for m in pieces if id(m.sparse_rows) in seen]
+    assert ranked
+    for m in ranked:
+        assert seen[id(m.sparse_rows)][1] == 1
+        assert m.rank() == len(real(m.field, m.sparse_rows)[1])
+
+
+def test_mapping_cone_acyclicity_ranks_each_piece_once(multiserial, monkeypatch):
+    # homology_at(n) and homology_at(n+1) both rank the pieces of d^n; the
+    # rank is kept on the matrix, so each stored piece is eliminated once
+    w = POLICY.degree_window
+    maps = [build(m, POLICY).map for m in (simple_module(multiserial, "1", 0, w),
+                                           random_module(random.Random(2), multiserial, (0, 4)))
+            for build in (projective_resolution, injective_coresolution)]
+    cones = [mapping_cone(f) for f in maps]
+    seen, real = _counting_eliminations(monkeypatch)
+    assert all(is_acyclic(cone, range(-2, 2)) for cone in cones)
+    count = sum(n for _, n in seen.values())
+    assert all(is_acyclic(cone, range(-2, 2)) for cone in cones)
+    assert sum(n for _, n in seen.values()) == count
+    _assert_ranked_once(seen, real, cones)
+
+
+def test_certificate_ranks_each_piece_once(multiserial, monkeypatch):
+    # consecutive positions share a differential: it is eliminated once
+    import koszul.engine as engine
+    built = []
+    real_local = engine.local_koszul_complex
+    monkeypatch.setattr(engine, "local_koszul_complex",
+                        lambda *args, **kw: built.append(real_local(*args, **kw)) or built[-1])
+    seen, real = _counting_eliminations(monkeypatch)
+    assert koszulity_certificate(multiserial, POLICY).is_koszul
+    assert len(built) == len(multiserial.quiver.vertices)
+    _assert_ranked_once(seen, real, built)

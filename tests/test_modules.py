@@ -234,3 +234,44 @@ def test_standard_module_warns_on_empty_window(multiserial):
         w.simplefilter("always")
         standard_module(multiserial, "projective", "1", 0, (-4, -1))
     assert any("too small" in str(c.message) for c in caught)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
+def test_standard_module_memo_matches_fresh_presentation(field):
+    from koszul.engine import TruncationPolicy, injective_coresolution, projective_resolution
+    from tests.conftest import presentations_dir
+    text = (presentations_dir() / "multiserial.kz").read_text()
+    warm = parse_presentation(text, field, 10)
+    # the engine runs first: its functor terms hold the shared modules, so a
+    # write into one anywhere would show as a memo differing from a fresh parse
+    policy = TruncationPolicy(3, (-2, 6))
+    for v in warm.quiver.vertices:
+        for m in (simple_module(warm, v, 0, policy.degree_window),
+                  random_module(random.Random(3), warm, (0, 3))):
+            projective_resolution(m, policy)
+            injective_coresolution(m, policy)
+    fresh = parse_presentation(text, field, 10)
+    for build in (projective_module, injective_module):
+        for v, shift, window in itertools.product(warm.quiver.vertices, range(-2, 3),
+                                                  [(-2, 6), (0, 3)]):
+            first = build(warm, v, shift, window)
+            assert build(warm, v, shift, list(window)) is first
+            assert first.same_content(build(fresh, v, shift, window))
+    # the opposite projectives that injectives dualize are not kept
+    assert not warm.opposite()._modules
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
+def test_tensor_one_is_the_module_and_two_is_a_kron(field):
+    pres = parse_presentation(MULTISERIAL, field, 8)
+    m = random_module(random.Random(5), pres, (0, 3))
+    assert m.tensor(1) is m
+    t = m.tensor(2)
+    assert t.dims == {k: 2 * v for k, v in m.dims.items()}
+    assert set(t.actions) == set(m.actions)
+    for (name, i), mat in m.actions.items():
+        # (I_2 (x) A)[r h + p][c w + q] = [r == c] A[p][q]: the tensor index is major
+        ref = [[mat.rows[p][q] if r == c else field.zero
+                for c in range(2) for q in range(mat.ncols)]
+               for r in range(2) for p in range(mat.nrows)]
+        assert t.action(name, i).rows == ref

@@ -8,6 +8,7 @@ import pytest
 
 from koszul.dsl import ParseError, parse_presentation, print_presentation
 from koszul.linalg import QQ
+from koszul.modules import injective_module, projective_module
 from koszul.quiver import (Path, PathEnumerator, Quiver, derive_initial, derive_terminal,
                            enumerate_paths)
 
@@ -36,11 +37,16 @@ def test_dropped_presentation_frees_its_path_enumerator():
     pres = parse_presentation(MULTISERIAL, QQ, degree_cap=6)
     pres.relation_piece(4, "1", "1")            # fills the path and relation caches
     assert pres.paths.count(4, "1", "1") == len(pres.path_basis(4, "1", "1"))
+    # the module memo holds modules that point back at the presentation
+    shared = [projective_module(pres, "1", 0, (0, 4)), injective_module(pres, "1", 0, (-4, 0))]
+    assert projective_module(pres, "1", 0, (0, 4)) is shared[0]
+    modules = [weakref.ref(m) for m in shared]
     enumerator = weakref.ref(pres.paths)
     quiver = weakref.ref(pres.quiver)
-    del pres
+    del pres, shared
     gc.collect()
     assert enumerator() is None and quiver() is None
+    assert all(m() is None for m in modules)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
