@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import Field, Matrix, QQ, Subspace
 from .quiver import Path, PathEnumerator, Quiver
@@ -265,6 +266,7 @@ class Presentation:
             for (x, y), space in self.relations.items():
                 rels[(y, x)] = self._transport_to_opposite(space, x, y, opp)
             self._opp = Presentation(opp, self.field, rels, self.degree_cap)
+            self._opp._opp = self       # the opposite of the opposite is this presentation
         return self._opp
 
     def quadratic_dual(self) -> "Presentation":
@@ -445,11 +447,7 @@ def subspace_circuits(space: Subspace):
                         else (vec[j] + c * v) % space.field.p
             supp = frozenset(j for j, v in enumerate(vec) if v)
             lead = next(vec[j] for j in sorted(supp))
-            if space.field.characteristic == 0:
-                vec = [v / lead for v in vec]
-            else:
-                inv = pow(lead, space.field.p - 2, space.field.p)
-                vec = [v * inv % space.field.p for v in vec]
+            vec = [space.field.of(Fraction(v, lead)) for v in vec]     # exact in either field
             found.append((supp, vec))
     found.sort(key=lambda t: sorted(t[0]))
     return [vec for _, vec in found]

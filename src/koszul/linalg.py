@@ -7,9 +7,10 @@ row echelon basis, so subspace equality is plain data equality.
 There is one matrix representation: a `Matrix` and a `Subspace` both store
 their rows as ``{column: value}`` dicts of the non-zero entries
 (`sparse_rows`), every operation touches only the non-zeros, and the rows
-go to the kernels in `koszul._kernels` as they are; over `QQ` only the
-non-zeros are converted to and from integers.  Dense row lists exist only
-as output views (`Matrix.rows`, `Subspace.dense_rows()`).
+go to the kernels in `koszul._kernels` as they are.  Over `QQ` an integral
+value is a Python `int` and only a non-integral one is a `Fraction`, so
+rows of integers reach the integer kernel with no conversion.  Dense row
+lists exist only as output views (`Matrix.rows`, `Subspace.dense_rows()`).
 
 `MatrixEquations` is the one place where linear systems whose unknowns are
 the entries of matrices (Hom spaces, null-homotopies, maps of double
@@ -19,7 +20,7 @@ complexes) are built and solved; it and `solve` share one sparse solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import _kernels as _impl
@@ -31,22 +32,28 @@ def kernel_backend() -> str:
 
 
 class RationalField:
-    """The field of rationals; elements are `fractions.Fraction`."""
+    """The field of rationals.
+
+    An integral element is an `int` and any other one a `fractions.Fraction`,
+    so every rational has one canonical Python value (`of`)."""
 
     name = "QQ"
     characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, v) -> Fraction:
-        return v if type(v) is Fraction else Fraction(v)
+    def of(self, v) -> int | Fraction:
+        if type(v) is int:
+            return v
+        v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     def to_str(self, v) -> str:
         return str(v)
 
-    def from_str(self, s: str) -> Fraction:
-        return Fraction(s)
+    def from_str(self, s: str) -> int | Fraction:
+        return self.of(s)
 
     def __repr__(self):
         return "QQ"
@@ -238,7 +245,11 @@ class Matrix:
         if not c:
             return Matrix.zeros(self.field, self.nrows, self.ncols)
         p = self.field.characteristic
-        rows = [{k: c * v % p if p else c * v for k, v in r.items()} for r in self.sparse_rows]
+        if p:
+            rows = [{k: c * v % p for k, v in r.items()} for r in self.sparse_rows]
+        else:   # canonical: a product that cancels to an integer becomes an int
+            rows = [{k: w if type(w := c * v) is int or w.denominator != 1 else w.numerator
+                     for k, v in r.items()} for r in self.sparse_rows]
         return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -337,18 +348,21 @@ class Matrix:
 
 
 def _nonzero_sums(acc: dict, p: int) -> dict:
-    """The non-zero entries of a row of sums, reduced mod p when p is non-zero."""
+    """The non-zero entries of a row of sums, reduced mod p when p is non-zero
+    and over `QQ` in canonical form (an integral `Fraction` becomes an `int`)."""
     if p:
         return {c: s % p for c, s in acc.items() if s % p}
-    return {c: s for c, s in acc.items() if s}
+    return {c: s if type(s) is int or s.denominator != 1 else s.numerator
+            for c, s in acc.items() if s}
 
 
 def _rref_sparse(field, rows: list[dict]) -> tuple[list[dict], tuple[int, ...]]:
     """Canonical RREF of sparse rows of field elements, zero rows dropped.
 
-    Over `QQ` each row is scaled to integers by the lcm of the denominators
-    of its non-zeros, and the integer rows the kernel returns are divided by
-    their leading entries; only non-zero entries are ever converted.
+    Over `QQ` a row of `int`s goes to the integer kernel as it is, any other
+    row is scaled to integers by the lcm of its denominators, and a reduced
+    row is divided by its leading entry unless that is 1, each entry in
+    canonical form (`RationalField.of`).
     """
     if not rows:
         return [], ()      # the commonest request on small inputs: the span of nothing
@@ -356,20 +370,18 @@ def _rref_sparse(field, rows: list[dict]) -> tuple[list[dict], tuple[int, ...]]:
         return _impl.rref_fp(rows, field.p)
     int_rows = []
     for r in rows:
-        den = 1
-        for v in r.values():
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if den == 1:
-            int_rows.append({c: v.numerator for c, v in r.items()})
-        else:
-            int_rows.append({c: v.numerator * (den // v.denominator) for c, v in r.items()})
+        dens = [v.denominator for v in r.values() if type(v) is not int]
+        if dens:
+            den = lcm(*dens)
+            r = {c: v.numerator * (den // v.denominator) for c, v in r.items()}
+        int_rows.append(r)
     red, pivots = _impl.rref_int(int_rows)
     out = []
     for r, c in zip(red, pivots):
         lead = r[c]
-        out.append({k: Fraction(v, lead) for k, v in r.items()})
+        if lead != 1:
+            r = {k: Fraction(v, lead) if v % lead else v // lead for k, v in r.items()}
+        out.append(r)
     return out, pivots
 
 

@@ -275,6 +275,37 @@ def test_circuits_small():
     assert supports == [(0, 1), (0, 2), (1, 2)]
 
 
+def test_circuits_are_exact_and_canonical():
+    # circuits are divided by their leading coefficient, which over QQ is
+    # often an int: the division must stay exact, never a float
+    for field in (QQ, GF(7)):
+        space = Subspace.from_vectors(field, 4, [[2, 1, 0, 3], [0, 3, 1, 1]])
+        circuits = subspace_circuits(space)
+        assert circuits and all(
+            type(v) is type(field.of(v)) and v == field.of(v) for c in circuits for v in c)
+        assert all(next(v for v in c if v) == field.one for c in circuits)
+        assert all(space.contains(c) for c in circuits)
+
+
+def test_prime_field_dimensions_bound_the_rational_ones():
+    # a cross-field oracle: relations with integer coefficients span, mod p, a
+    # space of at most their rank over QQ, so dim Lambda_n e_y over GF(p) is at
+    # least its value over QQ; for p = 2^31 - 1 and these small entries they agree
+    strict = 0
+    for seed in range(12):
+        pq = random_presentation(random.Random(seed), field=QQ, degree_cap=5)
+        for p in (2, 3, 2**31 - 1):
+            pp = random_presentation(random.Random(seed), field=GF(p), degree_cap=5)
+            assert pp.quiver == pq.quiver
+            for n, (x, y) in itertools.product(range(6), itertools.product(
+                    pq.quiver.vertices, repeat=2)):
+                dq, dp = pq.dim_piece(n, x, y), pp.dim_piece(n, x, y)
+                assert dp >= dq, (seed, p, n, x, y)
+                assert dp == dq or p < 2**31 - 1, (seed, n, x, y)
+                strict += dp > dq
+    assert strict       # the oracle tells the fields apart somewhere
+
+
 def test_piece_cache_idempotent(multiserial):
     first = multiserial.algebra_piece(3, "1", "1")
     second = multiserial.algebra_piece(3, "1", "1")

@@ -465,6 +465,15 @@ def test_package_source_guards():
                     assert name in used, f"{path.name}:{node.lineno} imports unused {name}"
 
 
+def test_package_has_no_true_division():
+    # over QQ an integral value is an int, and int / int is a float: exact
+    # division goes through `Fraction` or a field inverse, never through `/`
+    for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.Div), f"{path.name}:{node.lineno} divides with /"
+
+
 def test_parser_is_built_once_and_namespaces_keep_their_own_window(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     seen = []

@@ -170,7 +170,7 @@ def test_matrix_operations_match_dense_reference(field, seed):
         # `__eq__` compares the row dicts, so none may hold an explicit zero
         assert len(got.sparse_rows) == got.nrows, name
         for row in got.sparse_rows:
-            assert all(0 <= j < ncols and v and type(v) is type(field.one) and v == of(v)
+            assert all(0 <= j < ncols and v and type(v) is type(of(v)) and v == of(v)
                        for j, v in row.items()), name
         assert got == _from_dense(field, want, ncols), name
         assert got.is_zero() == (want == [[z] * ncols for _ in want]), name
@@ -358,6 +358,58 @@ def test_solve():
     assert a.apply(x) == [Fraction(5), Fraction(6)]
     inconsistent = Matrix.from_rows(QQ, [[1, 1], [2, 2]])
     assert solve(inconsistent, [1, 3]) is None
+
+
+def _canonical(field, values):
+    """Each value has its field's one canonical type (no float, no integral Fraction)."""
+    return all(type(v) is type(field.of(v)) and v == field.of(v) for v in values)
+
+
+def _canonical_rows(m: Matrix) -> bool:
+    return _canonical(m.field, [v for row in m.sparse_rows for v in row.values()])
+
+
+def test_rationals_are_ints_when_integral():
+    f = Fraction
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.zero) is type(QQ.one) is int
+    assert [type(QQ.of(v)) for v in (3, f(6, 2), "4/2", f(1, 3), "-5/10")] == \
+        [int, int, int, f, f]
+    assert [type(QQ.from_str(s)) for s in ("-7", "8/4", "2/3")] == [int, int, f]
+    assert str(QQ.of(f(6, 2))) == str(f(6, 2)) == "3"
+    third = Matrix.from_rows(QQ, [[f(1, 3), f(2, 3), 1], [f(-1, 3), 0, f(1, 2)]])
+    # denominators that cancel: a scale, a sum and a product
+    assert third.scale(3).sparse_rows == [{0: 1, 1: 2, 2: 3}, {0: -1, 2: f(3, 2)}]
+    flip = Matrix.from_rows(QQ, [[f(2, 3), f(1, 3), 0], [f(1, 3), 0, f(1, 2)]])
+    assert (third + flip).sparse_rows == [{0: 1, 1: 1, 2: 1}, {2: 1}]
+    col = Matrix.from_rows(QQ, [[3], [f(3, 2)], [0]])
+    assert (third * col).sparse_rows == [{0: 2}, {0: -1}]
+    for m in (third.scale(3), third.scale(f(3, 2)), third + flip, third * col, -third,
+              third.transpose(), Matrix.kron(col, third)):
+        assert _canonical_rows(m)
+    # reductions: a reduced row whose lead divides its entries comes back as ints
+    red, piv = Matrix.from_rows(QQ, [[2, 4, 6], [f(1, 3), 1, f(5, 3)]]).rref()
+    assert piv == (0, 1) and red.sparse_rows == [{0: 1, 2: -1}, {1: 1, 2: 2}]
+    red, _ = Matrix.from_rows(QQ, [[3, 1, 0]]).rref()
+    assert red.sparse_rows == [{0: 1, 1: f(1, 3)}] and _canonical_rows(red)
+    assert _canonical_rows(third.kernel_basis()) and _canonical_rows(third.rref()[0])
+    # solutions, of A x = b and of matrix equations
+    x = solve(Matrix.from_rows(QQ, [[f(1, 3), 0], [0, 3]]), [1, 1])
+    assert x == [3, f(1, 3)] and _canonical(QQ, x)
+    eqs = MatrixEquations(QQ, [("x", 1, 2)])
+    eqs.add(1, 1, [(1, None, "x", Matrix.from_rows(QQ, [[f(1, 3)], [f(2, 3)]]))],
+            Matrix.from_rows(QQ, [[2]]))
+    sol = eqs.solve()["x"]
+    assert sol.sparse_rows == [{0: 6}] and _canonical_rows(sol)
+    eqs = MatrixEquations(QQ, [("x", 1, 2)])
+    eqs.add(1, 1, [(1, None, "x", Matrix.from_rows(QQ, [[f(2, 3)], [f(1, 3)]]))])
+    (ker,) = [sol["x"] for sol in eqs.kernel()]
+    assert ker.sparse_rows == [{0: 1, 1: -2}] and _canonical_rows(ker)
+    # coordinates in a subspace spanned by fractional vectors
+    space = Subspace.from_vectors(QQ, 3, [[f(1, 3), f(2, 3), 0], [0, 0, f(1, 2)]])
+    assert space.sparse_rows == [{0: 1, 1: 2}, {2: 1}]
+    for vec, want in (([3, 6, 2], [3, 2]), ([f(1, 2), 1, -1], [f(1, 2), -1])):
+        coords = space.coordinates([QQ.of(v) for v in vec])
+        assert coords == want and _canonical(QQ, coords)
 
 
 def test_quotient_extension_requires_containment():

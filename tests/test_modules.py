@@ -50,6 +50,17 @@ def test_injective_is_dual_of_opposite_projective(multiserial):
         assert standard_module(multiserial, "injective", a, 0, (-6, 0)).same_content(i_a)
 
 
+def test_injective_modules_live_on_the_presentation_itself():
+    # I_a dualizes a projective of the opposite, whose opposite is the
+    # presentation itself, not an equal copy with caches of its own
+    pres = parse_presentation(MULTISERIAL, QQ, degree_cap=8)
+    assert pres.opposite().opposite() is pres
+    assert pres.opposite().opposite().opposite() is pres.opposite()
+    for a in pres.quiver.vertices:
+        assert injective_module(pres, a, 0, (-4, 0)).pres is pres
+        assert simple_module(pres, a, 0, (-2, 2)).dualize().dualize().pres is pres
+
+
 def test_dualize_involution_and_shift(multiserial):
     rng = random.Random(11)
     m = random_module(rng, multiserial, (0, 6))
