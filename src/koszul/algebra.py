@@ -30,12 +30,6 @@ class AlgebraPiece:
     def dim(self) -> int:
         return len(self.basis_paths)
 
-    def reduce_vector(self, vec) -> list:
-        """Class coordinates (w.r.t. basis_paths) of a kQ_n(x,y) vector."""
-        reduced = self.rel.reduce(vec)
-        pivset = set(self.rel.pivots)
-        return [reduced[c] for c in range(self.rel.ambient) if c not in pivset]
-
 
 class Presentation:
     """A quadratic presentation Lambda = kQ/R over an exact field.
@@ -159,39 +153,31 @@ class Presentation:
     def left_arrow_matrix(self, arrow_name: str, n: int, x) -> Matrix:
         """Left multiplication by an arrow a: w->z on e_w Lambda_n e_x (cached, shared)."""
         key = ("left", arrow_name, n, x)
-        if key in self._arrow_mat:
-            return self._arrow_mat[key]
-        arrow = self.quiver.arrow(arrow_name)
-        aidx = self.quiver.arrow_index(arrow_name)
-        src = self.algebra_piece(n, x, arrow.source)
-        tgt = self.algebra_piece(n + 1, x, arrow.target)
-        tgt_basis = self.path_basis(n + 1, x, arrow.target)
-        cols = []
-        for p in src.basis_paths:
-            vec = [self.field.zero] * len(tgt_basis)
-            vec[tgt_basis.index[p.arrows + (aidx,)]] = self.field.one
-            cols.append(tgt.reduce_vector(vec))
-        mat = self._arrow_mat[key] = Matrix.from_columns(self.field, tgt.dim, cols)
-        return mat
+        if key not in self._arrow_mat:
+            arrow = self.quiver.arrow(arrow_name)
+            aidx = self.quiver.arrow_index(arrow_name)
+            self._arrow_mat[key] = self._multiplication(
+                self.algebra_piece(n, x, arrow.source), self.algebra_piece(n + 1, x, arrow.target),
+                lambda arrows: arrows + (aidx,))
+        return self._arrow_mat[key]
 
     def right_arrow_matrix(self, arrow_name: str, n: int, w) -> Matrix:
         """Right multiplication by an arrow a: y->x, e_w Lambda_n e_x -> e_w Lambda_{n+1} e_y
         (cached, shared)."""
         key = ("right", arrow_name, n, w)
-        if key in self._arrow_mat:
-            return self._arrow_mat[key]
-        arrow = self.quiver.arrow(arrow_name)
-        aidx = self.quiver.arrow_index(arrow_name)
-        src = self.algebra_piece(n, arrow.target, w)
-        tgt = self.algebra_piece(n + 1, arrow.source, w)
-        tgt_basis = self.path_basis(n + 1, arrow.source, w)
-        cols = []
-        for p in src.basis_paths:
-            vec = [self.field.zero] * len(tgt_basis)
-            vec[tgt_basis.index[(aidx,) + p.arrows]] = self.field.one
-            cols.append(tgt.reduce_vector(vec))
-        mat = self._arrow_mat[key] = Matrix.from_columns(self.field, tgt.dim, cols)
-        return mat
+        if key not in self._arrow_mat:
+            arrow = self.quiver.arrow(arrow_name)
+            aidx = self.quiver.arrow_index(arrow_name)
+            self._arrow_mat[key] = self._multiplication(
+                self.algebra_piece(n, arrow.target, w), self.algebra_piece(n + 1, arrow.source, w),
+                lambda arrows: (aidx,) + arrows)
+        return self._arrow_mat[key]
+
+    def _multiplication(self, src: AlgebraPiece, tgt: AlgebraPiece, times) -> Matrix:
+        """The map src -> tgt sending each basis path p to the class of the path
+        `times(p.arrows)` modulo the relations of tgt."""
+        index = self.path_basis(tgt.degree, tgt.source, tgt.target).index
+        return tgt.rel.project([index[times(p.arrows)] for p in src.basis_paths])
 
     # -- R^(n) ----------------------------------------------------------------
 
@@ -232,13 +218,9 @@ class Presentation:
         aidx = self.quiver.arrow_index(arrow_name)
         src = self.path_basis(n, a, arrow.target)
         tgt = self.path_basis(n - 1, a, arrow.source)
-        cols = []
-        for p in src.paths:
-            col = [self.field.zero] * len(tgt)
-            if p.arrows[-1] == aidx:
-                col[tgt.index[p.arrows[:-1]]] = self.field.one
-            cols.append(col)
-        return Matrix.from_columns(self.field, len(tgt), cols)
+        # the path q of the target is the image of q.a alone
+        return Matrix(self.field, len(tgt), len(src),
+                      [{src.index[q.arrows + (aidx,)]: self.field.one} for q in tgt.paths])
 
     def r_upper_derivation(self, arrow_name: str, n: int, a) -> Matrix:
         """Derivation restricted to R^(n)(a, x) -> R^(n-1)(a, y), in the stored bases."""
@@ -246,8 +228,7 @@ class Presentation:
         sub = self.r_upper(n, a, arrow.target)
         tgt = self.r_upper(n - 1, a, arrow.source)
         full = self.derivation_matrix(arrow_name, n, a)
-        cols = [tgt.coordinates(full.apply(row)) for row in sub.dense_rows()]
-        return Matrix.from_columns(self.field, tgt.dim, cols)
+        return tgt.coordinates_of(full * sub.basis_matrix().transpose())
 
     # -- opposites and duals ---------------------------------------------------
 
@@ -377,10 +358,9 @@ class Presentation:
                     beta = p.terminal_arrow()
                     for zeta in quiver.out_arrows(z):
                         pair = (quiver.arrows[beta].source, quiver.arrows[zeta].target)
-                        path_vec = (beta, zeta)
                         rel = pres.relations.get(pair)
-                        if rel is None or not rel.contains(_indicator(
-                                pres, 2, pair[0], pair[1], path_vec)):
+                        if rel is None or not rel.project(
+                                [pres.path_basis(2, *pair).index[(beta, zeta)]]).is_zero():
                             witness_idx.add(i)
                             break
                 for i in sorted(witness_idx):
@@ -402,13 +382,6 @@ class Presentation:
                                 }
                                 return False, counterexample
         return True, None
-
-
-def _indicator(pres: Presentation, n, x, y, arrows):
-    basis = pres.path_basis(n, x, y)
-    vec = [pres.field.zero] * len(basis)
-    vec[basis.index[tuple(arrows)]] = pres.field.one
-    return vec
 
 
 def _pair_key(quiver):

@@ -140,8 +140,10 @@ def _module_of(args, pres, policy):
 
 
 def _emit(args, payload, human_lines):
+    """Print the `--json` payload (a dict, or a function building it, so a large
+    one is built only under `--json`) or else the human-readable lines."""
     if args.json:
-        sys.stdout.write(reports.dumps(payload))
+        sys.stdout.write(reports.dumps(payload() if callable(payload) else payload))
     else:
         for line in human_lines:
             print(line)
@@ -213,16 +215,12 @@ def cmd_resolve(args):
     else:
         res = engine.projective_resolution(m, policy)
         kind = "projective resolution"
-    payload = {
-        "command": "resolve",
-        "kind": kind,
-        "koszul_certificate": cert.verdict,
-        "asserted": cert.is_koszul,
-        "quasi_isomorphism": res.quasi_iso,
-        "h0_isomorphism": res.h0_isomorphism,
-        "safe_positions": list(res.safe_positions),
-        "complex": reports.labeled_complex_json(res.complex, res.labels),
-    }
+    def payload():      # every dense action and differential: built only under --json
+        return {"command": "resolve", "kind": kind, "koszul_certificate": cert.verdict,
+                "asserted": cert.is_koszul, "quasi_isomorphism": res.quasi_iso,
+                "h0_isomorphism": res.h0_isomorphism,
+                "safe_positions": list(res.safe_positions),
+                "complex": reports.labeled_complex_json(res.complex, res.labels)}
     lines = [f"{kind}; certificate: {cert.verdict}",
              f"quasi-isomorphism: {res.quasi_iso} (safe positions "
              f"{res.safe_positions[0]}..{res.safe_positions[1]}); "
@@ -245,9 +243,10 @@ def cmd_functor(args):
     side = "right" if args.side == "F" else "left"
     cx = engine.koszul_functor(side, m, policy.degree_window)
     labels = engine.functor_labels(cx, side, pres.quadratic_dual())
-    payload = {"command": "functor", "side": args.side,
-               "complex": reports.labeled_complex_json(cx, labels),
-               "homology": reports.homology_json(homology_tables(cx))}
+    def payload():      # the complex and its homology: built only under --json
+        return {"command": "functor", "side": args.side,
+                "complex": reports.labeled_complex_json(cx, labels),
+                "homology": reports.homology_json(homology_tables(cx))}
     lines = [f"{args.side}(M): positions {cx.positions()}"]
     for n in sorted(labels):
         terms = ", ".join(f"{'P!' if side == 'right' else 'I!'}_{e['vertex']}"

@@ -476,8 +476,7 @@ def homology_module(x: ComplexOfModules, n: int):
         mat = dp.mats.get((i, v))
         if not sp.dim or mat is None:
             continue
-        vecs = [sp.coordinates(col) for col in mat.transpose().rows]
-        img_in_k[(i, v)] = Subspace.from_vectors(m.pres.field, sp.dim, vecs)
+        img_in_k[(i, v)] = Subspace.from_matrix(sp.coordinates_of(mat).transpose())
     h, proj = quotient_module(ksub, img_in_k)
     reps = {}
     for (i, v), dim in h.dims.items():

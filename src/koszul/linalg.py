@@ -9,8 +9,11 @@ their rows as ``{column: value}`` dicts of the non-zero entries
 (`sparse_rows`), every operation touches only the non-zeros, and the rows
 go to the kernels in `koszul._kernels` as they are.  Over `QQ` an integral
 value is a Python `int` and only a non-integral one is a `Fraction`, so
-rows of integers reach the integer kernel with no conversion.  Dense row
-lists exist only as output views (`Matrix.rows`, `Subspace.dense_rows()`).
+rows of integers reach the integer kernel with no conversion.  Vectors stay
+sparse too: `Subspace.coordinates_of` and `Subspace.project` read basis
+coordinates and quotient classes off the canonical RREF.  The dense views
+(`Matrix.rows`, `apply`, `Subspace.dense_rows`, `reduce`, `coordinates`,
+`contains`, `from_vectors`) serve output, random data and tests only.
 
 `MatrixEquations` is the one place where linear systems whose unknowns are
 the entries of matrices (Hom spaces, null-homotopies, maps of double
@@ -19,6 +22,7 @@ complexes) are built and solved; it and `solve` share one sparse solve.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -183,13 +187,6 @@ class Matrix:
         return cls(field, len(out), ncols, out)
 
     @classmethod
-    def from_columns(cls, field, nrows: int, cols: Sequence[Sequence]) -> "Matrix":
-        """The nrows x len(cols) matrix whose j-th column is cols[j], read as by `from_rows`."""
-        if any(len(c) != nrows for c in cols):
-            raise ValueError("ragged columns")
-        return cls(field, len(cols), nrows, cls.from_rows(field, cols).sparse_rows).transpose()
-
-    @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         return cls(field, nrows, ncols, [{} for _ in range(nrows)])
 
@@ -276,16 +273,15 @@ class Matrix:
         """Matrix times column vector (vec given as a flat sequence)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        z = self.field.zero
-        p = self.field.characteristic
+        of = self.field.of
         out = []
         for r in self.sparse_rows:
-            s = z
+            s = 0
             for c, a in r.items():
                 b = vec[c]
                 if b:
                     s += a * b
-            out.append(s % p if p else s)
+            out.append(of(s))
         return out
 
     @classmethod
@@ -340,8 +336,7 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Canonical basis (as rows) of {v : A v = 0}."""
-        ker = self.kernel()
-        return Matrix(self.field, ker.dim, self.ncols, ker.sparse_rows)
+        return self.kernel().basis_matrix()
 
     def column_space(self) -> "Subspace":
         return Subspace.from_matrix(self.transpose())
@@ -407,9 +402,7 @@ def _null_space(field, ncols: int, rows: list[dict], pivots) -> "Subspace":
 def matrix_kernels(a: Matrix) -> tuple[int, Matrix, Matrix]:
     """(rank, kernel basis rows, image basis rows) of a matrix."""
     ker = a.kernel()
-    img = a.column_space()
-    return (a.ncols - ker.dim, Matrix(a.field, ker.dim, a.ncols, ker.sparse_rows),
-            Matrix(a.field, img.dim, a.nrows, img.sparse_rows))
+    return a.ncols - ker.dim, ker.basis_matrix(), a.column_space().basis_matrix()
 
 
 def _solve_sparse(field, rows: list[dict], ncols: int) -> dict | None:
@@ -579,28 +572,65 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
+    def basis_matrix(self) -> Matrix:
+        """The basis as the rows of a dim x ambient matrix, sharing the row dicts."""
+        return Matrix(self.field, self.dim, self.ambient, self.sparse_rows)
+
     def dense_rows(self) -> list[list]:
         """The basis rows as dense lists, built on each call."""
-        return Matrix(self.field, self.dim, self.ambient, self.sparse_rows).rows
+        return self.basis_matrix().rows
+
+    def coordinates_of(self, mat: Matrix) -> Matrix:
+        """The basis coordinates of each column of `mat`, as the columns of a
+        dim x mat.ncols matrix; raises if a column is not a member.
+
+        A basis row is 1 at its own pivot and 0 at every other pivot, so a
+        member's coordinates are its entries at the pivots: `mat`'s rows there.
+        """
+        if (mat.field, mat.nrows) != (self.field, self.ambient):
+            raise ValueError(f"a {mat.nrows}-row matrix over {mat.field} in {self!r}")
+        rows = mat.sparse_rows
+        coords = Matrix(self.field, self.dim, mat.ncols, [rows[c] for c in self.pivots])
+        if self.basis_matrix().transpose() * coords != mat:
+            raise ValueError("column not in subspace")
+        return coords
+
+    def project(self, cols: Sequence[int]) -> Matrix:
+        """The classes of the unit vectors e_c, c in `cols`, modulo the subspace,
+        as the columns of a matrix over the free (non-pivot) coordinates.
+
+        A free column maps to its own unit vector and the pivot column of row r
+        to -(row r), which is zero at every other pivot; the free index of a
+        column j is j less the number of pivots before it.
+        """
+        pivots, rows, p = self.pivots, self.sparse_rows, self.field.characteristic
+        out = [{} for _ in range(self.ambient - self.dim)]
+        for k, c in enumerate(cols):
+            if not 0 <= c < self.ambient:
+                raise ValueError(f"column {c} outside k^{self.ambient}")
+            r = bisect_left(pivots, c)
+            if r < len(pivots) and pivots[r] == c:
+                for j, v in rows[r].items():
+                    if j != c:
+                        out[j - bisect_left(pivots, j)][k] = (-v) % p if p else -v
+            else:
+                out[c - r][k] = self.field.one
+        return Matrix(self.field, len(out), len(cols), out)
 
     def reduce(self, vec: Sequence) -> list:
         """Remainder of vec after reduction modulo the subspace."""
-        return self._eliminate(list(vec), None)
+        return [self.field.of(v) for v in self._eliminate(list(vec), None)]
 
     def contains(self, vec: Sequence) -> bool:
-        z = self.field.zero
-        return all(a == z for a in self.reduce(vec))
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.dense_rows())
+        return not any(self.reduce(vec))
 
     def coordinates(self, vec: Sequence) -> list:
         """Coefficients of vec in the stored basis; raises if not a member."""
         coords: list = []
         v = self._eliminate(list(vec), coords)
-        if any(a != self.field.zero for a in v):
+        if any(map(self.field.of, v)):      # an entry never eliminated may be p in GF(p)
             raise ValueError("vector not in subspace")
-        return coords
+        return [self.field.of(a) for a in coords]
 
     def _eliminate(self, v: list, coords: list | None) -> list:
         """Subtract from v, in place, its pivot entries times the basis rows.
@@ -634,20 +664,6 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return self.perp().add(other.perp()).perp()
-
-    def quotient_extension(self, sub: "Subspace") -> Matrix:
-        """Rows extending a basis of `sub` to one of self; requires sub <= self."""
-        self._check(sub)
-        if not self.contains_space(sub):
-            raise ValueError("not a subspace: quotient undefined")
-        rows = []
-        current = sub
-        for r, sparse in zip(self.dense_rows(), self.sparse_rows):
-            if not current.contains(r):
-                rows.append(sparse)
-                current = Subspace.from_sparse(self.field, self.ambient,
-                                               current.sparse_rows + [sparse])
-        return Matrix(self.field, len(rows), self.ambient, rows)
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient or self.field != other.field:

@@ -319,25 +319,19 @@ def submodule(m: GradedModule, pieces: dict) -> tuple[GradedModule, GradedMorphi
     field = m.pres.field
     quiver = m.pres.quiver
     dims = {k: sp.dim for k, sp in pieces.items() if sp.dim}
+    # the inclusion of each piece: its basis rows as columns
+    incl = {k: sp.basis_matrix().transpose() for k, sp in pieces.items() if sp.dim}
     actions = {}
-    for (i, x), sp in pieces.items():
-        if not sp.dim:
-            continue
+    for (i, x), basis in incl.items():
         for aidx in quiver.out_arrows(x):
             arrow = quiver.arrows[aidx]
             tgt = pieces.get((i + 1, arrow.target))
             if tgt is None:
                 tgt = Subspace.zero(field, m.dim(i + 1, arrow.target))
-            mat = m.action(arrow.name, i)
-            out = Matrix.from_columns(field, tgt.dim, [tgt.coordinates(mat.apply(row))
-                                                       for row in sp.dense_rows()])
+            out = tgt.coordinates_of(m.action(arrow.name, i) * basis)
             if out.nrows and out.ncols:
                 actions[(arrow.name, i)] = out
     sub = GradedModule(m.pres, m.window, dims, actions)
-    incl = {}
-    for (i, x), sp in pieces.items():
-        if sp.dim:
-            incl[(i, x)] = Matrix.from_columns(field, sp.ambient, sp.dense_rows())
     return sub, GradedMorphism(sub, m, incl)
 
 
@@ -346,23 +340,16 @@ def quotient_module(m: GradedModule, pieces: dict) -> tuple[GradedModule, Graded
     field = m.pres.field
     quiver = m.pres.quiver
 
-    reps = {}
+    frees = {}
     proj_mats = {}
     for (i, x), d in m.dims.items():
         sp = pieces.get((i, x)) or Subspace.zero(field, d)
         pivset = set(sp.pivots)
-        free = [c for c in range(d) if c not in pivset]
-        reps[(i, x)] = (sp, free)
-        # reduction modulo sp sends a free column to its unit vector and the
-        # pivot column of row r to -(row r), both read at the free columns
-        index = {c: k for k, c in enumerate(free)}
-        cols = [{index[c]: field.one} if c in index else {} for c in range(d)]
-        for row, c in zip((-Matrix(field, sp.dim, d, sp.sparse_rows)).sparse_rows, sp.pivots):
-            cols[c] = {index[k]: v for k, v in row.items() if k in index}
-        proj_mats[(i, x)] = Matrix(field, d, len(free), cols).transpose()
-    dims = {k: len(free) for k, (sp, free) in reps.items() if free}
+        frees[(i, x)] = [c for c in range(d) if c not in pivset]
+        proj_mats[(i, x)] = sp.project(range(d))
+    dims = {k: len(free) for k, free in frees.items() if free}
     actions = {}
-    for (i, x), (sp, free) in reps.items():
+    for (i, x), free in frees.items():
         if not free:
             continue
         for aidx in quiver.out_arrows(x):

@@ -7,7 +7,8 @@ import pytest
 
 from koszul.algebra import Presentation, subspace_circuits
 from koszul.dsl import parse_presentation, print_presentation
-from koszul.linalg import GF, QQ, Subspace
+from koszul.engine import _side_right_mult_piece
+from koszul.linalg import GF, Matrix, QQ, Subspace
 from koszul.randomgen import (path_algebra, radical_square_zero, random_module,
                               random_presentation, random_quiver)
 
@@ -347,3 +348,39 @@ def test_arrow_matrix_memo_matches_fresh_presentation(name, field):
             assert pw.right_arrow_matrix(*k) is right
             assert pf.left_arrow_matrix(*k) == left
             assert pf.right_arrow_matrix(*k) == right
+
+
+def _multiplication_reference(pres, src, tgt, times):
+    """Each basis path p of `src` sent to the path times(p) as a dense unit
+    vector, reduced modulo the relations of `tgt` and read at its free columns."""
+    field, basis = pres.field, pres.path_basis(tgt.degree, tgt.source, tgt.target)
+    free = [c for c in range(len(basis)) if c not in tgt.rel.pivots]
+    cols = []
+    for p in src.basis_paths:
+        unit = [field.zero] * len(basis)
+        unit[basis.index[times(p.arrows)]] = field.one
+        red = tgt.rel.reduce(unit)
+        cols.append([red[c] for c in free])
+    return Matrix.from_rows(field, cols).transpose() if cols else Matrix.zeros(field, tgt.dim, 0)
+
+
+@pytest.mark.parametrize("p", [None, 2, 101], ids=["QQ", "GF(2)", "GF(101)"])
+@pytest.mark.parametrize("seed", range(4))
+def test_arrow_matrices_match_unit_vector_reduction(p, seed):
+    field = QQ if p is None else GF(p)
+    pres = random_presentation(random.Random(seed), field=field, degree_cap=5)
+    for ps in (pres, pres.opposite()):
+        for arrow in ps.quiver.arrows:
+            aidx = ps.quiver.arrow_index(arrow.name)
+            for n in range(4):
+                for v in ps.quiver.vertices:
+                    assert ps.left_arrow_matrix(arrow.name, n, v) == _multiplication_reference(
+                        ps, ps.algebra_piece(n, v, arrow.source),
+                        ps.algebra_piece(n + 1, v, arrow.target), lambda q: q + (aidx,))
+                    right = _multiplication_reference(
+                        ps, ps.algebra_piece(n, arrow.target, v),
+                        ps.algebra_piece(n + 1, arrow.source, v), lambda q: (aidx,) + q)
+                    assert ps.right_arrow_matrix(arrow.name, n, v) == right
+                    if ps is not pres:      # the injective side: opposite right multiplication
+                        assert _side_right_mult_piece("left", pres, arrow.name, 0, -n - 1, v) \
+                            == right.transpose()

@@ -253,6 +253,22 @@ def test_resolve_and_functor(capsys):
     assert code == 0
 
 
+def test_human_mode_builds_no_json_payload(capsys, monkeypatch):
+    # the --json payload holds every action and differential as dense rows (and
+    # for `functor` the homology tables), so only --json may build it
+    def refuse(*_):
+        raise AssertionError("--json payload built without --json")
+
+    monkeypatch.setattr(cli.reports, "labeled_complex_json", refuse)
+    monkeypatch.setattr(cli.reports, "homology_json", refuse)
+    code, out, _ = run(capsys, "resolve", MULTISERIAL, "--module", "simple:1", "-N", "4")
+    assert code == 0 and "position 0: P_1<0>^1" in out
+    code, out, _ = run(capsys, "functor", MULTISERIAL, "--side", "F", "--module", "inj:1")
+    assert code == 0 and "position 0" in out
+    with pytest.raises(AssertionError, match="without --json"):
+        main(["resolve", MULTISERIAL, "--module", "simple:1", "-N", "4", "--json"])
+
+
 def test_module_spec_errors(capsys):
     code, _, err = run(capsys, "resolve", MULTISERIAL, "--module", "simple:9")
     assert code == 1 and "unknown vertex" in err
@@ -463,6 +479,39 @@ def test_package_source_guards():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     assert name in used, f"{path.name}:{node.lineno} imports unused {name}"
+
+
+# the dense-vector methods (a list per vector, as long as its space), kept for
+# output, random data and reference tests, and the functions that may call
+# them; None allows a whole file.  Inside the engine vectors stay sparse rows.
+DENSE_CALLS = {"dense_rows", "apply", "reduce", "coordinates", "contains", "from_vectors"}
+DENSE_ALLOWED = {
+    "reports.py": None, "randomgen.py": None, "dsl.py": None,
+    "engine.py": {"_exactness_witness"},        # the witness is printed as a dense vector
+    "complexes.py": {"homology_module"},        # its returned representatives
+    "linalg.py": {"contains"},                  # a member reduces to zero
+}
+
+
+def _calls_by_function(node, func=None):
+    """(innermost enclosing function name, call node) for each call under node."""
+    for child in ast.iter_child_nodes(node):
+        name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else func
+        if isinstance(child, ast.Call):
+            yield name, child
+        yield from _calls_by_function(child, name)
+
+
+def test_engine_keeps_vectors_sparse():
+    for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
+        allowed = DENSE_ALLOWED.get(path.name, set())
+        if allowed is None:
+            continue
+        for func, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            attr = getattr(call.func, "attr", None)
+            assert attr not in DENSE_CALLS or func in allowed, \
+                f"{path.name}:{call.lineno} {func} calls the dense .{attr}"
 
 
 def test_package_has_no_true_division():

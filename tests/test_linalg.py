@@ -43,24 +43,8 @@ def test_subspace_trivial_cases():
     s = u.add(v)
     assert s.dim == 2 and u.intersect(v).dim == 0
     assert u.perp() == v  # annihilator of the x-axis is the y-functional line
-    assert s.quotient_extension(u).nrows == 1
+    assert u.project(range(2)) == Matrix.from_rows(QQ, [[0, 1]])   # e_0 is in u, e_1 is not
     assert u.add(u) == u and u.intersect(u) == u
-
-
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
-def test_from_columns_is_transpose_of_from_rows(field):
-    assert Matrix.from_columns(field, 3, []) == Matrix.zeros(field, 3, 0)
-    assert Matrix.from_columns(field, 0, [[], []]) == Matrix.zeros(field, 0, 2)
-    rows = [[1, -2, 0], [Fraction(1, 3), 4, -1]]
-    assert Matrix.from_columns(field, 3, rows) == Matrix.from_rows(field, rows).transpose()
-
-
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
-def test_from_columns_rejects_ragged_columns(field):
-    with pytest.raises(ValueError):
-        Matrix.from_columns(field, 2, [[1, 2], [3]])
-    with pytest.raises(ValueError):
-        Matrix.from_columns(field, 2, [[1, 2], [3, 4, 5]])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
@@ -144,8 +128,6 @@ def test_matrix_operations_match_dense_reference(field, seed):
     zeros = [[z] * n for _ in range(m)]
     results = {     # name -> (result, entrywise reference, number of columns)
         "from_rows": (a, ra, n),
-        "from_columns": (Matrix.from_columns(field, m, [[r[j] for r in da] for j in range(n)]),
-                         ra, n),
         "zeros": (Matrix.zeros(field, m, n), zeros, n),
         "identity": (Matrix.identity(field, n),
                      [[of(int(i == j)) for j in range(n)] for i in range(n)], n),
@@ -175,9 +157,58 @@ def test_matrix_operations_match_dense_reference(field, seed):
         assert got == _from_dense(field, want, ncols), name
         assert got.is_zero() == (want == [[z] * ncols for _ in want]), name
     vec = [of(rng.choice([0, 1, -2, 5])) for _ in range(n)]
-    assert a.apply(vec) == [of(sum((x * y for x, y in zip(u, vec)), 0)) for u in ra]
+    got = a.apply(vec)
+    assert got == [of(sum((x * y for x, y in zip(u, vec)), 0)) for u in ra]
+    # the dense vector methods return canonical values too (no integral Fraction)
+    space = Subspace.from_matrix(a)
+    coefs = [of(rng.choice([1, -2, 3])) for _ in range(space.dim)]
+    member = [of(sum((x * r[j] for x, r in zip(coefs, space.dense_rows())), 0))
+              for j in range(n)]
+    assert _canonical(field, got) and _canonical(field, space.reduce(vec))
+    assert space.coordinates(member) == coefs and _canonical(field, space.coordinates(member))
+    assert not any(space.reduce(member))
+    # an entry p in GF(p) is zero, also where no basis row eliminates it
+    assert space.coordinates([x + field.characteristic for x in member]) == coefs
     assert (a == b) == (ra == rb)
     assert a != Matrix.zeros(field, m + 1, n) and a != Matrix.zeros(field, m, n + 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=str)
+def test_coordinates_of_and_project_match_dense_references(field, seed):
+    rng = random.Random(700 + seed)
+    of, n = field.of, rng.randint(1, 6)
+    random_space = Subspace.from_matrix(
+        Matrix.from_rows(field, _entries(rng, field, rng.randint(1, n), n)))
+    for space in (Subspace.zero(field, n), Subspace.full(field, n), random_space):
+        rows, free = space.dense_rows(), [c for c in range(n) if c not in space.pivots]
+        # members: k random combinations of the basis rows, k = 0 a zero-width input
+        for k in (0, rng.randint(1, 4)):
+            coefs = [[of(rng.choice([0, 1, -2, 3])) for _ in range(space.dim)] for _ in range(k)]
+            cols = [[of(sum((x * r[i] for x, r in zip(cf, rows)), 0)) for i in range(n)]
+                    for cf in coefs]
+            mat = Matrix.from_rows(field, cols).transpose() if k else Matrix.zeros(field, n, 0)
+            got = space.coordinates_of(mat)
+            want = [space.coordinates(col) for col in cols]
+            assert (got.nrows, got.ncols) == (space.dim, k) and _canonical_rows(got)
+            assert got.rows == [[w[r] for w in want] for r in range(space.dim)]
+        # the class of each unit vector: the reduced unit vector at the free columns
+        for picks in ([], list(range(n)), [rng.randrange(n) for _ in range(3)]):
+            got = space.project(picks)
+            want = [[space.reduce([of(int(i == c)) for i in range(n)])[f] for f in free]
+                    for c in picks]
+            assert (got.nrows, got.ncols) == (len(free), len(picks)) and _canonical_rows(got)
+            assert got.rows == [[w[r] for w in want] for r in range(len(free))]
+        if free:        # a unit vector at a free column is no member
+            with pytest.raises(ValueError):
+                space.coordinates_of(Matrix.from_rows(field, [[int(i == free[0])]
+                                                              for i in range(n)]))
+        for misfit in (Matrix.zeros(field, n + 1, 1), Matrix.zeros(GF(3) if field == QQ
+                                                                   else QQ, n, 1)):
+            with pytest.raises(ValueError):
+                space.coordinates_of(misfit)
+        with pytest.raises(ValueError):
+            space.project([n])
 
 
 def _reference_rref(rows, ncols, p=0):
@@ -222,10 +253,10 @@ def test_dimension_formula_against_stacked_oracle(seed):
     v = Subspace.from_vectors(QQ, 7, vrows)
     s = u.add(v)
     i = u.intersect(v)
-    ext = s.quotient_extension(u)
     assert s.dim == len(_reference_rref(urows + vrows, 7)[1])
     assert s.dim + i.dim == u.dim + v.dim
-    assert ext.nrows == s.dim - u.dim
+    # s maps onto a (dim s - dim u)-dimensional subspace of k^7 / u
+    assert (u.project(range(7)) * s.basis_matrix().transpose()).rank() == s.dim - u.dim
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -410,13 +441,6 @@ def test_rationals_are_ints_when_integral():
     for vec, want in (([3, 6, 2], [3, 2]), ([f(1, 2), 1, -1], [f(1, 2), -1])):
         coords = space.coordinates([QQ.of(v) for v in vec])
         assert coords == want and _canonical(QQ, coords)
-
-
-def test_quotient_extension_requires_containment():
-    u = Subspace.from_vectors(QQ, 3, [[1, 0, 0]])
-    w = Subspace.from_vectors(QQ, 3, [[0, 1, 0]])
-    with pytest.raises(ValueError):
-        w.quotient_extension(u)
 
 
 

@@ -211,7 +211,7 @@ def _reduce_projection(sp: Subspace):
         unit[col] = field.one
         red = sp.reduce(unit)
         cols.append([red[c] for c in free])
-    return Matrix.from_columns(field, len(free), cols)
+    return Matrix.from_rows(field, cols).transpose()
 
 
 @pytest.mark.parametrize("p", [None, 101], ids=["QQ", "GF(101)"])
