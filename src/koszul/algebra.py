@@ -89,23 +89,24 @@ class Presentation:
         elif n == 2:
             space = self.relation_space(x, y)
         else:
-            target = self.path_basis(n, x, y)
-            rows = []
-            for aidx in self.quiver.in_arrows(y):
-                arrow = self.quiver.arrows[aidx]
-                sub = self.relation_piece(n - 1, x, arrow.source)
-                src = self.path_basis(n - 1, x, arrow.source)
-                rows.extend(self._append_arrow(sub, src, aidx, target))
-            for a in self.quiver.vertices:
-                gen = self.relations.get((a, y))
-                if gen is None:
-                    continue
-                src = self.path_basis(2, a, y)
-                for q in self.path_basis(n - 2, x, a).paths:
-                    rows.extend(self._prepend_path(gen, src, q, target))
-            space = Subspace.from_sparse(self.field, len(target), rows)
+            left, right = self._recursion_rows(self.relation_piece, n, x, y)
+            space = Subspace.from_sparse(self.field, len(self.path_basis(n, x, y)), left + right)
         self._rel_piece[key] = space
         return space
+
+    def _recursion_rows(self, lower, n: int, x, y) -> tuple[list[dict], list[dict]]:
+        """The two row families of the R_n recursion in kQ_n(x, y): the sum of
+        lower(n-1, x, w) . al over the arrows al: w -> y, and R_2 . kQ_{n-2}."""
+        target = self.path_basis(n, x, y)
+        left = []
+        for aidx in self.quiver.in_arrows(y):
+            w = self.quiver.arrows[aidx].source
+            left.extend(self._append_arrow(lower(n - 1, x, w), self.path_basis(n - 1, x, w),
+                                           aidx, target))
+        right = [row for (b, z), gen in self.relations.items() if z == y
+                 for q in self.path_basis(n - 2, x, b).paths
+                 for row in self._prepend_path(gen, self.path_basis(2, b, y), q, target)]
+        return left, right
 
     @staticmethod
     def _append_arrow(space: Subspace, src_basis, aidx, target_basis) -> list[dict]:
@@ -173,6 +174,14 @@ class Presentation:
                 lambda arrows: (aidx,) + arrows)
         return self._arrow_mat[key]
 
+    def opposite_right_arrow_transpose(self, arrow_name: str, n: int, w) -> Matrix:
+        """The transpose of `right_arrow_matrix` over the opposite presentation:
+        the injective-side mate of right multiplication (cached, shared)."""
+        key = ("right-opposite-transpose", arrow_name, n, w)
+        if key not in self._arrow_mat:
+            self._arrow_mat[key] = self.opposite().right_arrow_matrix(arrow_name, n, w).transpose()
+        return self._arrow_mat[key]
+
     def _multiplication(self, src: AlgebraPiece, tgt: AlgebraPiece, times) -> Matrix:
         """The map src -> tgt sending each basis path p to the class of the path
         `times(p.arrows)` modulo the relations of tgt."""
@@ -192,23 +201,9 @@ class Presentation:
         if n <= 1:
             space = Subspace.full(self.field, len(basis))
         else:
-            left_rows = []
-            for aidx in self.quiver.in_arrows(x):
-                arrow = self.quiver.arrows[aidx]
-                sub = self.r_upper(n - 1, a, arrow.source)
-                src = self.path_basis(n - 1, a, arrow.source)
-                left_rows.extend(self._append_arrow(sub, src, aidx, basis))
-            right_rows = []
-            for b in self.quiver.vertices:
-                gen = self.relations.get((b, x))
-                if gen is None:
-                    continue
-                src = self.path_basis(2, b, x)
-                for q in self.path_basis(n - 2, a, b).paths:
-                    right_rows.extend(self._prepend_path(gen, src, q, basis))
-            left = Subspace.from_sparse(self.field, len(basis), left_rows)
-            right = Subspace.from_sparse(self.field, len(basis), right_rows)
-            space = left.intersect(right)
+            left, right = self._recursion_rows(self.r_upper, n, a, x)
+            space = Subspace.from_sparse(self.field, len(basis), left).intersect(
+                Subspace.from_sparse(self.field, len(basis), right))
         self._r_upper[key] = space
         return space
 

@@ -8,14 +8,16 @@ the columns by alternating signs.
 
 Direct-sum positions carry ordered block labels (opaque tuples); the
 canonical form sorts blocks by label so that structurally equal
-constructions compare bit-exactly.
+constructions compare bit-exactly.  Cones, total complexes and the
+canonical form assemble no matrices themselves: they hand their blocks to
+`modules.block_morphism` and slice with `modules.block_parts`.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, MatrixEquations, Subspace
-from .modules import (GradedModule, GradedMorphism, direct_sum, zero_module,
-                      zero_morphism)
+from .linalg import MatrixEquations, Subspace
+from .modules import (GradedModule, GradedMorphism, block_morphism, block_parts,
+                      direct_sum, zero_module, zero_morphism)
 
 
 def blocks_of(m: GradedModule):
@@ -106,56 +108,26 @@ class ComplexOfModules:
 
     def canonical_form(self) -> "ComplexOfModules":
         """Sort every position's blocks by label and conjugate the differentials."""
-        perms = {}
-        modules = {}
+        blocks, new_index, modules = {}, {}, {}
         for n, m in self.modules.items():
-            blocks = list(blocks_of(m))
-            order = sorted(range(len(blocks)), key=lambda t: repr(blocks[t][0]))
-            perms[n] = (blocks, order)
-            modules[n] = direct_sum(self.pres, m.window, [blocks[t] for t in order])
+            blocks[n] = blocks_of(m)
+            order = sorted(range(len(blocks[n])), key=lambda t: repr(blocks[n][t][0]))
+            new_index[n] = {t: k for k, t in enumerate(order)}
+            modules[n] = direct_sum(self.pres, m.window, [blocks[n][t] for t in order])
         diffs = {}
+        # a non-zero differential joins two non-zero positions
         for n, d in self.diffs.items():
-            src = perms.get(n)
-            tgt = perms.get(n + 1)
-            mats = {}
-            for (i, x) in set(d.mats):
-                mat = d.piece(i, x)
-                cols = _perm_ranges(src, i, x) if src else None
-                rows = _perm_ranges(tgt, i, x) if tgt else None
-                mats[(i, x)] = _permute_matrix(mat, rows, cols)
-            diffs[n] = GradedMorphism(modules.get(n, self.module(n)),
-                                      modules.get(n + 1, self.module(n + 1)), mats)
+            rows, cols = new_index[n + 1], new_index[n]
+            parts = {(rows[r], cols[c]): mats for (r, c), mats in
+                     block_parts(d, [b for _, b in blocks[n + 1]], [b for _, b in blocks[n]]).items()}
+            diffs[n] = block_morphism(modules[n], modules[n + 1],
+                                      [b for _, b in modules[n + 1].blocks],
+                                      [b for _, b in modules[n].blocks], parts)
         return ComplexOfModules(self.pres, self.window, modules, diffs, validate=False)
 
     def __repr__(self):
         lo, hi = self.support()
         return f"Complex(positions {lo}..{hi})"
-
-
-def _perm_ranges(perm_entry, i, x):
-    """Index remap list for a piece when blocks get reordered."""
-    blocks, order = perm_entry
-    starts = []
-    pos = 0
-    for key, m in blocks:
-        starts.append(pos)
-        pos += m.dim(i, x)
-    remap = []
-    for t in order:
-        d = blocks[t][1].dim(i, x)
-        remap.extend(range(starts[t], starts[t] + d))
-    return remap
-
-
-def _permute_matrix(mat: Matrix, rows, cols) -> Matrix:
-    """Row r of the result is row rows[r] of mat, column c is column cols[c]."""
-    rws = mat.sparse_rows
-    if rows is not None:
-        rws = [rws[r] for r in rows]
-    if cols is not None:
-        new = {c: k for k, c in enumerate(cols)}
-        rws = [{new[c]: v for c, v in row.items()} for row in rws]
-    return Matrix(mat.field, mat.nrows, mat.ncols, rws)
 
 
 def single_module_complex(m: GradedModule, position: int = 0) -> ComplexOfModules:
@@ -307,21 +279,20 @@ class DoubleChainMap:
         return self
 
 
+def _diagonals(dc: DoubleComplex) -> dict:
+    """n -> the ascending i with a non-zero cell (i, n - i)."""
+    out: dict = {}
+    for (i, j) in sorted(dc.cells):
+        out.setdefault(i + j, []).append(i)
+    return out
+
+
 def total_complex(dc: DoubleComplex) -> ComplexOfModules:
     """T(M)^n = (+)_i M^{i, n-i}, summands ascending in i, unsigned blocks."""
     pres, window = dc.pres, dc.window
-    by_n: dict[int, list] = {}
-    for (i, j) in dc.cells:
-        by_n.setdefault(i + j, []).append(i)
-    modules = {}
-    order = {}
-    for n, idxs in by_n.items():
-        idxs = sorted(set(idxs))
-        order[n] = idxs
-        blocks = []
-        for i in idxs:
-            blocks.extend(blocks_of(dc.cell(i, n - i)))
-        modules[n] = direct_sum(pres, window, blocks)
+    order = _diagonals(dc)
+    modules = {n: direct_sum(pres, window, [b for i in idxs for b in blocks_of(dc.cell(i, n - i))])
+               for n, idxs in order.items()}
     diffs = {}
     for n in sorted(modules):
         if n + 1 not in modules:
@@ -331,93 +302,65 @@ def total_complex(dc: DoubleComplex) -> ComplexOfModules:
         for c, ii in enumerate(order[n]):
             for jj, f in ((ii, dc.vert.get((ii, n - ii))), (ii + 1, dc.horiz.get((ii, n - ii)))):
                 if f is not None and jj in row:
-                    parts[(row[jj], c)] = f
-        diffs[n] = _block_morphism(modules[n], modules[n + 1],
-                                   [dc.cell(jj, n + 1 - jj) for jj in order[n + 1]],
-                                   [dc.cell(ii, n - ii) for ii in order[n]], parts)
+                    parts[(row[jj], c)] = f.mats
+        diffs[n] = block_morphism(modules[n], modules[n + 1],
+                                  [dc.cell(jj, n + 1 - jj) for jj in order[n + 1]],
+                                  [dc.cell(ii, n - ii) for ii in order[n]], parts)
     return ComplexOfModules(pres, window, modules, diffs, validate=False)
 
 
 def total_chain_map(f: DoubleChainMap) -> ChainMap:
     src = total_complex(f.source)
     tgt = total_complex(f.target)
+    src_order, tgt_order = _diagonals(f.source), _diagonals(f.target)
     parts = {}
     for n in set(src.modules) | set(tgt.modules):
-        src_idx = sorted({i for (i, j) in f.source.cells if i + j == n})
-        tgt_idx = sorted({i for (i, j) in f.target.cells if i + j == n})
+        src_idx, tgt_idx = src_order.get(n, []), tgt_order.get(n, [])
         row = {jj: r for r, jj in enumerate(tgt_idx)}
-        blocks = {(row[ii], c): f.parts[(ii, n - ii)] for c, ii in enumerate(src_idx)
+        blocks = {(row[ii], c): f.parts[(ii, n - ii)].mats for c, ii in enumerate(src_idx)
                   if ii in row and (ii, n - ii) in f.parts}
-        parts[n] = _block_morphism(src.module(n), tgt.module(n),
-                                   [f.target.cell(jj, n - jj) for jj in tgt_idx],
-                                   [f.source.cell(ii, n - ii) for ii in src_idx], blocks)
+        parts[n] = block_morphism(src.module(n), tgt.module(n),
+                                  [f.target.cell(jj, n - jj) for jj in tgt_idx],
+                                  [f.source.cell(ii, n - ii) for ii in src_idx], blocks)
     return ChainMap(src, tgt, parts)
 
 
 def horizontal_cone(f: DoubleChainMap) -> DoubleComplex:
     """Rows are the mapping cones of the rows of f."""
-    m, n = f.source, f.target
-    pres, window = m.pres, m.window
-    keys = {(i, j) for (i, j) in set(m.cells) | set(n.cells)} | \
-           {(i - 1, j) for (i, j) in m.cells}
-    cells = {}
-    for (i, j) in keys:
-        blocks = list(blocks_of(m.cell(i + 1, j))) + list(blocks_of(n.cell(i, j)))
-        cells[(i, j)] = direct_sum(pres, window, blocks)
-    vert, horiz = {}, {}
-    for (i, j) in keys:
-        src = cells[(i, j)]
-        vt = cells.get((i, j + 1))
-        if vt is not None:
-            vert[(i, j)] = _block2(src, vt, m.v(i + 1, j).negate(), None, n.v(i, j))
-        ht = cells.get((i + 1, j))
-        if ht is not None:
-            horiz[(i, j)] = _block2(src, ht, m.h(i + 1, j).negate(),
-                                    f.part(i + 1, j), n.h(i, j))
-    return DoubleComplex(pres, window, cells, vert, horiz, validate=False)
+    return _double_cone(f, 1, 0)
 
 
 def vertical_cone(f: DoubleChainMap) -> DoubleComplex:
     """Columns are the mapping cones of the columns of f."""
+    return _double_cone(f, 0, 1)
+
+
+def _double_cone(f: DoubleChainMap, di: int, dj: int) -> DoubleComplex:
+    """Cell (i, j) is M^{(i,j)+(di,dj)} (+) N^{i,j}; f enters only the
+    differential along (di, dj)."""
     m, n = f.source, f.target
     pres, window = m.pres, m.window
     keys = {(i, j) for (i, j) in set(m.cells) | set(n.cells)} | \
-           {(i, j - 1) for (i, j) in m.cells}
-    cells = {}
-    for (i, j) in keys:
-        blocks = list(blocks_of(m.cell(i, j + 1))) + list(blocks_of(n.cell(i, j)))
-        cells[(i, j)] = direct_sum(pres, window, blocks)
+           {(i - di, j - dj) for (i, j) in m.cells}
+    cells = {(i, j): direct_sum(pres, window, blocks_of(m.cell(i + di, j + dj)) +
+                                blocks_of(n.cell(i, j))) for (i, j) in keys}
     vert, horiz = {}, {}
     for (i, j) in keys:
-        src = cells[(i, j)]
-        vt = cells.get((i, j + 1))
-        if vt is not None:
-            vert[(i, j)] = _block2(src, vt, m.v(i, j + 1).negate(),
-                                   f.part(i, j + 1), n.v(i, j))
-        ht = cells.get((i + 1, j))
-        if ht is not None:
-            horiz[(i, j)] = _block2(src, ht, m.h(i, j + 1).negate(), None, n.h(i, j))
+        for (ei, ej), maps, dm, dn in (((0, 1), vert, m.v, n.v), ((1, 0), horiz, m.h, n.h)):
+            tgt = cells.get((i + ei, j + ej))
+            if tgt is not None:
+                c = f.part(i + di, j + dj) if (ei, ej) == (di, dj) else None
+                maps[(i, j)] = _block2(cells[(i, j)], tgt, dm(i + di, j + dj).negate(),
+                                       c, dn(i, j))
     return DoubleComplex(pres, window, cells, vert, horiz, validate=False)
 
 
 def _block2(src, tgt, a, c, d):
     """2x2 block morphism [[a, 0], [c, d]]; c may be None for zero."""
-    parts = {(0, 0): a, (1, 1): d}
+    parts = {(0, 0): a.mats, (1, 1): d.mats}
     if c is not None:
-        parts[(1, 0)] = c
-    return _block_morphism(src, tgt, [a.target, d.target], [a.source, d.source], parts)
-
-
-def _block_morphism(src, tgt, tgt_parts, src_parts, parts) -> GradedMorphism:
-    """The morphism src -> tgt whose block (r, c) is the graded morphism
-    parts[(r, c)]: src_parts[c] -> tgt_parts[r]; omitted blocks are zero."""
-    field = src.pres.field
-    mats = {}
-    for key in set(src.dims) | set(tgt.dims):
-        mats[key] = Matrix.block(field, [m.dim(*key) for m in tgt_parts],
-                                 [m.dim(*key) for m in src_parts],
-                                 {rc: f.mats[key] for rc, f in parts.items() if key in f.mats})
-    return GradedMorphism(src, tgt, mats)
+        parts[(1, 0)] = c.mats
+    return block_morphism(src, tgt, [a.target, d.target], [a.source, d.source], parts)
 
 
 # -- homology ---------------------------------------------------------------------

@@ -18,8 +18,8 @@ from .complexes import (ChainMap, ComplexOfModules, DoubleChainMap, DoubleComple
                         blocks_of, homology_at, is_acyclic, mapping_cone,
                         single_module_complex, total_chain_map, total_complex)
 from .linalg import Matrix
-from .modules import (GradedModule, GradedMorphism, direct_sum,
-                      injective_module, kernel_module, projective_cover,
+from .modules import (GradedModule, GradedMorphism, block_morphism, block_parts,
+                      direct_sum, injective_module, kernel_module, projective_cover,
                       projective_module, simple_module, top_generators)
 from .quiver import Path
 
@@ -214,60 +214,53 @@ def _functor_term(side: str, source_pres, target_pres, n_module: GradedModule,
     """F(N)^j (side='right') or G(N)^j (side='left') as a labeled direct sum."""
     standard = projective_module if side == "right" else injective_module
     blocks = []
-    for key, (sub, _) in _argument_blocks(n_module, j, source_pres.quiver.vertices).items():
+    for key, (_, sub) in _argument_blocks(n_module, j, source_pres.quiver.vertices).items():
         (x, _) = key[-1]
         blocks.append((key, standard(target_pres, x, j, window).tensor(sub.dim(j, x))))
     return direct_sum(target_pres, window, blocks)
 
 
 def _argument_blocks(n_module: GradedModule, j, vertices) -> dict:
-    """Functor block key (parent key + ((x, j),)) -> (the parent block of the
-    argument, its offset in the piece (j, x)), for every non-zero piece, in
+    """Functor block key (parent key + ((x, j),)) -> (the index of the parent
+    block of the argument, that block), for every non-zero piece (j, x), in
     the order of the functor term's blocks; one walk of the argument's blocks."""
-    out, pos = {}, {}
-    for key, sub in blocks_of(n_module):
-        for x in vertices:
-            d = sub.dim(j, x)
-            if d:
-                out[key + ((x, j),)] = (sub, pos.get(x, 0))
-                pos[x] = pos.get(x, 0) + d
-    return out
+    return {key + ((x, j),): (p, sub) for p, (key, sub) in enumerate(blocks_of(n_module))
+            for x in vertices if sub.dim(j, x)}
 
 
 def _functor_diff(side, source_pres, target_pres, n_module, j, window,
                   src_sum, tgt_sum) -> GradedMorphism:
     """d^j of the functor image of one module."""
     quiver = source_pres.quiver
-    src_blocks = list(blocks_of(src_sum))
-    tgt_blocks = list(blocks_of(tgt_sum))
+    src_blocks, tgt_blocks = blocks_of(src_sum), blocks_of(tgt_sum)
     parents = _argument_blocks(n_module, j, quiver.vertices)
     rows = {tkey: r for r, (tkey, _) in enumerate(tgt_blocks)}
-    # block (r, c) sums v (x) P[arrow] over the arrows x -> y acting by v on the parent
-    terms = {}
-    for c, (skey, _) in enumerate(src_blocks):
+    # block (r, c) sums v (x) P[arrow] over the arrows x -> y acting by v on
+    # the parent, on each piece of the source block
+    parts = {}
+    for c, (skey, block) in enumerate(src_blocks):
         (x, _) = skey[-1]
-        sub = parents[skey][0]
+        sub = parents[skey][1]
+        terms = {}
         for aidx in quiver.out_arrows(x):
             arrow = quiver.arrows[aidx]
             vmap = sub.actions.get((arrow.name, j))
             r = rows.get(skey[:-1] + ((arrow.target, j + 1),))
             if vmap is not None and r is not None:
-                terms.setdefault((r, c), []).append((vmap, arrow.name))
-    mats = {}
-    for (d, w) in set(src_sum.dims) | set(tgt_sum.dims):
-        blocks = {}
-        for rc, pairs in terms.items():
-            acc = None
-            for vmap, name in pairs:
-                mmap = _side_right_mult_piece(side, target_pres, name, j, d, w)
-                if mmap is not None and mmap.nrows and mmap.ncols:     # else a zero block
-                    term = Matrix.kron(vmap, mmap)
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                blocks[rc] = acc
-        mats[(d, w)] = Matrix.block(source_pres.field, [m.dim(d, w) for _, m in tgt_blocks],
-                                    [m.dim(d, w) for _, m in src_blocks], blocks)
-    return GradedMorphism(src_sum, tgt_sum, mats)
+                terms.setdefault(r, []).append((vmap, arrow.name))
+        for r, pairs in terms.items():
+            mats = parts[(r, c)] = {}
+            for (d, w) in block.dims:
+                acc = None
+                for vmap, name in pairs:
+                    mmap = _side_right_mult_piece(side, target_pres, name, j, d, w)
+                    if mmap is not None and mmap.nrows and mmap.ncols:     # else a zero block
+                        term = Matrix.kron(vmap, mmap)
+                        acc = term if acc is None else acc + term
+                if acc is not None:
+                    mats[(d, w)] = acc
+    return block_morphism(src_sum, tgt_sum, [b for _, b in tgt_blocks],
+                          [b for _, b in src_blocks], parts)
 
 
 def _side_right_mult_piece(side, target_pres, arrow_name, shift, d, w) -> Matrix | None:
@@ -276,16 +269,8 @@ def _side_right_mult_piece(side, target_pres, arrow_name, shift, d, w) -> Matrix
     if side == "right":
         alg = shift + d
         return target_pres.right_arrow_matrix(arrow_name, alg, w) if alg >= 0 else None
-    # injective side: transpose of right multiplication over the opposite
-    # algebra, memoized next to the arrow matrices under its own side tag
     alg = -(shift + d) - 1
-    if alg < 0:
-        return None
-    key = ("right-opposite-transpose", arrow_name, alg, w)
-    if key not in target_pres._arrow_mat:
-        target_pres._arrow_mat[key] = \
-            target_pres.opposite().right_arrow_matrix(arrow_name, alg, w).transpose()
-    return target_pres._arrow_mat[key]
+    return target_pres.opposite_right_arrow_transpose(arrow_name, alg, w) if alg >= 0 else None
 
 
 def koszul_functor(side: str, m: GradedModule, window,
@@ -309,7 +294,7 @@ def koszul_functor(side: str, m: GradedModule, window,
 
 def koszul_functor_map(side: str, f: GradedMorphism, window,
                        source_pres=None, target_pres=None) -> ChainMap:
-    """Image of a morphism: per vertex, id (x) f_{j,x} sliced along block offsets."""
+    """Image of a morphism: per vertex, f_{j,x} sliced into the argument's blocks (x) id."""
     source_pres = source_pres or f.source.pres
     target_pres = target_pres or source_pres.quadratic_dual()
     return _functor_map(f, koszul_functor(side, f.source, window, source_pres, target_pres),
@@ -320,37 +305,34 @@ def _functor_map(f: GradedMorphism, src_cx: ComplexOfModules,
                  tgt_cx: ComplexOfModules) -> ChainMap:
     """The image of f between src_cx and tgt_cx, the functor images of its
     source and target built by the caller."""
-    parts = {}
     field = f.source.pres.field
     vertices = f.source.pres.quiver.vertices
+    # f sliced once into its blocks between the argument's parent blocks,
+    # grouped by the source parent
+    by_source = {}
+    for (tp, sp), mats in block_parts(f, [b for _, b in blocks_of(f.target)],
+                                      [b for _, b in blocks_of(f.source)]).items():
+        by_source.setdefault(sp, []).append((tp, mats))
+    parts = {}
     for j in set(src_cx.modules) | set(tgt_cx.modules):
-        src_sum = src_cx.module(j)
-        tgt_sum = tgt_cx.module(j)
-        sblocks = list(blocks_of(src_sum))
-        tblocks = list(blocks_of(tgt_sum))
+        src_sum, tgt_sum = src_cx.module(j), tgt_cx.module(j)
+        sblocks, tblocks = blocks_of(src_sum), blocks_of(tgt_sum)
         sparents = _argument_blocks(f.source, j, vertices)
         tparents = _argument_blocks(f.target, j, vertices)
-        # f_{j,x} sliced to the parent blocks of each same-vertex block pair
-        subs = {}
-        for tb, (tkey, _) in enumerate(tblocks):
-            (y, _), (tsub, t0) = tkey[-1], tparents[tkey]
-            t1 = t0 + tsub.dim(j, y)
-            fm = f.mats.get((j, y))
-            for sb, (skey, _) in enumerate(sblocks):
-                if fm is not None and skey[-1][0] == y:
-                    ssub, s0 = sparents[skey]
-                    s1 = s0 + ssub.dim(j, y)
-                    subs[(tb, sb)] = (Matrix(field, t1 - t0, s1 - s0, [
-                        {c - s0: v for c, v in r.items() if s0 <= c < s1}
-                        for r in fm.sparse_rows[t0:t1]]), s1 - s0)
-        mats = {}
-        for (d, w) in set(src_sum.dims) | set(tgt_sum.dims):
-            blocks = {(tb, sb): Matrix.kron(sub, Matrix.identity(
-                          field, sblocks[sb][1].dim(d, w) // mult))
-                      for (tb, sb), (sub, mult) in subs.items()}
-            mats[(d, w)] = Matrix.block(field, [m.dim(d, w) for _, m in tblocks],
-                                        [m.dim(d, w) for _, m in sblocks], blocks)
-        parts[j] = GradedMorphism(src_sum, tgt_sum, mats)
+        rows = {(tparents[tkey][0], tkey[-1][0]): tb for tb, (tkey, _) in enumerate(tblocks)}
+        # block (tb, sb) is f's parent block at (j, y) tensored with the
+        # identity of the P_y<j> (I_y<j>) that both functor blocks share
+        blocks = {}
+        for sb, (skey, block) in enumerate(sblocks):
+            (y, _), (sp, psub) = skey[-1], sparents[skey]
+            for tp, mats in by_source.get(sp, ()):
+                sub, tb = mats.get((j, y)), rows.get((tp, y))
+                if sub is not None and tb is not None:
+                    blocks[(tb, sb)] = {
+                        key: Matrix.kron(sub, Matrix.identity(field, k // psub.dim(j, y)))
+                        for key, k in block.dims.items()}
+        parts[j] = block_morphism(src_sum, tgt_sum, [b for _, b in tblocks],
+                                  [b for _, b in sblocks], blocks)
     return ChainMap(src_cx, tgt_cx, parts)
 
 
@@ -446,11 +428,8 @@ def _degree_bounds(m: GradedModule):
 
 
 def _check_double_dual(pres: Presentation):
-    if getattr(pres, "_dd_checked", False):
-        return
     if pres.quadratic_dual().quadratic_dual() != pres:
         raise AssertionError("double quadratic dual differs from the presentation")
-    pres._dd_checked = True
 
 
 @dataclass
@@ -482,27 +461,23 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
     w_dual = (-policy.max_span - 1 - mhi, -mlo)
     g_cx = koszul_functor("left", m, w_dual, pres, dual)
     src = extend_functor("right", g_cx, policy.degree_window, dual, pres)
-    field = pres.field
-    mats = {}
     src0 = src.module(0)
-    for (p, a) in src0.dims:
-        if not m.dim(p, a):
-            continue
-        cols = []
-        for key, sub in blocks_of(src0):
-            (x, i) = key[0]
-            if not sub.dim(p, a):
-                continue
-            sign = _sign((i * (i + 1)) // 2)
+    blocks = blocks_of(src0)
+    parts = {}
+    for c, (key, sub) in enumerate(blocks):
+        (x, i) = key[0]
+        sign = _sign((i * (i + 1)) // 2)
+        mats = parts[(0, c)] = {}
+        for (p, a) in sub.dims.keys() & m.dims.keys():
             # column m_idx of the t-th path action is column m_idx * (number of
             # paths) + t of the block; columns are taken as transposed rows
             amats = [m.path_action(rho, i).scale(sign).transpose()
                      for rho in pres.algebra_piece(p - i, x, a).basis_paths]
-            cols.extend(amat.sparse_rows[m_idx] for m_idx in range(m.dim(i, x))
-                        for amat in amats)
-        mats[(p, a)] = Matrix(field, len(cols), m.dim(p, a), cols).transpose()
+            cols = [amat.sparse_rows[m_idx] for m_idx in range(m.dim(i, x)) for amat in amats]
+            mats[(p, a)] = Matrix(pres.field, len(cols), m.dim(p, a), cols).transpose()
+    eta0 = block_morphism(src0, m, [m], [sub for _, sub in blocks], parts)
     target = single_module_complex(m, 0)
-    eta = ChainMap(src, target, {0: GradedMorphism(src0, m, mats)}).validate()
+    eta = ChainMap(src, target, {0: eta0}).validate()
     lo_built = min(src.positions()) if src.positions() else 0
     safe = (lo_built + 1, 1)
     cone = mapping_cone(eta)
@@ -550,25 +525,24 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
     f_cx = koszul_functor("right", m, w_dual, pres, dual)
     tgt = extend_functor("left", f_cx, policy.degree_window, dual, pres)
     tgt0 = tgt.module(0)
-    tblocks = blocks_of(tgt0)
-    mats = {}
-    for (j, y), dm in m.dims.items():
-        blocks = {}
-        for r, (key, sub) in enumerate(tblocks):
-            (x, i) = key[0]
-            if i < j or not sub.dim(j, y):
+    blocks = blocks_of(tgt0)
+    parts = {}
+    for r, (key, sub) in enumerate(blocks):
+        (x, i) = key[0]
+        sign = _sign(((i - 1) * i) // 2)
+        mats = parts[(r, 0)] = {}
+        for (j, y) in sub.dims.keys() & m.dims.keys():
+            if i < j:
                 continue
-            sign = _sign(((i - 1) * i) // 2)
             # M_j(y) -> M_i(x) along each reversed opposite path; row m_idx of the
             # p-th action goes to row m_idx * (number of paths) + p of the block
             amats = [m.path_action(Path(y, tuple(reversed(rho.arrows))), j).scale(sign)
                      for rho in opp.algebra_piece(i - j, x, y).basis_paths]
             rows = [amat.sparse_rows[m_idx] for m_idx in range(m.dim(i, x)) for amat in amats]
-            blocks[(r, 0)] = Matrix(pres.field, len(rows), dm, rows)
-        mats[(j, y)] = Matrix.block(pres.field, [sub.dim(j, y) for _, sub in tblocks],
-                                    [dm], blocks)
+            mats[(j, y)] = Matrix(pres.field, len(rows), m.dim(j, y), rows)
+    zeta0 = block_morphism(m, tgt0, [sub for _, sub in blocks], [m], parts)
     source = single_module_complex(m, 0)
-    zeta = ChainMap(source, tgt, {0: GradedMorphism(m, tgt0, mats)}).validate()
+    zeta = ChainMap(source, tgt, {0: zeta0}).validate()
     hi_built = max(tgt.positions()) if tgt.positions() else 0
     safe = (-1, hi_built - 1)
     cone = mapping_cone(zeta)

@@ -8,10 +8,16 @@ injectives are shared, one per (vertex, shift, window) and presentation,
 and `tensor(1)` and `shift(0)` return the module itself.  A direct sum
 stores only its ordered blocks: its block-diagonal actions are built from
 them on the first read of `actions`, which most sums never see.
+
+The block layout of a sum lives here alone: `block_morphism` builds a
+morphism between direct sums from its blocks, and `block_parts` slices one
+back into its non-zero blocks.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import warnings
 
 from .algebra import Presentation
@@ -153,6 +159,48 @@ def _block_diagonal_actions(pres, summands) -> dict:
             {(r, r): m.actions[(name, i)] for r, (_, m) in enumerate(summands)
              if (name, i) in m.actions})
     return {k: m for k, m in actions.items() if m.nrows and m.ncols}
+
+
+def block_morphism(src, tgt, tgt_parts, src_parts, parts) -> "GradedMorphism":
+    """The morphism src -> tgt between the direct sums of `src_parts` and
+    `tgt_parts` whose block (r, c) at piece (i, x) is parts[(r, c)][(i, x)], a
+    map from that piece of src_parts[c] to that of tgt_parts[r].  Omitted
+    blocks are zero, and so is a piece of src and tgt without any block; a
+    block of the wrong shape, at any piece, raises ValueError."""
+    by_piece: dict = {}
+    for rc, mats in parts.items():
+        for key, mat in mats.items():
+            by_piece.setdefault(key, {})[rc] = mat
+    field = src.pres.field
+    mats = {key: Matrix.block(field, [m.dim(*key) for m in tgt_parts],
+                              [m.dim(*key) for m in src_parts], by_piece.get(key, {}))
+            for key in (src.dims.keys() & tgt.dims.keys()) | by_piece.keys()}
+    return GradedMorphism(src, tgt, mats)
+
+
+def block_parts(f: "GradedMorphism", tgt_parts, src_parts) -> dict:
+    """The inverse of `block_morphism`: {(r, c): {(i, x): block}} for the
+    non-zero blocks of f only, found from f's non-zero entries."""
+    field = f.source.pres.field
+    out: dict = {}
+    for key, mat in f.mats.items():
+        heights = [m.dim(*key) for m in tgt_parts]
+        widths = [m.dim(*key) for m in src_parts]
+        rstarts = list(itertools.accumulate(heights, initial=0))
+        cstarts = list(itertools.accumulate(widths, initial=0))
+        if (mat.nrows, mat.ncols) != (rstarts[-1], cstarts[-1]):
+            raise ValueError(f"piece {key} does not fit the block layout")
+        rows: dict = {}     # (r, c) -> {row in the block: {column in the block: value}}
+        for i, row in enumerate(mat.sparse_rows):
+            if row:
+                r = bisect.bisect_right(rstarts, i) - 1
+                for col, v in row.items():
+                    c = bisect.bisect_right(cstarts, col) - 1
+                    rows.setdefault((r, c), {}).setdefault(i - rstarts[r], {})[col - cstarts[c]] = v
+        for (r, c), block in rows.items():
+            out.setdefault((r, c), {})[key] = Matrix(
+                field, heights[r], widths[c], [block.get(k, {}) for k in range(heights[r])])
+    return out
 
 
 class GradedMorphism:
@@ -389,15 +437,15 @@ def projective_cover(m: GradedModule, window=None):
     gens = top_generators(m)
     summands = [((x, i), projective_module(pres, x, -i, window)) for (i, x, _) in gens]
     cover = direct_sum(pres, window, summands)
-    field = pres.field
-    mats = {}
-    for (d, w) in cover.dims:
-        # column c of each path action, as a transposed row
-        cols = [m.path_action(rho, i).transpose().sparse_rows[c]
-                for (i, x, c), (_, summand) in zip(gens, summands) if summand.dim(d, w)
-                for rho in pres.algebra_piece(d - i, x, w).basis_paths]
-        mats[(d, w)] = Matrix(field, len(cols), m.dim(d, w), cols).transpose()
-    f = GradedMorphism(cover, m, mats)
+    parts = {}
+    for s, ((i, x, c), (_, summand)) in enumerate(zip(gens, summands)):
+        block = parts[(0, s)] = {}
+        for (d, w) in summand.dims.keys() & m.dims.keys():
+            # column c of each path action, as a transposed row
+            cols = [m.path_action(rho, i).transpose().sparse_rows[c]
+                    for rho in pres.algebra_piece(d - i, x, w).basis_paths]
+            block[(d, w)] = Matrix(pres.field, len(cols), m.dim(d, w), cols).transpose()
+    f = block_morphism(cover, m, [m], [summand for _, summand in summands], parts)
     labels = [(x, i) for (i, x, _) in gens]
     return cover, f, labels
 

@@ -7,7 +7,6 @@ import pytest
 
 from koszul.algebra import Presentation, subspace_circuits
 from koszul.dsl import parse_presentation, print_presentation
-from koszul.engine import _side_right_mult_piece
 from koszul.linalg import GF, Matrix, QQ, Subspace
 from koszul.randomgen import (path_algebra, radical_square_zero, random_module,
                               random_presentation, random_quiver)
@@ -382,5 +381,5 @@ def test_arrow_matrices_match_unit_vector_reduction(p, seed):
                         ps.algebra_piece(n + 1, arrow.source, v), lambda q: (aidx,) + q)
                     assert ps.right_arrow_matrix(arrow.name, n, v) == right
                     if ps is not pres:      # the injective side: opposite right multiplication
-                        assert _side_right_mult_piece("left", pres, arrow.name, 0, -n - 1, v) \
+                        assert pres.opposite_right_arrow_transpose(arrow.name, n, v) \
                             == right.transpose()

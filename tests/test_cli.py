@@ -481,6 +481,22 @@ def test_package_source_guards():
                     assert name in used, f"{path.name}:{node.lineno} imports unused {name}"
 
 
+# the one block layout: every block matrix between direct sums is built by
+# `modules.block_morphism` (and the actions of a sum by its block diagonal)
+BLOCK_ALLOWED = {("modules.py", "block_morphism"), ("modules.py", "_block_diagonal_actions"),
+                 ("linalg.py", "kron")}
+
+
+def test_block_matrices_have_one_layout():
+    for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
+        for func, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            owner = getattr(call.func, "value", None)
+            if getattr(call.func, "attr", None) == "block" and \
+                    getattr(owner, "id", None) in ("Matrix", "cls"):
+                assert (path.name, func) in BLOCK_ALLOWED, \
+                    f"{path.name}:{call.lineno} {func} assembles a block matrix"
+
+
 # the dense-vector methods (a list per vector, as long as its space), kept for
 # output, random data and reference tests, and the functions that may call
 # them; None allows a whole file.  Inside the engine vectors stay sparse rows.

@@ -7,7 +7,8 @@ import pytest
 
 from koszul.dsl import parse_presentation
 from koszul.linalg import GF, Matrix, QQ, Subspace
-from koszul.modules import (GradedModule, GradedMorphism, direct_sum, hom_basis,
+from koszul.modules import (GradedModule, GradedMorphism, block_morphism, block_parts,
+                            direct_sum, hom_basis,
                             injective_module, kernel_module, projective_cover,
                             projective_module, quotient_module, radical_pieces,
                             simple_module, standard_module, top_generators, zero_module)
@@ -199,6 +200,54 @@ def test_direct_sum_actions_are_the_block_diagonal(p):
         assert s.actions is s.actions                          # built once
         s.validate()
     assert outer.shift(2).dims == {(i - 2, x): d for (i, x), d in outer.dims.items()}
+
+
+def _dense_block(f, tgt_parts, src_parts, r, c, key):
+    """Block (r, c) of f's piece `key`, sliced out of its dense rows."""
+    r0 = sum(m.dim(*key) for m in tgt_parts[:r])
+    c0 = sum(m.dim(*key) for m in src_parts[:c])
+    h, w = tgt_parts[r].dim(*key), src_parts[c].dim(*key)
+    rows = [row[c0:c0 + w] for row in f.piece(*key).rows[r0:r0 + h]]
+    return Matrix(f.source.pres.field, h, w, Matrix.from_rows(f.source.pres.field, rows).sparse_rows)
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["QQ", "GF(101)"])
+@pytest.mark.parametrize("seed", range(4))
+def test_block_parts_round_trip(p, seed):
+    # block_parts slices a morphism between direct sums into its non-zero
+    # blocks, and block_morphism assembles them back into the same morphism
+    rng = random.Random(seed)
+    pres = parse_presentation(MULTISERIAL, QQ if p is None else GF(p), degree_cap=8)
+    w = (0, 4)
+    sparts = [random_module(rng, pres, w) for _ in range(3)]
+    tparts = sparts[::-1] + [random_module(rng, pres, w)]
+    for parts in (sparts, tparts):      # a zero block somewhere in each sum
+        parts.insert(rng.randint(0, len(parts)), zero_module(pres, w))
+    src = direct_sum(pres, w, list(enumerate(sparts)))
+    tgt = direct_sum(pres, w, list(enumerate(tparts)))
+    morphisms = hom_basis(src, tgt) + [random_morphism(rng, src, tgt)]
+    assert any(len(block_parts(f, tparts, sparts)) > 1 for f in morphisms)   # several blocks
+    pieces = src.dims.keys() & tgt.dims.keys()
+    for f in morphisms:
+        blocks = block_parts(f, tparts, sparts)
+        back = block_morphism(src, tgt, tparts, sparts, blocks)
+        assert set(back.mats) == pieces
+        assert all(back.piece(*key) == f.piece(*key) for key in pieces)
+        for r, c in itertools.product(range(len(tparts)), range(len(sparts))):
+            for key in pieces:
+                ref = _dense_block(f, tparts, sparts, r, c, key)
+                got = blocks.get((r, c), {}).get(key)
+                assert (got is None) if ref.is_zero() else got == ref
+    f, (r, c), mats = next((f, rc, mats) for f in morphisms
+                           for rc, mats in block_parts(f, tparts, sparts).items())
+    key, block = next(iter(mats.items()))
+    with pytest.raises(ValueError):     # one row too many
+        block_morphism(src, tgt, tparts, sparts, {(r, c): {key: Matrix.zeros(
+            pres.field, block.nrows + 1, block.ncols)}})
+    with pytest.raises(ValueError):     # a block at a piece that both sums lack
+        block_morphism(src, tgt, tparts, sparts, {(r, c): {(w[1] + 1, key[1]): block}})
+    with pytest.raises(ValueError):     # the layout of another sum
+        block_parts(f, tparts[:r] + tparts[r + 1:], sparts)
 
 
 def _reduce_projection(sp: Subspace):
