@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input error, 2 a checked mathematical assertion
-failed (for example `check-koszul --expect koszul` on a non-Koszul input).
+Exit codes: 0 success, 1 input error (a usage error too), 2 a checked
+mathematical assertion failed (for example `check-koszul --expect koszul`
+on a non-Koszul input).
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `CliError`: exit 1 with `input-error`, not
+    argparse's exit 2, which is the code of a failed assertion."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and shared by every `main`;
@@ -43,7 +52,7 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized self-check subcommands")
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="koszul",
         description="Quadratic quiver algebras: Koszul duals, certificates, "
                     "Koszul functors and resolutions, by exact linear algebra.")
@@ -370,15 +379,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, MemoryError, RecursionError) as exc:
         code = exc.code if isinstance(exc, CliError) else 1
         message = str(exc)
         if isinstance(exc, (MemoryError, RecursionError)):
             message = f"input too large: {type(exc).__name__} {message}".rstrip()
-        if args.json:
+        # a usage error leaves no parsed arguments: look for --json in argv
+        if args.json if args is not None else "--json" in argv:
             sys.stdout.write(reports.dumps({
                 "error": message, "exit": code,
                 "code": "assertion-failed" if code == 2 else "input-error"}))

@@ -136,29 +136,22 @@ def koszulity_certificate(pres: Presentation, policy: TruncationPolicy) -> Koszu
     # that many degrees are probed (infinite algebras stay cheap)
     vanish = pres.lambda_vanishing_degree(limit=max(0, hi - n_max + 1))
     complete = vanish is not None and hi >= n_max + vanish - 1
+    vertices = pres.quiver.vertices
+    order = {x: k for k, x in enumerate(vertices)}
     failures = []
     checked = 0
-    for a in pres.quiver.vertices:
+    for a in vertices:
         cx = local_koszul_complex(pres, a, policy, augmented=True)
         for n in range(0, n_max):
             pos = -n
-            m = cx.module(pos)
-            dn = cx.diff(pos)
-            dp = cx.diff(pos - 1)
-            degrees = sorted({i for (i, _) in m.dims} | {i for (i, _) in cx.module(pos - 1).dims})
-            for d in degrees:
-                if not lo <= d <= hi:
-                    continue
-                for x in pres.quiver.vertices:
-                    # a piece missing from the differential is zero: rank 0
-                    dnp = dn.mats.get((d, x))
-                    dpp = dp.mats.get((d, x))
-                    ker = m.dim(d, x) - (dnp.rank() if dnp is not None else 0)
-                    im = dpp.rank() if dpp is not None else 0
-                    checked += 1
-                    if ker != im:
-                        failures.append(CertEntry(a, pos, d, "failed", _exactness_witness(
-                            dn.piece(d, x), dp.piece(d, x)), ker - im))
+            degrees = {i for p in (pos, pos - 1) for (i, _) in cx.module(p).dims}
+            checked += len(vertices) * sum(1 for d in degrees if lo <= d <= hi)
+            # a failure is a non-zero piece of H = ker d_n / im d_(n-1)
+            h = homology_at(cx, pos)
+            for (d, x) in sorted(h, key=lambda k: (k[0], order[k[1]])):
+                if lo <= d <= hi:
+                    failures.append(CertEntry(a, pos, d, "failed", _exactness_witness(
+                        cx.diff(pos).piece(d, x), cx.diff(pos - 1).piece(d, x)), h[(d, x)]))
     ok = not failures
     verdict = ("KOSZUL" if complete else f"KOSZUL_UP_TO_{n_max}") if ok else "NOT_KOSZUL"
     return KoszulCertificate(n_max, policy.degree_window, verdict, complete,
@@ -209,43 +202,34 @@ def linear_presentation_check(m: GradedModule, n: int, window=None):
 # -- Koszul functors ---------------------------------------------------------------------
 
 
-def _functor_term(side: str, source_pres, target_pres, n_module: GradedModule,
-                  j: int, window) -> GradedModule:
-    """F(N)^j (side='right') or G(N)^j (side='left') as a labeled direct sum."""
+def _functor_term(side: str, target_pres, blocks, vertices, j: int, window) -> GradedModule:
+    """F(N)^j (side='right') or G(N)^j (side='left') as a labeled direct sum:
+    one block P_x<j> (I_x<j>) (x) N_j e_x per block of N in `blocks` and source
+    vertex x, keyed by the block's key + ((x, j),)."""
     standard = projective_module if side == "right" else injective_module
-    blocks = []
-    for key, (_, sub) in _argument_blocks(n_module, j, source_pres.quiver.vertices).items():
-        (x, _) = key[-1]
-        blocks.append((key, standard(target_pres, x, j, window).tensor(sub.dim(j, x))))
-    return direct_sum(target_pres, window, blocks)
+    return direct_sum(target_pres, window, [
+        (key + ((x, j),), standard(target_pres, x, j, window).tensor(sub.dim(j, x)))
+        for key, sub in blocks for x in vertices if sub.dim(j, x)])
 
 
-def _argument_blocks(n_module: GradedModule, j, vertices) -> dict:
-    """Functor block key (parent key + ((x, j),)) -> (the index of the parent
-    block of the argument, that block), for every non-zero piece (j, x), in
-    the order of the functor term's blocks; one walk of the argument's blocks."""
-    return {key + ((x, j),): (p, sub) for p, (key, sub) in enumerate(blocks_of(n_module))
-            for x in vertices if sub.dim(j, x)}
-
-
-def _functor_diff(side, source_pres, target_pres, n_module, j, window,
+def _functor_diff(side, source_pres, target_pres, parents, j,
                   src_sum, tgt_sum) -> GradedMorphism:
-    """d^j of the functor image of one module."""
+    """d^j of the functor image of one module; `parents` maps the key of each
+    block of the module to that block."""
     quiver = source_pres.quiver
     src_blocks, tgt_blocks = blocks_of(src_sum), blocks_of(tgt_sum)
-    parents = _argument_blocks(n_module, j, quiver.vertices)
     rows = {tkey: r for r, (tkey, _) in enumerate(tgt_blocks)}
     # block (r, c) sums v (x) P[arrow] over the arrows x -> y acting by v on
     # the parent, on each piece of the source block
     parts = {}
     for c, (skey, block) in enumerate(src_blocks):
-        (x, _) = skey[-1]
-        sub = parents[skey][1]
+        (x, _), parent = skey[-1], skey[:-1]
+        sub = parents[parent]
         terms = {}
         for aidx in quiver.out_arrows(x):
             arrow = quiver.arrows[aidx]
             vmap = sub.actions.get((arrow.name, j))
-            r = rows.get(skey[:-1] + ((arrow.target, j + 1),))
+            r = rows.get(parent + ((arrow.target, j + 1),))
             if vmap is not None and r is not None:
                 terms.setdefault(r, []).append((vmap, arrow.name))
         for r, pairs in terms.items():
@@ -275,20 +259,24 @@ def _side_right_mult_piece(side, target_pres, arrow_name, shift, d, w) -> Matrix
 
 def koszul_functor(side: str, m: GradedModule, window,
                    source_pres=None, target_pres=None) -> ComplexOfModules:
-    """The right (F) or left (G) Koszul functor on one graded module."""
+    """The right (F) or left (G) Koszul functor on one graded module.
+
+    A block of F(m)^j is keyed by its parent block's key + ((x, j),), so the
+    blocks of m need distinct keys: ValueError otherwise."""
     source_pres = source_pres or m.pres
     target_pres = target_pres or source_pres.quadratic_dual()
-    degrees = sorted({i for (i, _) in m.dims})
+    blocks = blocks_of(m)
+    parents = dict(blocks)
+    if len(parents) != len(blocks):
+        raise ValueError("the blocks of a Koszul functor's argument need distinct keys")
     modules = {}
-    for j in (degrees if degrees else []):
-        term = _functor_term(side, source_pres, target_pres, m, j, window)
+    for j in sorted({i for (i, _) in m.dims}):
+        term = _functor_term(side, target_pres, blocks, source_pres.quiver.vertices, j, window)
         if not term.is_zero():
             modules[j] = term
-    diffs = {}
-    for j in degrees:
-        if j + 1 in modules and j in modules:
-            diffs[j] = _functor_diff(side, source_pres, target_pres, m, j, window,
-                                     modules[j], modules[j + 1])
+    diffs = {j: _functor_diff(side, source_pres, target_pres, parents, j,
+                              modules[j], modules[j + 1])
+             for j in modules if j + 1 in modules}
     return ComplexOfModules(target_pres, window, modules, diffs, validate=True)
 
 
@@ -306,33 +294,34 @@ def _functor_map(f: GradedMorphism, src_cx: ComplexOfModules,
     """The image of f between src_cx and tgt_cx, the functor images of its
     source and target built by the caller."""
     field = f.source.pres.field
-    vertices = f.source.pres.quiver.vertices
-    # f sliced once into its blocks between the argument's parent blocks,
-    # grouped by the source parent
+    sparents, tparents = blocks_of(f.source), blocks_of(f.target)
+    # the argument's parent blocks indexed by key, and f sliced into its
+    # blocks between them grouped by the source parent, once per call
+    sindex = {key: p for p, (key, _) in enumerate(sparents)}
+    tindex = {key: p for p, (key, _) in enumerate(tparents)}
     by_source = {}
-    for (tp, sp), mats in block_parts(f, [b for _, b in blocks_of(f.target)],
-                                      [b for _, b in blocks_of(f.source)]).items():
+    for (tp, sp), mats in block_parts(f, [b for _, b in tparents],
+                                      [b for _, b in sparents]).items():
         by_source.setdefault(sp, []).append((tp, mats))
     parts = {}
-    for j in set(src_cx.modules) | set(tgt_cx.modules):
-        src_sum, tgt_sum = src_cx.module(j), tgt_cx.module(j)
+    for j in src_cx.modules.keys() & tgt_cx.modules.keys():
+        src_sum, tgt_sum = src_cx.modules[j], tgt_cx.modules[j]
         sblocks, tblocks = blocks_of(src_sum), blocks_of(tgt_sum)
-        sparents = _argument_blocks(f.source, j, vertices)
-        tparents = _argument_blocks(f.target, j, vertices)
-        rows = {(tparents[tkey][0], tkey[-1][0]): tb for tb, (tkey, _) in enumerate(tblocks)}
+        rows = {(tindex[tkey[:-1]], tkey[-1][0]): tb for tb, (tkey, _) in enumerate(tblocks)}
         # block (tb, sb) is f's parent block at (j, y) tensored with the
         # identity of the P_y<j> (I_y<j>) that both functor blocks share
         blocks = {}
         for sb, (skey, block) in enumerate(sblocks):
-            (y, _), (sp, psub) = skey[-1], sparents[skey]
-            for tp, mats in by_source.get(sp, ()):
+            y = skey[-1][0]
+            for tp, mats in by_source.get(sindex[skey[:-1]], ()):
                 sub, tb = mats.get((j, y)), rows.get((tp, y))
                 if sub is not None and tb is not None:
                     blocks[(tb, sb)] = {
-                        key: Matrix.kron(sub, Matrix.identity(field, k // psub.dim(j, y)))
+                        key: Matrix.kron(sub, Matrix.identity(field, k // sub.ncols))
                         for key, k in block.dims.items()}
-        parts[j] = block_morphism(src_sum, tgt_sum, [b for _, b in tblocks],
-                                  [b for _, b in sblocks], blocks)
+        if blocks:
+            parts[j] = block_morphism(src_sum, tgt_sum, [b for _, b in tblocks],
+                                      [b for _, b in sblocks], blocks)
     return ChainMap(src_cx, tgt_cx, parts)
 
 
@@ -364,11 +353,8 @@ def _column_double_complex(x: ComplexOfModules, cols, window, target_pres) -> Do
             vert[(i, j)] = d if _sign(i) == 1 else d.negate()
     # a non-zero d^i has non-zero x^i and x^(i+1), so both columns exist
     for i, d in x.diffs.items():
-        fmap = _functor_map(d, cols[i], cols[i + 1])
-        for j in set(cols[i].modules) | set(cols[i + 1].modules):
-            part = fmap.part(j)
-            if not part.is_zero():
-                horiz[(i, j)] = part
+        for j, part in _functor_map(d, cols[i], cols[i + 1]).parts.items():
+            horiz[(i, j)] = part
     return DoubleComplex(target_pres, window, cells, vert, horiz, validate=False)
 
 
@@ -390,11 +376,8 @@ def extend_functor_map(side: str, f: ChainMap, window,
     parts = {}
     # a non-zero part f^i has both x^i and y^i non-zero, so both columns exist
     for i, fi in f.parts.items():
-        cmap = _functor_map(fi, src_cols[i], tgt_cols[i])
-        for j in set(cmap.source.modules) | set(cmap.target.modules):
-            part = cmap.part(j)
-            if not part.is_zero():
-                parts[(i, j)] = part
+        for j, part in _functor_map(fi, src_cols[i], tgt_cols[i]).parts.items():
+            parts[(i, j)] = part
     dmap = DoubleChainMap(src_dc, tgt_dc, parts)
     return total_chain_map(dmap)
 

@@ -81,10 +81,7 @@ class GradedModule:
                 for i in sorted(i for (i, y) in self.dims if y == x and i < hi - 1):
                     acc = None
                     for c, coeff in row.items():
-                        first, second = basis.paths[c].arrows
-                        m = self.action(quiver.arrows[second].name, i + 1) * \
-                            self.action(quiver.arrows[first].name, i)
-                        m = m.scale(coeff)
+                        m = self.path_action(basis.paths[c], i).scale(coeff)
                         acc = m if acc is None else acc + m
                     if acc is not None and not acc.is_zero():
                         raise ValueError(f"relation not respected at degree {i}, pair ({x},{z})")

@@ -70,6 +70,23 @@ def test_check_koszul_verdicts_and_exit_codes(capsys):
     assert f["witness_dim"] == 1
 
 
+def test_usage_error_exits_1_with_input_error(capsys):
+    # argparse on its own exits 2, the code of a failed assertion, and
+    # writes no JSON; a usage error is an input error
+    code, out, err = run(capsys, "check-koszul", MULTISERIAL, "-N", "abc")
+    assert code == 1 and not out and "invalid int value: 'abc'" in err
+    code, out, _ = run(capsys, "check-koszul", MULTISERIAL, "-N", "abc", "--json")
+    data = json.loads(out)
+    assert code == 1 and (data["code"], data["exit"]) == ("input-error", 1)
+    assert "-N/--span" in data["error"]
+    code, _, err = run(capsys, "no-such-command")
+    assert code == 1 and "invalid choice" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["check-koszul", "--help"])
+    assert exc.value.code == 0
+    assert "--expect" in capsys.readouterr().out
+
+
 # sha256 of the `--json` stdout of commands on the shipped presentations, each
 # recorded before a refactor of the code it runs (sparse row reduction, the
 # single path-action and column-building routines); verdicts, witnesses and

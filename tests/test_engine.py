@@ -19,9 +19,9 @@ from koszul.engine import (TruncationPolicy, _h0_isomorphism, _r_upper_module,
                            pairing_table, projective_resolution,
                            zeta_coaugmentation)
 from koszul.linalg import Matrix, QQ, Subspace
-from koszul.modules import (GradedModule, GradedMorphism, hom_basis, identity_morphism,
-                            injective_module, kernel_module, projective_cover,
-                            projective_module, simple_module)
+from koszul.modules import (GradedModule, GradedMorphism, block_morphism, direct_sum,
+                            hom_basis, identity_morphism, injective_module, kernel_module,
+                            projective_cover, projective_module, simple_module)
 from koszul.quiver import Path
 from koszul.randomgen import (path_algebra, radical_square_zero, random_acyclic_quiver,
                               random_module, random_morphism, random_presentation,
@@ -244,6 +244,57 @@ def test_functor_map_is_chain_map_and_functorial(multiserial):
     for side, window in (("right", (-2, 8)), ("left", (-8, 2))):
         cm = koszul_functor_map(side, f, window)
         cm.validate()
+
+
+def test_functor_rejects_repeated_block_keys(multiserial):
+    # a block of F(N)^j is keyed by its parent's key + ((x, j),), so two blocks
+    # of N under one key would be read as one: F(M (+) M) came out as F(M)
+    w = (-2, 8)
+    m = projective_module(multiserial, "1", 0, (0, 4))
+    size = lambda cx: {j: sum(t.dims.values()) for j, t in cx.modules.items()}
+    keyed = direct_sum(multiserial, m.window, [(("a",), m), (("b",), m)])
+    assert size(koszul_functor("right", keyed, w)) == \
+        {j: 2 * d for j, d in size(koszul_functor("right", m, w)).items()}
+    with pytest.raises(ValueError, match="distinct keys"):
+        koszul_functor("right", direct_sum(multiserial, m.window, [((), m), ((), m)]), w)
+
+
+@pytest.mark.parametrize("side,window", [("right", (-2, 8)), ("left", (-8, 2))])
+def test_functor_is_additive_on_keyed_sums(multiserial, side, window):
+    # F(M (+) N), keyed "m"/"n", has the blocks of F(M) and F(N) under those
+    # key prefixes and block-diagonal differentials; the image of f (+) g
+    # slices into F(f) and F(g)
+    rng = random.Random(9)
+    m, n, n2 = (random_module(rng, multiserial, (0, 4)) for _ in range(3))
+    f, g = random_morphism(rng, m, m), random_morphism(rng, n, n2)
+    assert not f.is_zero() and not g.is_zero()
+
+    def keyed(a, b):
+        return direct_sum(multiserial, (0, 4), [(("m",), a), (("n",), b)])
+
+    fg = block_morphism(keyed(m, n), keyed(m, n2), [m, n2], [m, n],
+                        {(0, 0): f.mats, (1, 1): g.mats})
+    image = koszul_functor_map(side, fg, window)
+    ff, gg = koszul_functor_map(side, f, window), koszul_functor_map(side, g, window)
+    for cx, a, b in ((image.source, ff.source, gg.source), (image.target, ff.target, gg.target)):
+        assert cx.positions() == sorted(set(a.positions()) | set(b.positions()))
+        for j in cx.positions():
+            want = [(("m",) + k, s) for k, s in blocks_of(a.module(j))] + \
+                   [(("n",) + k, s) for k, s in blocks_of(b.module(j))]
+            got = blocks_of(cx.module(j))
+            assert [k for k, _ in got] == [k for k, _ in want]
+            assert all(s.same_content(t) for (_, s), (_, t) in zip(got, want))
+            diag = block_morphism(cx.module(j), cx.module(j + 1),
+                                  [a.module(j + 1), b.module(j + 1)], [a.module(j), b.module(j)],
+                                  {(0, 0): a.diff(j).mats, (1, 1): b.diff(j).mats})
+            assert cx.diff(j).same_content(diag)
+    assert image.parts
+    for j in image.source.positions():
+        diag = block_morphism(image.source.module(j), image.target.module(j),
+                              [ff.target.module(j), gg.target.module(j)],
+                              [ff.source.module(j), gg.source.module(j)],
+                              {(0, 0): ff.part(j).mats, (1, 1): gg.part(j).mats})
+        assert image.part(j).same_content(diag)
 
 
 def test_extension_concentrated_complex_equals_functor(multiserial):
