@@ -18,12 +18,12 @@ from .quiver import Path, PathEnumerator, Quiver
 
 @dataclass
 class AlgebraPiece:
-    """Basis data for e_y Lambda_n e_x (paths x -> y modulo R_n(x, y))."""
+    """e_y Lambda_n e_x by its normal words: the paths x -> y that are not
+    pivots of R_n(x, y)."""
 
     degree: int
     source: object
     target: object
-    rel: Subspace
     basis_paths: tuple[Path, ...]
 
     @property
@@ -39,7 +39,9 @@ class Presentation:
     pieces (`_alg_piece`), arrow-multiplication matrices and their injective
     mates (`_arrow_mat`), and the standard projective and injective modules
     (`_modules`, filled by `koszul.modules`).  Every memoized value is shared
-    and never written into.
+    and never written into.  Lambda is generated in degree 1, so an algebra
+    piece whose predecessor pieces all vanish is zero by recursion: R_n and
+    kQ_n are then neither built nor stored for it.
     """
 
     def __init__(self, quiver: Quiver, field: Field = QQ, relations=None,
@@ -123,14 +125,20 @@ class Presentation:
                 for row in space.sparse_rows]
 
     def algebra_piece(self, n: int, x, y) -> AlgebraPiece:
-        """e_y Lambda_n e_x with its canonical representative paths."""
+        """e_y Lambda_n e_x with its canonical representative paths; zero, with no
+        path enumerated or reduced, once Lambda_{n-1}(x, w) = 0 for each arrow w -> y."""
+        if n > self.degree_cap:
+            raise ValueError(f"degree {n} exceeds cap {self.degree_cap}")
         key = (n, x, y)
         if key not in self._alg_piece:
-            rel = self.relation_piece(n, x, y)
-            basis = self.path_basis(n, x, y)
-            pivset = set(rel.pivots)
-            reps = tuple(p for i, p in enumerate(basis.paths) if i not in pivset)
-            self._alg_piece[key] = AlgebraPiece(n, x, y, rel, reps)
+            if n and not any(self.dim_piece(n - 1, x, self.quiver.arrows[aidx].source)
+                             for aidx in self.quiver.in_arrows(y)):
+                reps = ()
+            else:
+                pivset = set(self.relation_piece(n, x, y).pivots)
+                reps = tuple(p for i, p in enumerate(self.path_basis(n, x, y).paths)
+                             if i not in pivset)
+            self._alg_piece[key] = AlgebraPiece(n, x, y, reps)
         return self._alg_piece[key]
 
     def dim_piece(self, n, x, y) -> int:
@@ -185,8 +193,11 @@ class Presentation:
     def _multiplication(self, src: AlgebraPiece, tgt: AlgebraPiece, times) -> Matrix:
         """The map src -> tgt sending each basis path p to the class of the path
         `times(p.arrows)` modulo the relations of tgt."""
+        if not tgt.dim:
+            return Matrix(self.field, 0, src.dim, [])
         index = self.path_basis(tgt.degree, tgt.source, tgt.target).index
-        return tgt.rel.project([index[times(p.arrows)] for p in src.basis_paths])
+        return self.relation_piece(tgt.degree, tgt.source, tgt.target).project(
+            [index[times(p.arrows)] for p in src.basis_paths])
 
     # -- R^(n) ----------------------------------------------------------------
 

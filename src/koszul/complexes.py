@@ -378,17 +378,17 @@ def homology_tables(x: ComplexOfModules):
 
 
 def homology_at(x: ComplexOfModules, n: int):
+    """dim ker d^n - rank d^(n-1) per (degree, vertex).  A missing position,
+    differential or piece is zero (rank 0), and no zero object is built."""
+    m = x.modules.get(n)
+    if m is None:
+        return {}
+    dn, dp = (x.diffs[k].mats if k in x.diffs else {} for k in (n, n - 1))
     table = {}
-    m = x.module(n)
-    dn = x.diff(n)
-    dp = x.diff(n - 1)
-    for (i, v), d in m.dims.items():
-        # a piece missing from a differential is zero: rank 0
-        dnp = dn.mats.get((i, v))
-        dpp = dp.mats.get((i, v))
-        val = d - (dnp.rank() if dnp is not None else 0) - (dpp.rank() if dpp is not None else 0)
+    for key, d in m.dims.items():
+        val = d - sum(mats[key].rank() for mats in (dn, dp) if key in mats)
         if val:
-            table[(i, v)] = val
+            table[key] = val
     return table
 
 

@@ -480,9 +480,11 @@ def _h0_isomorphism(f: ChainMap) -> bool:
     h_src = homology_at(f.source, 0)
     if h_src != homology_at(f.target, 0):
         return False
-    part, dsrc, dtgt = f.part(0), f.source.diff(0), f.target.diff(-1)
+    # a missing part or differential is zero: read the stored ones, build none
+    part, dsrc, dtgt = (m.mats if m is not None else {} for m in
+                        (f.parts.get(0), f.source.diffs.get(0), f.target.diffs.get(-1)))
     for key, h in h_src.items():
-        fm, zm, bm = part.mats.get(key), dsrc.mats.get(key), dtgt.mats.get(key)
+        fm, zm, bm = part.get(key), dsrc.get(key), dtgt.get(key)
         if fm is None:
             return False    # f vanishes on a piece where H^0 does not
         z = zm.kernel_basis() if zm is not None else Matrix.identity(fm.field, fm.ncols)

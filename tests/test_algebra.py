@@ -8,8 +8,10 @@ import pytest
 from koszul.algebra import Presentation, subspace_circuits
 from koszul.dsl import parse_presentation, print_presentation
 from koszul.linalg import GF, Matrix, QQ, Subspace
+from koszul.quiver import Quiver
 from koszul.randomgen import (path_algebra, radical_square_zero, random_module,
                               random_presentation, random_quiver)
+from tests.conftest import MULTISERIAL, presentations_dir
 
 P_CHECK = 1000003
 
@@ -313,6 +315,63 @@ def test_piece_cache_idempotent(multiserial):
     assert multiserial.relation_piece(4, "1", "1") is multiserial.relation_piece(4, "1", "1")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: parse_presentation(MULTISERIAL, QQ, 8),
+    lambda: path_algebra(Quiver(["1", "2"], [("a", "1", "2")]), QQ, 8)],
+    ids=["multiserial", "path 1->2"])
+def test_pieces_past_the_cap_raise_though_their_predecessors_vanish(make):
+    # every degree-8 piece is zero, so degree 9 would be zero by recursion;
+    # the cap is still checked first, on a fresh and on a warm presentation
+    for warm in (False, True):
+        pres = make()
+        pairs = list(itertools.product(pres.quiver.vertices, repeat=2))
+        if warm:
+            assert not any(pres.dim_piece(8, x, y) for x, y in pairs)
+        for x, y in pairs:
+            for query in (pres.dim_piece, pres.algebra_piece, pres.relation_piece):
+                with pytest.raises(ValueError, match="degree 9 exceeds cap 8"):
+                    query(9, x, y)
+
+
+def _normal_words(pres, n, x, y):
+    pivots = set(pres.relation_piece(n, x, y).pivots)
+    return tuple(p for i, p in enumerate(pres.path_basis(n, x, y).paths) if i not in pivots)
+
+
+def _assert_pieces_are_normal_words(pres):
+    """Every algebra piece up to the cap, asked for from the top degree down,
+    against the non-pivot paths of R_n from a presentation that has built no
+    algebra piece; returns how many zero pieces have paths."""
+    fresh = Presentation(pres.quiver, pres.field, pres.relations, pres.degree_cap)
+    keys = list(itertools.product(range(pres.degree_cap + 1),
+                                  itertools.product(pres.quiver.vertices, repeat=2)))
+    zero_with_paths = 0
+    for n, (x, y) in reversed(keys):
+        piece = pres.algebra_piece(n, x, y)
+        assert piece.basis_paths == _normal_words(fresh, n, x, y), (n, x, y)
+        assert not fresh._alg_piece
+        zero_with_paths += not piece.dim and len(pres.path_basis(n, x, y)) > 0
+    return zero_with_paths
+
+
+@pytest.mark.parametrize("p", [None, 2, 3], ids=["QQ", "GF(2)", "GF(3)"])
+def test_algebra_pieces_are_exact_on_random_presentations(p):
+    field = QQ if p is None else GF(p)
+    vanished = 0
+    for seed in range(10):
+        pres = random_presentation(random.Random(seed), field=field, degree_cap=5)
+        for ps in (pres, pres.quadratic_dual()):
+            vanished += _assert_pieces_are_normal_words(ps)
+    assert vanished     # some pieces are zero by the recursion shortcut
+
+
+@pytest.mark.parametrize("name", ["biserial", "multiserial", "kronecker", "empty"])
+def test_algebra_pieces_are_exact_on_shipped_presentations(name):
+    pres = parse_presentation((presentations_dir() / f"{name}.kz").read_text(), QQ, 8)
+    for ps in (pres, pres.quadratic_dual(), pres.opposite()):
+        _assert_pieces_are_normal_words(ps)
+
+
 @pytest.mark.parametrize("name", ["biserial", "multiserial", "kronecker", "empty"])
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
 def test_arrow_matrix_memo_matches_fresh_presentation(name, field):
@@ -353,12 +412,13 @@ def _multiplication_reference(pres, src, tgt, times):
     """Each basis path p of `src` sent to the path times(p) as a dense unit
     vector, reduced modulo the relations of `tgt` and read at its free columns."""
     field, basis = pres.field, pres.path_basis(tgt.degree, tgt.source, tgt.target)
-    free = [c for c in range(len(basis)) if c not in tgt.rel.pivots]
+    rel = pres.relation_piece(tgt.degree, tgt.source, tgt.target)
+    free = [c for c in range(len(basis)) if c not in rel.pivots]
     cols = []
     for p in src.basis_paths:
         unit = [field.zero] * len(basis)
         unit[basis.index[times(p.arrows)]] = field.one
-        red = tgt.rel.reduce(unit)
+        red = rel.reduce(unit)
         cols.append([red[c] for c in free])
     return Matrix.from_rows(field, cols).transpose() if cols else Matrix.zeros(field, tgt.dim, 0)
 

@@ -26,7 +26,7 @@ from koszul.quiver import Path
 from koszul.randomgen import (path_algebra, radical_square_zero, random_acyclic_quiver,
                               random_module, random_morphism, random_presentation,
                               random_quiver)
-from tests.conftest import EMPTY
+from tests.conftest import EMPTY, MULTISERIAL
 
 POLICY = TruncationPolicy(6, (-2, 10))
 
@@ -684,6 +684,35 @@ def test_h0_check_matches_homology_modules_on_random_maps(multiserial):
     assert True in verdicts and False in verdicts
 
 
+def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
+    # a missing position, differential or part is read as zero, not built as one
+    import koszul.complexes as complexes
+    w = POLICY.degree_window
+    results = [build(m, POLICY) for m in (simple_module(multiserial, "1", 0, w),
+                                          random_module(random.Random(5), multiserial, (0, 4)))
+               for build in (projective_resolution, injective_coresolution)]
+    maps = [res.map for res in results]
+    maps += [ChainMap(f.source, f.target, {}) for f in maps]
+    cxs = [cx for f in maps[:len(results)] for cx in (f.source, f.target, mapping_cone(f))]
+    positions = range(-POLICY.max_span - 2, 3)
+    want = [{k: d for k, d in homology_module(cx, n)[0].dims.items() if d}
+            for cx in cxs for n in positions]
+    want_h0 = [_h0_reference(f) for f in maps]
+    assert True in want_h0 and False in want_h0
+    calls = []
+    for name in ("zero_module", "zero_morphism"):
+        real = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    assert [homology_at(cx, n) for cx in cxs for n in positions] == want
+    assert [_h0_isomorphism(f) for f in maps] == want_h0
+    assert all(is_acyclic(cone, range(lo, hi + 1)) for cone, (lo, hi) in
+               zip(cxs[2::3], (res.safe_positions for res in results)))
+    assert not calls
+    cxs[0].diff(max(positions))             # the counter sees a build
+    assert calls
+
+
 def test_resolutions_build_no_block_diagonal_action(multiserial, monkeypatch):
     # a direct sum builds its block-diagonal actions only when they are read,
     # and neither resolutions (with their H^0 check) nor the certificate reads them
@@ -755,3 +784,12 @@ def test_certificate_ranks_each_piece_once(multiserial, monkeypatch):
     assert koszulity_certificate(multiserial, POLICY).is_koszul
     assert len(built) == len(multiserial.quiver.vertices)
     _assert_ranked_once(seen, real, built)
+
+
+def test_deep_certificate_reduces_no_relation_piece_past_the_vanishing_degree():
+    # Lambda vanishes in degree 3, so every later piece is zero by recursion;
+    # the R^(n) spans still enumerate kQ_n up to the span
+    pres = parse_presentation(MULTISERIAL, QQ, degree_cap=24)
+    assert koszulity_certificate(pres, TruncationPolicy(12, (-2, 24))).verdict == "KOSZUL"
+    assert max(n for n, _, _ in pres._rel_piece) <= 3
+    assert max(n for n, _ in pres.paths._layers) <= 12
