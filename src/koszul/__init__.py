@@ -23,7 +23,6 @@ from .linalg import GF, Matrix, QQ, Subspace, kernel_backend, matrix_kernels, so
 from .modules import (GradedModule, GradedMorphism, direct_sum, hom_basis,
                       injective_module, kernel_module, projective_cover,
                       projective_module, simple_module, standard_module, zero_module)
-from .quiver import (Arrow, Path, PathBasis, Quiver, derive_initial,
-                     derive_terminal, enumerate_paths)
+from .quiver import Arrow, Path, PathBasis, Quiver
 
 __version__ = "0.1.0"

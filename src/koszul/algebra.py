@@ -35,13 +35,15 @@ class Presentation:
     """A quadratic presentation Lambda = kQ/R over an exact field.
 
     Immutable after construction, so its derived data is memoized on it and
-    dropped with it: relation pieces (`_rel_piece`, `_r_upper`), algebra
-    pieces (`_alg_piece`), arrow-multiplication matrices and their injective
-    mates (`_arrow_mat`), and the standard projective and injective modules
-    (`_modules`, filled by `koszul.modules`).  Every memoized value is shared
-    and never written into.  Lambda is generated in degree 1, so an algebra
-    piece whose predecessor pieces all vanish is zero by recursion: R_n and
-    kQ_n are then neither built nor stored for it.
+    dropped with it: the relation pieces R_n (`_rel_piece`), the spaces R^(n)
+    (`_r_upper`, each the perp of a relation piece that sits in the
+    `_rel_piece` of (Lambda^!)^op, reached as `quadratic_dual().opposite()`),
+    algebra pieces (`_alg_piece`), arrow-multiplication matrices and their
+    injective mates (`_arrow_mat`), and the standard projective and injective
+    modules (`_modules`, filled by `koszul.modules`).  Every memoized value is
+    shared and never written into.  Lambda is generated in degree 1, so an
+    algebra piece whose predecessor pieces all vanish is zero by recursion:
+    R_n and kQ_n are then neither built nor stored for it.
     """
 
     def __init__(self, quiver: Quiver, field: Field = QQ, relations=None,
@@ -80,7 +82,9 @@ class Presentation:
     # -- graded pieces of R and of Lambda -----------------------------------
 
     def relation_piece(self, n: int, x, y) -> Subspace:
-        """R_n(x, y), via R_n = kQ_1 . R_{n-1} + R_2 . kQ_{n-2}."""
+        """R_n(x, y), via R_n = R_{n-1} . kQ_1 + kQ_{n-2} . R_2: the sum of
+        R_{n-1}(x, w) . al over the arrows al: w -> y, and of q . R_2(b, y)
+        over the paths q in kQ_{n-2}(x, b)."""
         if n > self.degree_cap:
             raise ValueError(f"degree {n} exceeds cap {self.degree_cap}")
         key = (n, x, y)
@@ -91,38 +95,22 @@ class Presentation:
         elif n == 2:
             space = self.relation_space(x, y)
         else:
-            left, right = self._recursion_rows(self.relation_piece, n, x, y)
-            space = Subspace.from_sparse(self.field, len(self.path_basis(n, x, y)), left + right)
+            index = self.path_basis(n, x, y).index
+            rows = []
+            for aidx in self.quiver.in_arrows(y):
+                w = self.quiver.arrows[aidx].source
+                paths = self.path_basis(n - 1, x, w).paths
+                rows.extend({index[paths[c].arrows + (aidx,)]: v for c, v in row.items()}
+                            for row in self.relation_piece(n - 1, x, w).sparse_rows)
+            for (b, z), gen in self.relations.items():
+                if z == y:
+                    paths = self.path_basis(2, b, y).paths
+                    rows.extend({index[q.arrows + paths[c].arrows]: v for c, v in row.items()}
+                                for q in self.path_basis(n - 2, x, b).paths
+                                for row in gen.sparse_rows)
+            space = Subspace.from_sparse(self.field, len(index), rows)
         self._rel_piece[key] = space
         return space
-
-    def _recursion_rows(self, lower, n: int, x, y) -> tuple[list[dict], list[dict]]:
-        """The two row families of the R_n recursion in kQ_n(x, y): the sum of
-        lower(n-1, x, w) . al over the arrows al: w -> y, and R_2 . kQ_{n-2}."""
-        target = self.path_basis(n, x, y)
-        left = []
-        for aidx in self.quiver.in_arrows(y):
-            w = self.quiver.arrows[aidx].source
-            left.extend(self._append_arrow(lower(n - 1, x, w), self.path_basis(n - 1, x, w),
-                                           aidx, target))
-        right = [row for (b, z), gen in self.relations.items() if z == y
-                 for q in self.path_basis(n - 2, x, b).paths
-                 for row in self._prepend_path(gen, self.path_basis(2, b, y), q, target)]
-        return left, right
-
-    @staticmethod
-    def _append_arrow(space: Subspace, src_basis, aidx, target_basis) -> list[dict]:
-        """Sparse rows of space . arrow, from kQ_m(x, w) into kQ_{m+1}(x, y)."""
-        paths, index = src_basis.paths, target_basis.index
-        return [{index[paths[c].arrows + (aidx,)]: v for c, v in row.items()}
-                for row in space.sparse_rows]
-
-    @staticmethod
-    def _prepend_path(space: Subspace, src_basis, q: Path, target_basis) -> list[dict]:
-        """Sparse rows of q . space (q traversed first) in the target path basis."""
-        paths, index, head = src_basis.paths, target_basis.index, q.arrows
-        return [{index[head + paths[c].arrows]: v for c, v in row.items()}
-                for row in space.sparse_rows]
 
     def algebra_piece(self, n: int, x, y) -> AlgebraPiece:
         """e_y Lambda_n e_x with its canonical representative paths; zero, with no
@@ -202,39 +190,32 @@ class Presentation:
     # -- R^(n) ----------------------------------------------------------------
 
     def r_upper(self, n: int, a, x) -> Subspace:
-        """R^(n)(a, x) = (sum_al al.R^(n-1)) cap (R_2 . kQ_{n-2}), full space for n <= 1."""
-        if n > self.degree_cap:
-            raise ValueError(f"degree {n} exceeds cap {self.degree_cap}")
-        key = (n, a, x)
-        if key in self._r_upper:
-            return self._r_upper[key]
-        basis = self.path_basis(n, a, x)
-        if n <= 1:
-            space = Subspace.full(self.field, len(basis))
-        else:
-            left, right = self._recursion_rows(self.r_upper, n, a, x)
-            space = Subspace.from_sparse(self.field, len(basis), left).intersect(
-                Subspace.from_sparse(self.field, len(basis), right))
-        self._r_upper[key] = space
-        return space
+        """R^(n)(a, x) = cap_i kQ_i . R_2 . kQ_{n-2-i}, the perp of the relation
+        piece sum_i kQ_i . R_2^perp . kQ_{n-2-i} of (Lambda^!)^op = kQ/R_2^perp.
 
-    def derivation_matrix(self, arrow_name: str, n: int, a) -> Matrix:
-        """The derivation by a terminal arrow y->x as a map kQ_n(a,x) -> kQ_{n-1}(a,y)."""
-        arrow = self.quiver.arrow(arrow_name)
-        aidx = self.quiver.arrow_index(arrow_name)
-        src = self.path_basis(n, a, arrow.target)
-        tgt = self.path_basis(n - 1, a, arrow.source)
-        # the path q of the target is the image of q.a alone
-        return Matrix(self.field, len(tgt), len(src),
-                      [{src.index[q.arrows + (aidx,)]: self.field.one} for q in tgt.paths])
+        (Lambda^!)^op lives on this quiver with its arrow order, so its path
+        bases are this presentation's; the perp is full for n <= 1 and R_2
+        for n = 2."""
+        key = (n, a, x)
+        if key not in self._r_upper:
+            self._r_upper[key] = self.quadratic_dual().opposite().relation_piece(n, a, x).perp()
+        return self._r_upper[key]
 
     def r_upper_derivation(self, arrow_name: str, n: int, a) -> Matrix:
-        """Derivation restricted to R^(n)(a, x) -> R^(n-1)(a, y), in the stored bases."""
+        """The derivation q.al -> q by an arrow al: y -> x, restricted to
+        R^(n)(a, x) -> R^(n-1)(a, y), in the stored bases.  The paths are
+        read from (Lambda^!)^op's bases, where R^(n) is built, so kQ_n is
+        enumerated once."""
         arrow = self.quiver.arrow(arrow_name)
-        sub = self.r_upper(n, a, arrow.target)
+        aidx = self.quiver.arrow_index(arrow_name)
+        dual_opposite = self.quadratic_dual().opposite()
+        paths = dual_opposite.path_basis(n, a, arrow.target).paths
+        index = dual_opposite.path_basis(n - 1, a, arrow.source).index
         tgt = self.r_upper(n - 1, a, arrow.source)
-        full = self.derivation_matrix(arrow_name, n, a)
-        return tgt.coordinates_of(full * sub.basis_matrix().transpose())
+        images = [{index[paths[c].arrows[:-1]]: v for c, v in row.items()
+                   if paths[c].arrows[-1] == aidx}
+                  for row in self.r_upper(n, a, arrow.target).sparse_rows]
+        return tgt.coordinates_of(Matrix(self.field, len(images), tgt.ambient, images).transpose())
 
     # -- opposites and duals ---------------------------------------------------
 
@@ -285,7 +266,12 @@ class Presentation:
         raise TypeError("presentations are not hashable")
 
     def pairing_dimension_check(self, a, x, n: int):
-        """dim R^(n)(a,x) versus dim e_a Lambda^!_n e_x; they must agree."""
+        """dim R^(n)(a,x) versus dim e_a Lambda^!_n e_x; they must agree.
+
+        Two recursions meet here: R^(n) is the perp of (Lambda^!)^op's relation
+        piece in kQ_n(a, x), and Lambda^!_n is the quotient by Lambda^!'s own
+        relation piece in kQ^o_n(x, a).  R^(n) as the intersection of the
+        kQ_i . R_2 . kQ_{n-2-i} is checked only by the tests' oracle."""
         left = self.r_upper(n, a, x).dim
         right = self.quadratic_dual().dim_piece(n, x, a)
         return left == right, left, right

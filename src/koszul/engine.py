@@ -567,7 +567,9 @@ def extension_conjecture_check(pres: Presentation, a, n_max: int):
 
 
 def pairing_table(pres: Presentation, n_max: int):
-    """All (a, x, n) pairing dimension checks up to n_max."""
+    """All (a, x, n) pairing dimension checks up to n_max: dim R^(n)(a, x),
+    from (Lambda^!)^op's relation piece in kQ_n, against dim e_a Lambda^!_n e_x,
+    from Lambda^!'s relation piece in kQ^o_n (`pairing_dimension_check`)."""
     rows = []
     ok = True
     for a in pres.quiver.vertices:

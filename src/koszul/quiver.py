@@ -1,4 +1,4 @@
-"""Finite quivers, paths, path bases and arrow derivations.
+"""Finite quivers, paths and lexicographic path bases.
 
 Paths compose right to left: the product written ``b*a`` traverses `a`
 first.  Internally a path stores its arrows in traversal order, so the
@@ -169,31 +169,3 @@ class PathEnumerator:
     def count(self, n: int, x, y) -> int:
         return len(self.basis(n, x, y))
 
-
-def enumerate_paths(quiver: Quiver, n: int, x, y, degree_cap: int = 64) -> PathBasis:
-    return PathEnumerator(quiver, degree_cap).basis(n, x, y)
-
-
-def derive_terminal(quiver: Quiver, arrow_name: str, terms):
-    """Left derivation by an arrow a: sends a path a*d to d, others to 0.
-
-    `terms` is an iterable of (coeff, Path); returns a list of the same shape
-    with paths one arrow shorter.
-    """
-    idx = quiver.arrow_index(arrow_name)
-    out = []
-    for coeff, path in terms:
-        if path.arrows and path.arrows[-1] == idx:
-            out.append((coeff, Path(path.start, path.arrows[:-1])))
-    return out
-
-
-def derive_initial(quiver: Quiver, arrow_name: str, terms):
-    """Right derivation: sends a path d*a to d, others to 0."""
-    idx = quiver.arrow_index(arrow_name)
-    a = quiver.arrows[idx]
-    out = []
-    for coeff, path in terms:
-        if path.arrows and path.arrows[0] == idx:
-            out.append((coeff, Path(a.target, path.arrows[1:])))
-    return out

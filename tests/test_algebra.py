@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -125,12 +126,70 @@ def test_r_upper_defaults(biserial):
             assert biserial.r_upper(2, a, x) == biserial.relation_space(a, x)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_r_upper_matches_direct_intersection(biserial, multiserial, n):
-    for pres in (biserial, multiserial):
+def _r_upper_corpus(kronecker):
+    """Kronecker, the ground field and 8 seeded draws over QQ and over GF(3)."""
+    empty = parse_presentation((presentations_dir() / "empty.kz").read_text(), QQ, 10)
+    return [kronecker, empty] + [random_presentation(random.Random(seed), field=field,
+                                                     degree_cap=5)
+                                 for seed in range(8) for field in (QQ, GF(3))]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_r_upper_matches_direct_intersection(biserial, multiserial, kronecker, n):
+    corpus = [biserial, multiserial] + (_r_upper_corpus(kronecker) if n <= 5 else [])
+    for pres in corpus:
         for a in pres.quiver.vertices:
             for x in pres.quiver.vertices:
                 assert pres.r_upper(n, a, x) == _r_upper_oracle(pres, n, a, x)
+
+
+def _r_upper_derivation_reference(pres, oracle, arrow, n, a):
+    """q.al -> q for al: y -> x on the dense basis rows of oracle(n, a, x),
+    then each image's coordinates in oracle(n - 1, a, y)."""
+    aidx = pres.quiver.arrow_index(arrow.name)
+    src = pres.path_basis(n, a, arrow.target)
+    tgt = pres.path_basis(n - 1, a, arrow.source)
+    lower = oracle(n - 1, a, arrow.source)
+    cols = []
+    for row in oracle(n, a, arrow.target).dense_rows():
+        image = [pres.field.zero] * len(tgt)
+        for p, v in zip(src.paths, row):
+            if p.arrows[-1] == aidx:
+                image[tgt.index[p.arrows[:-1]]] = v
+        cols.append(lower.coordinates(image))
+    return Matrix(pres.field, lower.dim, len(cols),
+                  [{j: c[r] for j, c in enumerate(cols) if c[r]} for r in range(lower.dim)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_r_upper_derivation_matches_dense_reference(biserial, multiserial, kronecker, n):
+    for pres in [biserial, multiserial] + _r_upper_corpus(kronecker):
+        oracle = functools.cache(functools.partial(_r_upper_oracle, pres))
+        for a in pres.quiver.vertices:
+            for arrow in pres.quiver.arrows:
+                assert pres.r_upper_derivation(arrow.name, n, a) == \
+                    _r_upper_derivation_reference(pres, oracle, arrow, n, a), (n, a, arrow.name)
+
+
+@pytest.mark.parametrize("src,a,x,coefficients", [
+    # biserial's quiver with zeta = 2 g*b + 5 e*z: d_g and d_e pick 2 b and 5 z
+    ("quiver\n vertices: 1 2 3 4 5 6\n arrows: a: 1->2  b: 2->3  z: 2->4  g: 3->5"
+     "  e: 4->5  d: 5->6\nrelations\n z*a\n d*g\n 2*g*b + 5*e*z\n", "2", "5", {"g": 2, "e": 5}),
+    # a tail c: 0 -> 1 before the Kronecker pair: d_a drops the term b*c
+    ("quiver\n vertices: 0 1 2\n arrows: c: 0->1  a: 1->2  b: 1->2\n"
+     "relations\n 3*a*c + 2*b*c\n", "0", "2", {"a": 3, "b": 2}),
+    ("quiver\n vertices: 1 2 3\n arrows: a: 1->2  b: 2->3\nrelations\n b*a\n",
+     "1", "3", {"b": 1}),
+], ids=["biserial-coefficients", "kronecker-tail", "path"])
+def test_r_upper_derivation_extracts_coefficients(src, a, x, coefficients):
+    # zeta = sum_al c_al al*q_al spans R^(2)(a, x), its first term leading in
+    # path order; d_al(zeta) = c_al q_al, the one path q_al in kQ_1(a, -)
+    pres = parse_presentation(src)
+    assert pres.r_upper(2, a, x).dim == 1
+    lead = next(iter(coefficients.values()))
+    for name, c in coefficients.items():
+        d = pres.r_upper_derivation(name, 2, a)
+        assert [[lead * v for v in row] for row in d.rows] == [[c]]
 
 
 def test_r_upper_derivation_containment(biserial, multiserial):

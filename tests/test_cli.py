@@ -100,6 +100,8 @@ PINNED_JSON = [
      "9605bbf2a25acbe044f56bba0e521a878398469b98fc245997fce1ec1641802d"),
     (("check-koszul", MULTISERIAL, "-N", "8", "--window", "-2", "16", "-D", "16"),
      "36cc20a734f8eace75595e7cd68015784fa664685538e5bd1d84d5c29fb5a943"),
+    (("check-koszul", MULTISERIAL, "-N", "16", "--window", "-2", "24", "-D", "24"),
+     "ca481e4197bff69b005f78dd18356f1a83f12e65f3ab8496e6c1529ca7f9c198"),
     (("check-koszul", KRONECKER),
      "1d3a732a272494c09f5f8ebf889b9b9f962952d8856112d12bf3139455635687"),
     (("check-koszul", EMPTY),

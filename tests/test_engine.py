@@ -58,6 +58,17 @@ def test_r_upper_is_a_module_over_the_quadratic_dual(biserial, multiserial, kron
                     assert n_a.dim(-n, x) == dual.dim_piece(n, x, a)
 
 
+def test_certificate_intersects_no_subspaces(monkeypatch):
+    # R^(n) is the perp of a relation piece of (Lambda^!)^op: neither the
+    # certificate nor the pairing table intersects subspaces of kQ_n
+    def refuse(self, other):
+        raise AssertionError("Subspace.intersect called")
+    monkeypatch.setattr(Subspace, "intersect", refuse)
+    pres = parse_presentation(MULTISERIAL, QQ, 10)
+    assert koszulity_certificate(pres, POLICY).verdict == "KOSZUL"
+    assert pairing_table(pres, POLICY.max_span)[0]
+
+
 def test_koszul_complex_augmentation_is_cover(biserial):
     cx = local_koszul_complex(biserial, "1", TruncationPolicy(3, (0, 8)))
     aug = cx.diff(0)

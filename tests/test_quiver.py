@@ -9,15 +9,14 @@ import pytest
 from koszul.dsl import ParseError, parse_presentation, print_presentation
 from koszul.linalg import QQ
 from koszul.modules import injective_module, projective_module
-from koszul.quiver import (Path, PathEnumerator, Quiver, derive_initial, derive_terminal,
-                           enumerate_paths)
+from koszul.quiver import Path, PathEnumerator, Quiver
 
 from .conftest import MULTISERIAL
 
 
 def test_trivial_path_basis():
     q = Quiver(["1"], [])
-    basis = enumerate_paths(q, 0, "1", "1")
+    basis = PathEnumerator(q, 0).basis(0, "1", "1")
     assert [p.arrows for p in basis.paths] == [()]
 
 
@@ -77,38 +76,6 @@ def test_path_bases_are_lexicographic_layers_and_counted(multiserial):
                 asked += 1
     after = PathEnumerator.basis.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (2 * asked, asked)
-
-
-def test_derivation_basic():
-    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
-    ba = Path("1", (0, 1))
-    assert derive_terminal(q, "b", [(1, ba)]) == [(1, Path("1", (0,)))]
-    assert derive_terminal(q, "a", [(1, ba)]) == []
-    assert derive_initial(q, "a", [(1, ba)]) == [(1, Path("2", (1,)))]
-
-
-def test_derivation_linear_combination():
-    # tail 0 -> 1 followed by the Kronecker pair 1 -> 2
-    q = Quiver(["0", "1", "2"], [("c", "0", "1"), ("a", "1", "2"), ("b", "1", "2")])
-    ca = Path("0", (0, 1))
-    cb = Path("0", (0, 2))
-    out = derive_terminal(q, "a", [(3, ca), (2, cb)])
-    assert out == [(3, Path("0", (0,)))]
-
-
-def test_derivation_coefficient_extraction(biserial):
-    # d_alpha(zeta * delta) picks the alpha coefficient of zeta
-    q = biserial.quiver
-    a = q.arrow_index("g")
-    e = q.arrow_index("e")
-    b = q.arrow_index("b")
-    z = q.arrow_index("z")
-    # zeta = 2 g + 5 e in kQ_1(-,5) applied after delta-side paths
-    terms = [(2, Path("2", (b, a))), (5, Path("2", (z, e)))]
-    out_g = derive_terminal(q, "g", terms)
-    assert out_g == [(2, Path("2", (b,)))]
-    out_e = derive_terminal(q, "e", terms)
-    assert out_e == [(5, Path("2", (z,)))]
 
 
 def test_parser_roundtrip_canonical(biserial, multiserial):
