@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -18,15 +19,17 @@ from koszul.engine import (TruncationPolicy, _h0_isomorphism, _r_upper_module,
                            linear_presentation_check, local_koszul_complex,
                            pairing_table, projective_resolution,
                            zeta_coaugmentation)
-from koszul.linalg import Matrix, QQ, Subspace
+from koszul.linalg import GF, Matrix, QQ, Subspace
 from koszul.modules import (GradedModule, GradedMorphism, block_morphism, direct_sum,
                             hom_basis, identity_morphism, injective_module, kernel_module,
-                            projective_cover, projective_module, simple_module)
+                            projective_cover, projective_module, simple_module,
+                            standard_module)
 from koszul.quiver import Path
 from koszul.randomgen import (path_algebra, radical_square_zero, random_acyclic_quiver,
                               random_module, random_morphism, random_presentation,
                               random_quiver)
-from tests.conftest import EMPTY, MULTISERIAL
+from koszul.reports import dumps, morphism_json
+from tests.conftest import EMPTY, MULTISERIAL, presentations_dir
 
 POLICY = TruncationPolicy(6, (-2, 10))
 
@@ -474,6 +477,47 @@ def test_eta_zeta_naturality(multiserial):
     lhs_z = outer_f.part(0).compose(zm.map.part(0))
     rhs_z = zn.map.part(0).compose(f)
     assert lhs_z.same_content(rhs_z)
+
+
+# sha256 prefixes of the JSON of eta^0, zeta^0 and the projective cover's f
+# (each over all cases in order) under TruncationPolicy(4, (-2, 8)) and degree
+# cap 10: the cases are the simple, projective and injective module at every
+# vertex, then three random_module draws on Random(name) in window (0, 4).
+# The complexes' differentials and labels are pinned elsewhere; these pin the
+# matrices of the (co)augmentation maps, which any other valid choice of
+# eta^0 or zeta^0 would also pass validate() and the quasi-isomorphism checks
+# with.  Recorded before the three maps were built by one evaluation map.
+PINNED_AUGMENTATION_MAPS = {
+    ("biserial", None): ("2f1e525d38130697", "f481cc14d150cdf7", "4831fbd07a3af643"),
+    ("biserial", 101): ("904ac8cd57e5cec2", "6accd16c3a8241f1", "5c450753728675b9"),
+    ("multiserial", None): ("8caa3045675b25d7", "9e90ea176b18bc97", "cbf36e29bc656c2e"),
+    ("multiserial", 101): ("3f6cc1312fb67518", "3f929b060498b964", "1c70bb7de7536ff9"),
+    ("kronecker", None): ("3b7107899af5860c", "b14a05b9f4894cb8", "9ef197b5d16556ff"),
+    ("kronecker", 101): ("868999867e99ceb8", "3bda5d8f50f5abc4", "9ef197b5d16556ff"),
+    ("empty", None): ("827920f66140b296", "827920f66140b296", "827920f66140b296"),
+    ("empty", 101): ("827920f66140b296", "827920f66140b296", "827920f66140b296"),
+}
+
+
+@pytest.mark.parametrize("name,p", PINNED_AUGMENTATION_MAPS,
+                         ids=[f"{n}-{'QQ' if p is None else f'GF({p})'}"
+                              for n, p in PINNED_AUGMENTATION_MAPS])
+def test_augmentation_map_bytes_pinned(name, p):
+    field = QQ if p is None else GF(p)
+    pres = parse_presentation((presentations_dir() / f"{name}.kz").read_text(), field, 10)
+    policy = TruncationPolicy(4, (-2, 8))
+    cases = [(f"{kind}:{a}", standard_module(pres, kind, a, 0, policy.degree_window))
+             for kind in ("simple", "projective", "injective") for a in pres.quiver.vertices]
+    rng = random.Random(name)
+    cases += [(f"random:{k}", random_module(rng, pres, (0, 4))) for k in range(3)]
+    maps = {"eta": {}, "zeta": {}, "cover": {}}
+    for case, m in cases:
+        maps["eta"][case] = morphism_json(eta_augmentation(m, policy).map.part(0))
+        maps["zeta"][case] = morphism_json(zeta_coaugmentation(m, policy).map.part(0))
+        maps["cover"][case] = morphism_json(projective_cover(m)[1])
+    digests = tuple(hashlib.sha256(dumps(maps[k]).encode()).hexdigest()[:16]
+                    for k in ("eta", "zeta", "cover"))
+    assert digests == PINNED_AUGMENTATION_MAPS[(name, p)]
 
 
 def test_projective_resolution_betti_of_simples(multiserial):
