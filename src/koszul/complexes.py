@@ -176,11 +176,14 @@ class ChainMap:
         return zero_morphism(self.source.module(n), self.target.module(n))
 
     def validate(self):
-        for n in set(self.source.modules) | set(self.target.modules):
-            lhs = self.target.diff(n).compose(self.part(n))
-            rhs = self.part(n + 1).compose(self.source.diff(n))
-            if not lhs.same_content(rhs):
-                raise ValueError(f"not a chain map at position {n}")
+        for n in set(self.parts) | {k - 1 for k in self.parts}:     # else both sides are 0
+            lhs, rhs = (g.compose(f).mats if g is not None and f is not None else {}
+                        for g, f in ((self.target.diffs.get(n), self.parts.get(n)),
+                                     (self.parts.get(n + 1), self.source.diffs.get(n))))
+            for key in lhs.keys() | rhs.keys():
+                a, b = lhs.get(key), rhs.get(key)
+                if not (b.is_zero() if a is None else a.is_zero() if b is None else a == b):
+                    raise ValueError(f"not a chain map at position {n}")
         return self
 
 

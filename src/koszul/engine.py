@@ -19,9 +19,8 @@ from .complexes import (ChainMap, ComplexOfModules, DoubleChainMap, DoubleComple
                         single_module_complex, total_chain_map, total_complex)
 from .linalg import Matrix
 from .modules import (GradedModule, GradedMorphism, block_morphism, block_parts,
-                      direct_sum, injective_module, kernel_module, projective_cover,
-                      projective_module, simple_module, top_generators)
-from .quiver import Path
+                      direct_sum, evaluation_map, injective_module, kernel_module,
+                      projective_cover, projective_module, simple_module, top_generators)
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,11 @@ def local_koszul_complex(pres: Presentation, a, policy: TruncationPolicy,
     if not augmented:
         return cx
     s = simple_module(pres, a, 0, window)
-    diffs = dict(cx.diffs)
-    diffs[0] = GradedMorphism(cx.module(0), s, {(0, a): Matrix.identity(pres.field, 1)})
-    return ComplexOfModules(pres, window, {**cx.modules, 1: s}, diffs, validate=True)
+    # koszul_functor checked K_a's squares and d^0 ends at s: d^0 d^-1 is left
+    d0 = GradedMorphism(cx.module(0), s, {(0, a): Matrix.identity(pres.field, 1)})
+    if -1 in cx.diffs and not d0.compose(cx.diffs[-1]).is_zero():
+        raise ValueError("d^2 != 0 at position -1")
+    return ComplexOfModules(pres, window, {**cx.modules, 1: s}, {**cx.diffs, 0: d0}, validate=False)
 
 
 def _r_upper_module(pres: Presentation, a, n_max: int) -> GradedModule:
@@ -450,14 +451,8 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
     for c, (key, sub) in enumerate(blocks):
         (x, i) = key[0]
         sign = _sign((i * (i + 1)) // 2)
-        mats = parts[(0, c)] = {}
-        for (p, a) in sub.dims.keys() & m.dims.keys():
-            # column m_idx of the t-th path action is column m_idx * (number of
-            # paths) + t of the block; columns are taken as transposed rows
-            amats = [m.path_action(rho, i).scale(sign).transpose()
-                     for rho in pres.algebra_piece(p - i, x, a).basis_paths]
-            cols = [amat.sparse_rows[m_idx] for m_idx in range(m.dim(i, x)) for amat in amats]
-            mats[(p, a)] = Matrix(pres.field, len(cols), m.dim(p, a), cols).transpose()
+        block = evaluation_map(m, x, i, range(m.dim(i, x)), sub.dims.keys() & m.dims.keys())
+        parts[(0, c)] = {k: mat.scale(sign) for k, mat in block.items()}
     eta0 = block_morphism(src0, m, [m], [sub for _, sub in blocks], parts)
     target = single_module_complex(m, 0)
     eta = ChainMap(src, target, {0: eta0}).validate()
@@ -504,7 +499,6 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
     pres = m.pres
     _check_double_dual(pres)
     dual = pres.quadratic_dual()
-    opp = pres.opposite()
     mlo, mhi = _degree_bounds(m)
     w_dual = (-mhi, policy.max_span + 1 - mlo)
     f_cx = koszul_functor("right", m, w_dual, pres, dual)
@@ -512,19 +506,14 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
     tgt0 = tgt.module(0)
     blocks = blocks_of(tgt0)
     parts = {}
+    dm = m.dualize()
     for r, (key, sub) in enumerate(blocks):
+        # I_x<-i> (x) M_i(x) = D(P^op_x<i> (x) DM_{-i}(x)): transpose DM's evaluation
         (x, i) = key[0]
         sign = _sign(((i - 1) * i) // 2)
-        mats = parts[(r, 0)] = {}
-        for (j, y) in sub.dims.keys() & m.dims.keys():
-            if i < j:
-                continue
-            # M_j(y) -> M_i(x) along each reversed opposite path; row m_idx of the
-            # p-th action goes to row m_idx * (number of paths) + p of the block
-            amats = [m.path_action(Path(y, tuple(reversed(rho.arrows))), j).scale(sign)
-                     for rho in opp.algebra_piece(i - j, x, y).basis_paths]
-            rows = [amat.sparse_rows[m_idx] for m_idx in range(m.dim(i, x)) for amat in amats]
-            mats[(j, y)] = Matrix(pres.field, len(rows), m.dim(j, y), rows)
+        block = evaluation_map(dm, x, -i, range(m.dim(i, x)),
+                               {(-j, y) for (j, y) in sub.dims.keys() & m.dims.keys()})
+        parts[(r, 0)] = {(-j, y): mat.transpose().scale(sign) for (j, y), mat in block.items()}
     zeta0 = block_morphism(m, tgt0, [sub for _, sub in blocks], [m], parts)
     source = single_module_complex(m, 0)
     zeta = ChainMap(source, tgt, {0: zeta0}).validate()

@@ -12,6 +12,9 @@ them on the first read of `actions`, which most sums never see.
 The block layout of a sum lives here alone: `block_morphism` builds a
 morphism between direct sums from its blocks, and `block_parts` slices one
 back into its non-zero blocks.
+
+So does the action of paths: `evaluation_map` P_x<-i> (x) V -> M gives the
+blocks of projective covers and eta, and by its transpose over DM, zeta's.
 """
 
 from __future__ import annotations
@@ -424,6 +427,20 @@ def top_generators(m: GradedModule):
     return gens
 
 
+def evaluation_map(m: GradedModule, x, i: int, cols, keys) -> dict:
+    """The pieces (d, w) in `keys`, d >= i, of the Lambda-linear map P_x<-i> (x) k^len(cols)
+    -> m sending e_x (x) e_k to the unit vector cols[k] of m_i(x): column (k, t) is column
+    cols[k] of the action of the t-th basis path of e_w Lambda_{d-i} e_x (tensor index major)."""
+    out = {}
+    for (d, w) in keys:
+        # the columns of each path action, as transposed rows
+        acts = [m.path_action(rho, i).transpose().sparse_rows
+                for rho in m.pres.algebra_piece(d - i, x, w).basis_paths]
+        rows = [act[c] for c in cols for act in acts]
+        out[(d, w)] = Matrix(m.pres.field, len(rows), m.dim(d, w), rows).transpose()
+    return out
+
+
 def projective_cover(m: GradedModule, window=None):
     """Graded projective cover f: P -> M built on a canonical top-basis.
 
@@ -434,17 +451,10 @@ def projective_cover(m: GradedModule, window=None):
     gens = top_generators(m)
     summands = [((x, i), projective_module(pres, x, -i, window)) for (i, x, _) in gens]
     cover = direct_sum(pres, window, summands)
-    parts = {}
-    for s, ((i, x, c), (_, summand)) in enumerate(zip(gens, summands)):
-        block = parts[(0, s)] = {}
-        for (d, w) in summand.dims.keys() & m.dims.keys():
-            # column c of each path action, as a transposed row
-            cols = [m.path_action(rho, i).transpose().sparse_rows[c]
-                    for rho in pres.algebra_piece(d - i, x, w).basis_paths]
-            block[(d, w)] = Matrix(pres.field, len(cols), m.dim(d, w), cols).transpose()
+    parts = {(0, s): evaluation_map(m, x, i, [c], summand.dims.keys() & m.dims.keys())
+             for s, ((i, x, c), (_, summand)) in enumerate(zip(gens, summands))}
     f = block_morphism(cover, m, [m], [summand for _, summand in summands], parts)
-    labels = [(x, i) for (i, x, _) in gens]
-    return cover, f, labels
+    return cover, f, [label for label, _ in summands]
 
 
 def kernel_module(f: GradedMorphism):

@@ -503,7 +503,7 @@ def test_package_source_guards():
 # the one block layout: every block matrix between direct sums is built by
 # `modules.block_morphism` (and the actions of a sum by its block diagonal)
 BLOCK_ALLOWED = {("modules.py", "block_morphism"), ("modules.py", "_block_diagonal_actions"),
-                 ("linalg.py", "kron")}
+                 ("linalg.py", "Matrix.kron")}
 
 
 def test_block_matrices_have_one_layout():
@@ -524,18 +524,22 @@ DENSE_ALLOWED = {
     "reports.py": None, "randomgen.py": None, "dsl.py": None,
     "engine.py": {"_exactness_witness"},        # the witness is printed as a dense vector
     "complexes.py": {"homology_module"},        # its returned representatives
-    "linalg.py": {"contains"},                  # a member reduces to zero
+    "linalg.py": {"Subspace.contains"},         # a member reduces to zero
 }
 
 
-def _calls_by_function(node, func=None):
-    """(innermost enclosing function name, call node) for each call under node."""
+def _calls_by_function(node, func=None, prefix=""):
+    """(innermost enclosing function name, as Class.method for a method, call
+    node) for each call under node."""
     for child in ast.iter_child_nodes(node):
-        name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-            else func
+        name, inner = func, prefix
+        if isinstance(child, ast.ClassDef):
+            inner = child.name + "."
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, inner = prefix + child.name, ""
         if isinstance(child, ast.Call):
             yield name, child
-        yield from _calls_by_function(child, name)
+        yield from _calls_by_function(child, name, inner)
 
 
 def test_engine_keeps_vectors_sparse():
@@ -547,6 +551,26 @@ def test_engine_keeps_vectors_sparse():
             attr = getattr(call.func, "attr", None)
             assert attr not in DENSE_CALLS or func in allowed, \
                 f"{path.name}:{call.lineno} {func} calls the dense .{attr}"
+
+
+# the one path-action routine: a module acts by a path only to check its
+# relations, and to evaluate P_x<-i> (x) V into it for projective covers, eta
+# and zeta (zeta over the dual module, so the engine builds no opposite path)
+PATH_ACTION_ALLOWED = {("modules.py", "GradedModule.validate"), ("modules.py", "evaluation_map")}
+
+
+def test_path_actions_have_one_routine():
+    for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, call in _calls_by_function(tree):
+            if getattr(call.func, "attr", None) == "path_action":
+                assert (path.name, func) in PATH_ACTION_ALLOWED, \
+                    f"{path.name}:{call.lineno} {func} acts by a path"
+        if path.name == "engine.py":
+            for node in ast.walk(tree):
+                assert not (isinstance(node, ast.ImportFrom) and
+                            node.module in ("quiver", "koszul.quiver")), \
+                    f"engine.py:{node.lineno} imports from koszul.quiver"
 
 
 def test_package_has_no_true_division():

@@ -126,6 +126,25 @@ def test_cone_of_identity_is_acyclic(point):
     assert quasi_iso_check(f)
 
 
+@pytest.mark.parametrize("p", [-1, 0, 3])
+def test_chain_map_validate_checks_both_squares_at_a_stored_part(point, p):
+    # x = (k -id-> k) at positions p-1, p; f stores only f^p.  The square at
+    # p-1 (f^p d_x != 0 = d_y f^(p-1)) and, into y with d_y^p = id, the square
+    # at p (d_y f^p != 0 = f^(p+1) d_x) each break a chain map.
+    w = (0, 0)
+    k = _vs(point, w, {0: 1})
+    one = {0: [[1]]}
+    x = ComplexOfModules(point, w, {p - 1: k, p: k}, {p - 1: _mor(point, k, k, one)})
+    f = {p: _mor(point, k, k, one)}
+    with pytest.raises(ValueError, match=f"position {p - 1}"):
+        ChainMap(x, single_module_complex(k, p), f).validate()
+    y = ComplexOfModules(point, w, {p: k, p + 1: k}, {p: _mor(point, k, k, one)})
+    with pytest.raises(ValueError, match=f"position {p}"):
+        ChainMap(single_module_complex(k, p), y, f).validate()
+    # with both squares commuting it is a chain map
+    ChainMap(x, x, {p - 1: _mor(point, k, k, one), **f}).validate()
+
+
 def test_zero_map_on_nonacyclic_is_not_quasi_iso(point):
     w = (0, 0)
     m = _vs(point, w, {0: 1})

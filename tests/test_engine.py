@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from koszul.complexes import (ChainMap, ComplexOfModules, blocks_of, homology_at
                               homology_module, homology_tables, is_acyclic,
                               mapping_cone, relabel_positions, single_module_complex,
                               total_complex)
-from koszul.dsl import parse_presentation
+from koszul.dsl import parse_presentation, print_presentation
 from koszul.engine import (TruncationPolicy, _h0_isomorphism, _r_upper_module,
                            eta_augmentation, ext_table,
                            extend_functor, extend_functor_map,
@@ -29,7 +30,7 @@ from koszul.randomgen import (path_algebra, radical_square_zero, random_acyclic_
                               random_module, random_morphism, random_presentation,
                               random_quiver)
 from koszul.reports import dumps, morphism_json
-from tests.conftest import EMPTY, MULTISERIAL, presentations_dir
+from tests.conftest import EMPTY, MULTISERIAL, ROOT, presentations_dir
 
 POLICY = TruncationPolicy(6, (-2, 10))
 
@@ -138,6 +139,34 @@ def test_biserial_witness_exact(biserial):
 def test_multiserial_certified(multiserial):
     cert = koszulity_certificate(multiserial, TruncationPolicy(6, (-2, 10)))
     assert cert.verdict == "KOSZUL" and cert.complete
+
+
+def _benchmark_oracles():
+    """perfbench/oracles.py, loaded by path: its Hilbert series are computed by
+    its own path enumeration and row reduction, sharing no code with koszul."""
+    spec = importlib.util.spec_from_file_location("oracles", ROOT / "perfbench" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_hilbert_series_failures_are_certificate_failures():
+    # an exact augmented K_a has Euler characteristic 0 in each degree, so a
+    # degree d where sum_n (-1)^n H^!_n H_(d-n) != 0 (BGS 2.11) must hold a
+    # failure of the certificate; quadratic algebras first fail it in degree 4
+    oracles = _benchmark_oracles()
+    policy = TruncationPolicy(5, (-1, 4))
+    lo, hi = policy.degree_window
+    found = []
+    for seed in range(24):
+        rng = random.Random(seed)
+        pres = random_presentation(rng, random_quiver(rng, 3, 3), QQ, 8)
+        bad = [d for d in oracles.hilbert_failures(print_presentation(pres),
+                                                   policy.max_span - 1) if lo <= d <= hi]
+        failed = {e.degree for e in koszulity_certificate(pres, policy).failures}
+        assert set(bad) <= failed, (seed, bad, failed)
+        found += bad
+    assert found        # the draws include algebras that are not numerically Koszul
 
 
 def test_koszul_pres_equivalence(biserial, multiserial, kronecker):
@@ -761,6 +790,7 @@ def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
                             calls.append(_name) or _real(*args))
     assert [homology_at(cx, n) for cx in cxs for n in positions] == want
     assert [_h0_isomorphism(f) for f in maps] == want_h0
+    assert all(f.validate() is f for f in maps)
     assert all(is_acyclic(cone, range(lo, hi + 1)) for cone, (lo, hi) in
                zip(cxs[2::3], (res.safe_positions for res in results)))
     assert not calls
