@@ -60,8 +60,10 @@ def local_koszul_complex(pres: Presentation, a, policy: TruncationPolicy,
     if not augmented:
         return cx
     s = simple_module(pres, a, 0, window)
-    # koszul_functor checked K_a's squares and d^0 ends at s: d^0 d^-1 is left
-    d0 = GradedMorphism(cx.module(0), s, {(0, a): Matrix.identity(pres.field, 1)})
+    # koszul_functor checked K_a's squares and d^0 ends at s: d^0 d^-1 is left.
+    # A window above degree 0 leaves position 0 no (0, a) piece: d^0 is zero
+    top = cx.module(0).dim(0, a)
+    d0 = GradedMorphism(cx.module(0), s, {(0, a): Matrix.identity(pres.field, 1)} if top else {})
     if -1 in cx.diffs and not d0.compose(cx.diffs[-1]).is_zero():
         raise ValueError("d^2 != 0 at position -1")
     return ComplexOfModules(pres, window, {**cx.modules, 1: s}, {**cx.diffs, 0: d0}, validate=False)
@@ -411,13 +413,15 @@ def _degree_bounds(m: GradedModule):
     return (min(degs), max(degs)) if degs else (0, 0)
 
 
-def _check_double_dual(pres: Presentation):
-    if pres.quadratic_dual().quadratic_dual() != pres:
-        raise AssertionError("double quadratic dual differs from the presentation")
-
-
 @dataclass
 class AugmentationResult:
+    """eta or zeta with its verdicts, both read off the map's mapping cone C.
+
+    quasi_iso: C is acyclic at every position of `safe_positions`, those
+    whose neighbouring differentials were built.  h0_isomorphism: the map
+    induces an isomorphism on H^0 (`_h0_isomorphism`).
+    """
+
     complex: ComplexOfModules
     map: ChainMap
     safe_positions: tuple
@@ -433,13 +437,39 @@ class AugmentationResult:
         return out
 
 
+def _augmentation_input(m: GradedModule, policy: TruncationPolicy) -> GradedModule:
+    """m without its block labels, once the policy and Lambda^!! = Lambda are checked."""
+    policy.check()
+    if m.pres.quadratic_dual().quadratic_dual() != m.pres:
+        raise AssertionError("double quadratic dual differs from the presentation")
+    return m if m.blocks is None else GradedModule(m.pres, m.window, m.dims, m.actions)
+
+
+def _augmentation_result(cx: ComplexOfModules, f: ChainMap, safe: tuple,
+                         side: str) -> AugmentationResult:
+    """The (co)resolution cx of f with its verdicts and the labels of its
+    `side` functor's summands."""
+    cone = mapping_cone(f)
+    qi = is_acyclic(cone, range(safe[0], safe[1] + 1))
+    return AugmentationResult(cx, f, safe, qi, _h0_isomorphism(cone),
+                              functor_labels(cx, side, cx.pres))
+
+
+def _h0_isomorphism(cone: ComplexOfModules) -> bool:
+    """Does f induce an isomorphism on H^0, judged on its mapping cone C?
+
+    C's long exact sequence gives H^-1(C) = ker H^0(f) and H^0(C) = coker
+    H^0(f) when H^-1 of f's target and H^1 of f's source are zero.  For eta
+    and zeta they are: M is a single module at position 0, a resolution sits
+    in positions <= 0 and a coresolution in positions >= 0.
+    """
+    return not homology_at(cone, -1) and not homology_at(cone, 0)
+
+
 def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:
     """The natural map (F^C . G)(M) -> M with sign (-1)^{i(i+1)/2} on level i."""
-    policy.check()
-    if m.blocks is not None:
-        m = GradedModule(m.pres, m.window, m.dims, m.actions)
+    m = _augmentation_input(m, policy)
     pres = m.pres
-    _check_double_dual(pres)
     dual = pres.quadratic_dual()
     mlo, mhi = _degree_bounds(m)
     w_dual = (-policy.max_span - 1 - mhi, -mlo)
@@ -454,50 +484,15 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
         block = evaluation_map(m, x, i, range(m.dim(i, x)), sub.dims.keys() & m.dims.keys())
         parts[(0, c)] = {k: mat.scale(sign) for k, mat in block.items()}
     eta0 = block_morphism(src0, m, [m], [sub for _, sub in blocks], parts)
-    target = single_module_complex(m, 0)
-    eta = ChainMap(src, target, {0: eta0}).validate()
+    eta = ChainMap(src, single_module_complex(m, 0), {0: eta0}).validate()
     lo_built = min(src.positions()) if src.positions() else 0
-    safe = (lo_built + 1, 1)
-    cone = mapping_cone(eta)
-    qi = is_acyclic(cone, range(safe[0], safe[1] + 1))
-    h0_ok = _h0_isomorphism(eta)
-    labels = functor_labels(src, "right", pres)
-    return AugmentationResult(src, eta, safe, qi, h0_ok, labels)
-
-
-def _h0_isomorphism(f: ChainMap) -> bool:
-    """Does f induce an isomorphism on H^0 of source versus target?
-
-    Piecewise by ranks: with Z the kernel of the source d^0 and B' the image
-    of the target d^-1, H^0(f) is injective on a piece iff f(Z) + B' exceeds
-    B' by dim H^0; f(B) <= B' and f(Z) <= Z' as f is a (validated) chain map.
-    """
-    h_src = homology_at(f.source, 0)
-    if h_src != homology_at(f.target, 0):
-        return False
-    # a missing part or differential is zero: read the stored ones, build none
-    part, dsrc, dtgt = (m.mats if m is not None else {} for m in
-                        (f.parts.get(0), f.source.diffs.get(0), f.target.diffs.get(-1)))
-    for key, h in h_src.items():
-        fm, zm, bm = part.get(key), dsrc.get(key), dtgt.get(key)
-        if fm is None:
-            return False    # f vanishes on a piece where H^0 does not
-        z = zm.kernel_basis() if zm is not None else Matrix.identity(fm.field, fm.ncols)
-        b = bm.transpose().sparse_rows if bm is not None else []
-        fz = (z * fm.transpose()).sparse_rows       # the columns f.z as rows
-        stacked = Matrix(fm.field, len(b) + len(fz), fm.nrows, b + fz)
-        if stacked.rank() - (bm.rank() if bm is not None else 0) != h:
-            return False
-    return True
+    return _augmentation_result(src, eta, (lo_built + 1, 1), "right")
 
 
 def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:
     """The natural map M -> (G^C . F)(M) with sign (-1)^{(i-1)i/2} on level i."""
-    policy.check()
-    if m.blocks is not None:
-        m = GradedModule(m.pres, m.window, m.dims, m.actions)
+    m = _augmentation_input(m, policy)
     pres = m.pres
-    _check_double_dual(pres)
     dual = pres.quadratic_dual()
     mlo, mhi = _degree_bounds(m)
     w_dual = (-mhi, policy.max_span + 1 - mlo)
@@ -515,16 +510,9 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
                                {(-j, y) for (j, y) in sub.dims.keys() & m.dims.keys()})
         parts[(r, 0)] = {(-j, y): mat.transpose().scale(sign) for (j, y), mat in block.items()}
     zeta0 = block_morphism(m, tgt0, [sub for _, sub in blocks], [m], parts)
-    source = single_module_complex(m, 0)
-    zeta = ChainMap(source, tgt, {0: zeta0}).validate()
+    zeta = ChainMap(single_module_complex(m, 0), tgt, {0: zeta0}).validate()
     hi_built = max(tgt.positions()) if tgt.positions() else 0
-    safe = (-1, hi_built - 1)
-    cone = mapping_cone(zeta)
-    qi = is_acyclic(cone, range(safe[0], safe[1] + 1))
-    mono = all(zeta.part(0).piece(i, x).rank() == d for (i, x), d in m.dims.items())
-    h0_ok = _h0_isomorphism(zeta) and mono
-    labels = functor_labels(tgt, "left", pres)
-    return AugmentationResult(tgt, zeta, safe, qi, h0_ok, labels)
+    return _augmentation_result(tgt, zeta, (-1, hi_built - 1), "left")
 
 
 def projective_resolution(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:

@@ -86,9 +86,6 @@ class Path:
     start: str
     arrows: tuple[int, ...]
 
-    def length(self) -> int:
-        return len(self.arrows)
-
     def end(self, quiver: Quiver) -> str:
         return quiver.arrows[self.arrows[-1]].target if self.arrows else self.start
 

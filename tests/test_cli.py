@@ -573,6 +573,20 @@ def test_path_actions_have_one_routine():
                     f"engine.py:{node.lineno} imports from koszul.quiver"
 
 
+# one homology routine for verdicts: the engine reads ranks through
+# complexes.homology_at, and eliminates by hand only to print a witness
+ELIMINATION_CALLS = {"rank", "kernel", "kernel_basis", "column_space"}
+ELIMINATION_ALLOWED = {"_exactness_witness"}
+
+
+def test_engine_verdicts_come_from_homology_at():
+    path = Path(koszul.__file__).parent / "engine.py"
+    for func, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+        attr = getattr(call.func, "attr", None)
+        assert attr not in ELIMINATION_CALLS or func in ELIMINATION_ALLOWED, \
+            f"engine.py:{call.lineno} {func} calls .{attr}"
+
+
 def test_package_has_no_true_division():
     # over QQ an integral value is an int, and int / int is a float: exact
     # division goes through `Fraction` or a field inverse, never through `/`

@@ -46,6 +46,17 @@ def test_path_algebra_koszul_complex_has_length_one(kronecker):
     assert m.dim(1, "2") == 2
 
 
+def test_local_koszul_complex_above_degree_zero_is_well_shaped(multiserial):
+    # a window above degree 0 leaves position 0 no (0, a) piece, so d^0 into
+    # S_a is zero, not a 1x1 identity on a piece that is not there
+    policy = TruncationPolicy(4, (1, 8))
+    for a in multiserial.quiver.vertices:
+        cx = local_koszul_complex(multiserial, a, policy)
+        for d in cx.diffs.values():
+            d.validate()
+        assert not cx.module(0).dim(0, a) and 0 not in cx.diffs
+
+
 def test_r_upper_is_a_module_over_the_quadratic_dual(biserial, multiserial, kronecker):
     # R^(n)(a, -) with the restricted derivations is a Lambda^!-module whose
     # (-n, x) piece has the dimension of e_a Lambda^!_n e_x
@@ -727,9 +738,9 @@ def test_h0_check_rejects_zero_maps(multiserial):
     cx = single_module_complex(s)
     zero = ComplexOfModules(multiserial, POLICY.degree_window, {}, {})
     for f in (ChainMap(cx, cx, {}), ChainMap(cx, zero, {}), ChainMap(zero, cx, {})):
-        assert not _h0_isomorphism(f.validate())
+        assert not _h0_isomorphism(mapping_cone(f.validate()))
         assert not _h0_reference(f)
-    assert _h0_isomorphism(_single_map(identity_morphism(s)))
+    assert _h0_isomorphism(mapping_cone(_single_map(identity_morphism(s))))
 
 
 def test_h0_check_rejects_endomorphisms_with_a_kernel(multiserial):
@@ -740,18 +751,19 @@ def test_h0_check_rejects_endomorphisms_with_a_kernel(multiserial):
     kinds = set()
     for f in hom_basis(mm, mm):
         injective = all(f.piece(*k).rank() == d for k, d in mm.dims.items())
-        assert _h0_isomorphism(_single_map(f)) == injective
+        assert _h0_isomorphism(mapping_cone(_single_map(f))) == injective
         kinds.add(injective)
     assert False in kinds
-    assert _h0_isomorphism(_single_map(identity_morphism(mm)))
+    assert _h0_isomorphism(mapping_cone(_single_map(identity_morphism(mm))))
 
 
 def test_h0_check_accepts_eta_and_zeta(multiserial):
     m = random_module(random.Random(6), multiserial, (0, 4))
     for res in (eta_augmentation(m, POLICY), zeta_coaugmentation(m, POLICY)):
-        assert res.h0_isomorphism and _h0_isomorphism(res.map) and _h0_reference(res.map)
+        assert res.h0_isomorphism and _h0_isomorphism(mapping_cone(res.map))
+        assert _h0_reference(res.map)
         zero = ChainMap(res.map.source, res.map.target, {})
-        assert not _h0_isomorphism(zero) and not _h0_reference(zero)
+        assert not _h0_isomorphism(mapping_cone(zero)) and not _h0_reference(zero)
 
 
 def test_h0_check_matches_homology_modules_on_random_maps(multiserial):
@@ -763,9 +775,35 @@ def test_h0_check_matches_homology_modules_on_random_maps(multiserial):
         m = random_module(rng, multiserial, (0, 4))
         n = m if seed % 2 else random_module(rng, multiserial, (0, 4))
         f = _single_map(random_morphism(rng, m, n))
-        verdicts.append(_h0_isomorphism(f))
+        verdicts.append(_h0_isomorphism(mapping_cone(f)))
         assert verdicts[-1] == _h0_reference(f), seed
     assert True in verdicts and False in verdicts
+    # eta and zeta of random modules over random presentations, their zero
+    # maps, and their composites with a random endomorphism of M (which may
+    # have a kernel), judged by the cone and by homology modules
+    policy = TruncationPolicy(3, (-2, 6))
+    for field in (QQ, GF(3)):
+        verdicts, drawn = {"eta": set(), "zeta": set()}, 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            pres = random_presentation(rng, random_quiver(rng, 3, 4), field, 8)
+            m = random_module(rng, pres, (0, 3))
+            if m.is_zero():
+                continue
+            drawn += 1
+            g = random_morphism(rng, m, m)
+            for kind, build in (("eta", eta_augmentation), ("zeta", zeta_coaugmentation)):
+                res = build(m, policy)
+                f0 = res.map.part(0)
+                bent = g.compose(f0) if kind == "eta" else f0.compose(g)
+                for f in (res.map, ChainMap(res.map.source, res.map.target, {}),
+                          ChainMap(res.map.source, res.map.target, {0: bent}).validate()):
+                    verdict = _h0_isomorphism(mapping_cone(f))
+                    assert verdict == _h0_reference(f), (field, seed, kind)
+                    verdicts[kind].add(verdict)
+                assert res.h0_isomorphism == _h0_isomorphism(mapping_cone(res.map))
+        assert drawn >= 8
+        assert verdicts == {"eta": {True, False}, "zeta": {True, False}}
 
 
 def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
@@ -783,13 +821,15 @@ def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
             for cx in cxs for n in positions]
     want_h0 = [_h0_reference(f) for f in maps]
     assert True in want_h0 and False in want_h0
+    # mapping_cone builds zero objects for missing positions: count only after it
+    cones = [mapping_cone(f) for f in maps]
     calls = []
     for name in ("zero_module", "zero_morphism"):
         real = getattr(complexes, name)
         monkeypatch.setattr(complexes, name, lambda *args, _real=real, _name=name:
                             calls.append(_name) or _real(*args))
     assert [homology_at(cx, n) for cx in cxs for n in positions] == want
-    assert [_h0_isomorphism(f) for f in maps] == want_h0
+    assert [_h0_isomorphism(cone) for cone in cones] == want_h0
     assert all(f.validate() is f for f in maps)
     assert all(is_acyclic(cone, range(lo, hi + 1)) for cone, (lo, hi) in
                zip(cxs[2::3], (res.safe_positions for res in results)))
@@ -854,6 +894,8 @@ def test_mapping_cone_acyclicity_ranks_each_piece_once(multiserial, monkeypatch)
     assert all(is_acyclic(cone, range(-2, 2)) for cone in cones)
     count = sum(n for _, n in seen.values())
     assert all(is_acyclic(cone, range(-2, 2)) for cone in cones)
+    # the H^0 verdict reads the ranks is_acyclic kept on the cone's pieces
+    assert all(_h0_isomorphism(cone) for cone in cones)
     assert sum(n for _, n in seen.values()) == count
     _assert_ranked_once(seen, real, cones)
 
