@@ -11,6 +11,10 @@ canonical form sorts blocks by label so that structurally equal
 constructions compare bit-exactly.  Cones, total complexes and the
 canonical form assemble no matrices themselves: they hand their blocks to
 `modules.block_morphism` and slice with `modules.block_parts`.
+
+A mapping cone is the total complex of X (column -1, differential negated)
+and Y (column 0).  The accessors (`module`, `diff`, `part`, `cell`, `v`,
+`h`) synthesize zero objects only for outside callers.
 """
 
 from __future__ import annotations
@@ -188,18 +192,14 @@ class ChainMap:
 
 
 def mapping_cone(f: ChainMap) -> ComplexOfModules:
-    """C_f with position n equal to X^{n+1} (+) Y^n, blocks concatenated."""
+    """C_f, the total complex of X (column -1, differential negated) and Y
+    (column 0) joined by f: position n is X^{n+1} (+) Y^n, blocks concatenated."""
     x, y = f.source, f.target
-    pres, window = x.pres, x.window
-    positions = set(n - 1 for n in x.modules) | set(y.modules)
-    modules = {}
-    for n in positions:
-        blocks = list(blocks_of(x.module(n + 1))) + list(blocks_of(y.module(n)))
-        modules[n] = direct_sum(pres, window, blocks)
-    diffs = {n: _block2(modules[n], modules[n + 1], x.diff(n + 1).negate(),
-                        f.part(n + 1), y.diff(n))
-             for n in positions if n + 1 in positions}
-    return ComplexOfModules(pres, window, modules, diffs, validate=False)
+    cols = ((-1, x), (0, y))
+    cells = {(c, n): m for c, cx in cols for n, m in cx.modules.items()}
+    vert = {(c, n): d.negate() if c == -1 else d for c, cx in cols for n, d in cx.diffs.items()}
+    horiz = {(-1, n): g for n, g in f.parts.items()}
+    return total_complex(DoubleComplex(x.pres, x.window, cells, vert, horiz, validate=False))
 
 
 class DoubleComplex:
@@ -292,9 +292,9 @@ def _diagonals(dc: DoubleComplex) -> dict:
 
 def total_complex(dc: DoubleComplex) -> ComplexOfModules:
     """T(M)^n = (+)_i M^{i, n-i}, summands ascending in i, unsigned blocks."""
-    pres, window = dc.pres, dc.window
+    pres, window, cells = dc.pres, dc.window, dc.cells
     order = _diagonals(dc)
-    modules = {n: direct_sum(pres, window, [b for i in idxs for b in blocks_of(dc.cell(i, n - i))])
+    modules = {n: direct_sum(pres, window, [b for i in idxs for b in blocks_of(cells[(i, n - i)])])
                for n, idxs in order.items()}
     diffs = {}
     for n in sorted(modules):
@@ -307,8 +307,8 @@ def total_complex(dc: DoubleComplex) -> ComplexOfModules:
                 if f is not None and jj in row:
                     parts[(row[jj], c)] = f.mats
         diffs[n] = block_morphism(modules[n], modules[n + 1],
-                                  [dc.cell(jj, n + 1 - jj) for jj in order[n + 1]],
-                                  [dc.cell(ii, n - ii) for ii in order[n]], parts)
+                                  [cells[(jj, n + 1 - jj)] for jj in order[n + 1]],
+                                  [cells[(ii, n - ii)] for ii in order[n]], parts)
     return ComplexOfModules(pres, window, modules, diffs, validate=False)
 
 
@@ -317,14 +317,15 @@ def total_chain_map(f: DoubleChainMap) -> ChainMap:
     tgt = total_complex(f.target)
     src_order, tgt_order = _diagonals(f.source), _diagonals(f.target)
     parts = {}
-    for n in set(src.modules) | set(tgt.modules):
-        src_idx, tgt_idx = src_order.get(n, []), tgt_order.get(n, [])
+    # a non-zero part joins two non-zero positions
+    for n in src.modules.keys() & tgt.modules.keys():
+        src_idx, tgt_idx = src_order[n], tgt_order[n]
         row = {jj: r for r, jj in enumerate(tgt_idx)}
         blocks = {(row[ii], c): f.parts[(ii, n - ii)].mats for c, ii in enumerate(src_idx)
                   if ii in row and (ii, n - ii) in f.parts}
-        parts[n] = block_morphism(src.module(n), tgt.module(n),
-                                  [f.target.cell(jj, n - jj) for jj in tgt_idx],
-                                  [f.source.cell(ii, n - ii) for ii in src_idx], blocks)
+        parts[n] = block_morphism(src.modules[n], tgt.modules[n],
+                                  [f.target.cells[(jj, n - jj)] for jj in tgt_idx],
+                                  [f.source.cells[(ii, n - ii)] for ii in src_idx], blocks)
     return ChainMap(src, tgt, parts)
 
 
@@ -436,8 +437,7 @@ def homology_module(x: ComplexOfModules, n: int):
 
 
 def quasi_iso_check(f: ChainMap, positions=None) -> bool:
-    cone = mapping_cone(f)
-    return is_acyclic(cone, positions)
+    return is_acyclic(mapping_cone(f), positions)
 
 
 # -- homotopies ----------------------------------------------------------------

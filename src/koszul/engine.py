@@ -147,7 +147,8 @@ def koszulity_certificate(pres: Presentation, policy: TruncationPolicy) -> Koszu
         cx = local_koszul_complex(pres, a, policy, augmented=True)
         for n in range(0, n_max):
             pos = -n
-            degrees = {i for p in (pos, pos - 1) for (i, _) in cx.module(p).dims}
+            degrees = {i for p in (pos, pos - 1) if p in cx.modules
+                       for (i, _) in cx.modules[p].dims}
             checked += len(vertices) * sum(1 for d in degrees if lo <= d <= hi)
             # a failure is a non-zero piece of H = ker d_n / im d_(n-1)
             h = homology_at(cx, pos)

@@ -291,31 +291,21 @@ def projective_module(pres: Presentation, a, shift: int = 0,
 
 
 def _projective_module(pres: Presentation, a, shift: int, lo: int, hi: int) -> GradedModule:
-    quiver = pres.quiver
-    vanish = None
+    quiver, cap = pres.quiver, pres.degree_cap
+    if shift + hi > cap and pres.lambda_vanishing_degree() is None:
+        raise ValueError(f"projective piece needs algebra degree {max(shift + lo, cap + 1)} "
+                         f"> cap {cap}; raise the degree cap (-D)")
+    # Lambda is generated in degree 1, so Lambda_{d+1} e_a = Lambda_1 Lambda_d e_a:
+    # P_a ends at the first degree d where every e_x Lambda_d e_a is 0
     dims = {}
-    for i in range(lo, hi + 1):
-        d = shift + i
-        if d < 0:
-            continue
-        if d > pres.degree_cap:
-            if vanish is None:
-                vanish = pres.lambda_vanishing_degree()
-            if vanish is None:
-                raise ValueError(
-                    f"projective piece needs algebra degree {d} > cap "
-                    f"{pres.degree_cap}; raise the degree cap (-D)")
-            continue
-        for x in quiver.vertices:
-            dims[(i, x)] = pres.dim_piece(d, a, x)
-    actions = {}
-    for i in range(lo, hi):
-        d = shift + i
-        if d < 0 or d + 1 > pres.degree_cap:
-            continue
-        for arrow in quiver.arrows:
-            if dims.get((i, arrow.source)):
-                actions[(arrow.name, i)] = pres.left_arrow_matrix(arrow.name, d, a)
+    for d in range(max(shift + lo, 0), min(shift + hi, cap) + 1):
+        row = {(d - shift, x): pres.dim_piece(d, a, x) for x in quiver.vertices}
+        if not any(row.values()):
+            break
+        dims.update(row)
+    actions = {(arrow.name, i): pres.left_arrow_matrix(arrow.name, i + shift, a)
+               for i in sorted({i for i, _ in dims if i < hi}) for arrow in quiver.arrows
+               if dims.get((i, arrow.source))}
     return GradedModule(pres, (lo, hi), dims, actions)
 
 

@@ -573,6 +573,23 @@ def test_path_actions_have_one_routine():
                     f"engine.py:{node.lineno} imports from koszul.quiver"
 
 
+# the cone and the total complex read the stored dicts, never the accessors
+# that synthesize a zero object on a miss
+ZERO_ACCESSORS = {"module", "diff", "part", "cell", "v", "h"}
+STORED_ONLY = {"mapping_cone", "total_complex", "total_chain_map"}
+
+
+def test_cone_and_total_complex_call_no_zero_synthesizing_accessor():
+    path = Path(koszul.__file__).parent / "complexes.py"
+    seen = set()
+    for func, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+        if func in STORED_ONLY:
+            seen.add(func)
+            assert getattr(call.func, "attr", None) not in ZERO_ACCESSORS, \
+                f"complexes.py:{call.lineno} {func} calls .{call.func.attr}"
+    assert seen == STORED_ONLY
+
+
 # one homology routine for verdicts: the engine reads ranks through
 # complexes.homology_at, and eliminates by hand only to print a witness
 ELIMINATION_CALLS = {"rank", "kernel", "kernel_basis", "column_space"}

@@ -6,18 +6,22 @@ from fractions import Fraction
 import pytest
 
 from koszul.complexes import (ChainMap, ComplexOfModules, DoubleComplex,
-                              acyclic_assembly_check, homology_at, homology_tables,
+                              acyclic_assembly_check, blocks_of, homology_at, homology_tables,
                               horizontal_cone, is_acyclic, mapping_cone,
                               null_homotopy_solve, quasi_iso_check, relabel_cells,
                               relabel_double_map, relabel_positions,
                               single_module_complex, total_chain_map, total_complex,
                               verify_homotopy, vertical_cone)
-from koszul.engine import TruncationPolicy, local_koszul_complex
+from koszul.dsl import parse_presentation
+from koszul.engine import (TruncationPolicy, eta_augmentation, local_koszul_complex,
+                           zeta_coaugmentation)
 from koszul.linalg import GF, Matrix, QQ
-from koszul.modules import GradedModule, GradedMorphism, identity_morphism, simple_module
+from koszul.modules import (GradedModule, GradedMorphism, block_morphism, direct_sum,
+                            identity_morphism, simple_module, standard_module)
 from koszul.randomgen import (conjugate_double_complex, point_presentation,
                               random_double_complex, random_double_morphism,
-                              random_horizontal_homotopy)
+                              random_horizontal_homotopy, random_module)
+from tests.conftest import presentations_dir
 
 
 def _vs(pres, window, dims):
@@ -285,3 +289,93 @@ def test_columnwise_quasi_iso_totalizes(point):
                                identity_morphism(m.cell(i, j)).mats)
         for (i, j) in m.cells})
     assert quasi_iso_check(total_chain_map(ident))
+
+
+# -- the mapping cone as a total complex ------------------------------------------
+
+
+def _cone_reference(f: ChainMap) -> ComplexOfModules:
+    """The cone as it was hand-built before it became a total complex:
+    position n is X^{n+1} (+) Y^n, differential [[-d_X, 0], [f, d_Y]], read
+    through the zero-synthesizing accessors."""
+    x, y = f.source, f.target
+    positions = {n - 1 for n in x.modules} | set(y.modules)
+    modules = {n: direct_sum(x.pres, x.window, list(blocks_of(x.module(n + 1))) +
+                             list(blocks_of(y.module(n)))) for n in positions}
+    diffs = {}
+    for n in positions:
+        if n + 1 in positions:
+            a, c, d = x.diff(n + 1).negate(), f.part(n + 1), y.diff(n)
+            diffs[n] = block_morphism(modules[n], modules[n + 1], [a.target, d.target],
+                                      [a.source, d.source],
+                                      {(0, 0): a.mats, (1, 0): c.mats, (1, 1): d.mats})
+    return ComplexOfModules(x.pres, x.window, modules, diffs, validate=False)
+
+
+def _exact(mat: Matrix):
+    """A matrix down to the type of every entry."""
+    return mat.nrows, mat.ncols, [sorted((c, type(v).__name__, repr(v)) for c, v in row.items())
+                                  for row in mat.sparse_rows]
+
+
+def _assert_same_complex(got: ComplexOfModules, want: ComplexOfModules):
+    assert got.positions() == want.positions()
+    for n, m in want.modules.items():
+        assert got.modules[n].dims == m.dims
+        assert [(k, b.dims) for k, b in blocks_of(got.modules[n])] == \
+            [(k, b.dims) for k, b in blocks_of(m)]
+    assert set(got.diffs) == set(want.diffs)
+    for n, d in want.diffs.items():
+        assert got.diffs[n].mats.keys() == d.mats.keys()
+        for key, mat in d.mats.items():
+            assert _exact(got.diffs[n].mats[key]) == _exact(mat)
+
+
+def _augmentation_cases(name, field):
+    pres = parse_presentation((presentations_dir() / f"{name}.kz").read_text(), field, 10)
+    policy = TruncationPolicy(4, (-2, 8))
+    mods = [standard_module(pres, kind, a, 0, policy.degree_window)
+            for kind in ("simple", "projective", "injective") for a in pres.quiver.vertices]
+    rng = random.Random(name)
+    mods += [random_module(rng, pres, (0, 4)) for _ in range(3)]
+    return [aug(m, policy).map for m in mods for aug in (eta_augmentation, zeta_coaugmentation)]
+
+
+@pytest.mark.parametrize("name", ["biserial", "multiserial", "kronecker", "empty"])
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_cone_of_eta_and_zeta_matches_the_hand_built_cone(name, field):
+    for f in _augmentation_cases(name, field):
+        _assert_same_complex(mapping_cone(f), _cone_reference(f))
+
+
+def _total_chain_map_reference(f):
+    """total_chain_map as it walked every position of either side."""
+    src, tgt = total_complex(f.source), total_complex(f.target)
+    parts = {}
+    for n in set(src.modules) | set(tgt.modules):
+        src_idx = sorted(i for (i, j) in f.source.cells if i + j == n)
+        tgt_idx = sorted(i for (i, j) in f.target.cells if i + j == n)
+        row = {jj: r for r, jj in enumerate(tgt_idx)}
+        blocks = {(row[ii], c): f.part(ii, n - ii).mats for c, ii in enumerate(src_idx)
+                  if ii in row}
+        parts[n] = block_morphism(src.module(n), tgt.module(n),
+                                  [f.target.cell(jj, n - jj) for jj in tgt_idx],
+                                  [f.source.cell(ii, n - ii) for ii in src_idx], blocks)
+    return ChainMap(src, tgt, parts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cone_of_a_total_chain_map_matches_the_hand_built_cone(seed):
+    pres = point_presentation(GF(3) if seed % 2 else QQ)
+    rng = random.Random(700 + seed)
+    grid = (0, 2, 0, 1) if seed % 4 < 2 else (-1, 1, 0, 2)
+    m = random_double_complex(rng, pres, grid=grid, degrees=(0, 1))
+    n = conjugate_double_complex(rng, m) if seed % 3 else \
+        random_double_complex(rng, pres, grid=grid, degrees=(0, 1))
+    f = random_double_morphism(rng, relabel_cells(m, 0), relabel_cells(n, 1))
+    g, want = total_chain_map(f), _total_chain_map_reference(f)
+    assert g.parts.keys() == want.parts.keys()
+    for k, part in want.parts.items():
+        assert {key: _exact(mat) for key, mat in g.parts[k].mats.items()} == \
+            {key: _exact(mat) for key, mat in part.mats.items()}
+    _assert_same_complex(mapping_cone(g), _cone_reference(g))

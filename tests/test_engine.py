@@ -821,7 +821,8 @@ def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
             for cx in cxs for n in positions]
     want_h0 = [_h0_reference(f) for f in maps]
     assert True in want_h0 and False in want_h0
-    # mapping_cone builds zero objects for missing positions: count only after it
+    # the cones are built before counting: test_eta_zeta_and_certificate_build_no_zero_object
+    # counts mapping_cone itself
     cones = [mapping_cone(f) for f in maps]
     calls = []
     for name in ("zero_module", "zero_morphism"):
@@ -836,6 +837,37 @@ def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
     assert not calls
     cxs[0].diff(max(positions))             # the counter sees a build
     assert calls
+
+
+def test_eta_zeta_and_certificate_build_no_zero_object(multiserial, monkeypatch, capsys):
+    # the cone is the total complex of the stored positions, differentials and
+    # parts, and the certificate reads stored positions: neither synthesizes a
+    # zero module or morphism
+    import koszul.complexes as complexes
+    from koszul.cli import main
+    policy = TruncationPolicy(5, (-2, 9))
+    inputs = [simple_module(multiserial, a, 0, policy.degree_window)
+              for a in multiserial.quiver.vertices]
+    rng = random.Random("zero objects")
+    # as in the resolve workload, a zero draw becomes S_1: eta and zeta of the
+    # zero module do build one, their (zero) position 0
+    inputs += [m if not m.is_zero() else inputs[0]
+               for m in (random_module(rng, multiserial, (0, 4)) for _ in range(20))]
+    calls = []
+    for name in ("zero_module", "zero_morphism"):
+        real = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    results = [build(m, policy) for m in inputs
+               for build in (eta_augmentation, zeta_coaugmentation)]
+    assert all(res.quasi_iso and res.h0_isomorphism for res in results)
+    assert not calls
+    assert main(["check-koszul", str(presentations_dir() / "multiserial.kz"), "-N", "8",
+                 "--window", "-2", "14"]) == 0
+    assert "verdict: KOSZUL\n" in capsys.readouterr().out
+    assert not calls
+    results[0].complex.module(1)            # the counter sees a build
+    assert calls == ["zero_module"]
 
 
 def test_resolutions_build_no_block_diagonal_action(multiserial, monkeypatch):

@@ -7,14 +7,14 @@ import pytest
 
 from koszul.dsl import parse_presentation
 from koszul.linalg import GF, Matrix, QQ, Subspace
-from koszul.modules import (GradedModule, GradedMorphism, block_morphism, block_parts,
-                            direct_sum, hom_basis,
+from koszul.modules import (GradedModule, GradedMorphism, _projective_module, block_morphism,
+                            block_parts, direct_sum, hom_basis,
                             injective_module, kernel_module, projective_cover,
                             projective_module, quotient_module, radical_pieces,
                             simple_module, standard_module, top_generators, zero_module)
 from koszul.randomgen import (point_presentation, radical_square_zero, random_module,
-                              random_morphism)
-from tests.conftest import MULTISERIAL
+                              random_morphism, random_presentation, random_quiver)
+from tests.conftest import KRONECKER, MULTISERIAL
 
 
 def test_simple_module_indicator(multiserial):
@@ -335,3 +335,91 @@ def test_tensor_one_is_the_module_and_two_is_a_kron(field):
                 for c in range(2) for q in range(mat.ncols)]
                for r in range(2) for p in range(mat.nrows)]
         assert t.action(name, i).rows == ref
+
+
+# -- projectives end at their first zero degree ---------------------------------------
+
+
+def _projective_module_reference(pres, a, shift, lo, hi):
+    """P_a<shift> queried at every degree of the window, with Lambda's
+    vanishing probed once the window passes the cap."""
+    quiver = pres.quiver
+    vanish = None
+    dims = {}
+    for i in range(lo, hi + 1):
+        d = shift + i
+        if d < 0:
+            continue
+        if d > pres.degree_cap:
+            if vanish is None:
+                vanish = pres.lambda_vanishing_degree()
+            if vanish is None:
+                raise ValueError(
+                    f"projective piece needs algebra degree {d} > cap "
+                    f"{pres.degree_cap}; raise the degree cap (-D)")
+            continue
+        for x in quiver.vertices:
+            dims[(i, x)] = pres.dim_piece(d, a, x)
+    actions = {}
+    for i in range(lo, hi):
+        d = shift + i
+        if d < 0 or d + 1 > pres.degree_cap:
+            continue
+        for arrow in quiver.arrows:
+            if dims.get((i, arrow.source)):
+                actions[(arrow.name, i)] = pres.left_arrow_matrix(arrow.name, d, a)
+    return GradedModule(pres, (lo, hi), dims, actions)
+
+
+def _outcome(build):
+    """A module's dims and exact actions, or the text of the ValueError it raised."""
+    try:
+        m = build()
+    except ValueError as exc:
+        return str(exc)
+    return m.window, m.dims, {
+        k: (mat.nrows, mat.ncols, [sorted((c, repr(v)) for c, v in row.items())
+                                   for row in mat.sparse_rows])
+        for k, mat in m.actions.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_projective_module_matches_the_full_window_loop(field):
+    multi = parse_presentation(MULTISERIAL, field, degree_cap=8)
+    rng = random.Random(f"projectives {field.characteristic}")
+    algebras = [multi, parse_presentation(KRONECKER, field, degree_cap=8), multi.quadratic_dual()]
+    algebras += [random_presentation(rng, random_quiver(rng, 3, 4), field, 6) for _ in range(8)]
+    raised = 0
+    for pres in algebras:
+        for a, shift, (lo, hi) in itertools.product(pres.quiver.vertices, range(-10, 4),
+                                                    ((-2, 14), (5, 9))):
+            want = _outcome(lambda: _projective_module_reference(pres, a, shift, lo, hi))
+            assert _outcome(lambda: _projective_module(pres, a, shift, lo, hi)) == want
+            raised += isinstance(want, str)
+            # I_a<shift> is the dual of the opposite's P_a on the mirrored window
+            opp = pres.opposite()
+            want = _outcome(lambda: _projective_module_reference(
+                opp, a, 0, -(shift + hi), -(shift + lo)).dualize().shift(shift))
+            assert _outcome(lambda: injective_module(pres, a, shift, (lo, hi))) == want
+    assert raised
+
+
+def test_projective_window_past_the_cap_of_an_infinite_algebra_raises():
+    dual = parse_presentation(MULTISERIAL, QQ, degree_cap=8).quadratic_dual()
+    assert dual.lambda_vanishing_degree() is None
+    for shift, window, degree in ((0, (0, 10), 9), (3, (-2, 14), 9), (0, (10, 12), 10)):
+        text = (f"projective piece needs algebra degree {degree} > cap 8; "
+                f"raise the degree cap (-D)")
+        assert _outcome(lambda: projective_module(dual, "1", shift, window)) == text
+        assert _outcome(lambda: _projective_module_reference(dual, "1", shift, *window)) == text
+
+
+def test_projective_module_stops_at_its_first_zero_degree():
+    # Lambda is generated in degree 1 and Lambda_3 e_1 = 0 on multiserial:
+    # no piece of P_1<-8> on (-2, 14) above degree 3 is asked for
+    pres = parse_presentation(MULTISERIAL, QQ, degree_cap=16)
+    asked = []
+    real = pres.dim_piece
+    pres.dim_piece = lambda n, x, y: asked.append(n) or real(n, x, y)
+    p = projective_module(pres, "1", -8, (-2, 14)).validate()
+    assert max(i for i, _ in p.dims) == 10 and max(asked) <= 3
