@@ -252,15 +252,13 @@ class Presentation:
             self._dual = Presentation(opp, self.field, rels, self.degree_cap)
         return self._dual
 
-    def same_relations(self, other: "Presentation") -> bool:
-        if self.quiver != other.quiver or self.field != other.field:
+    def __eq__(self, other):
+        if not isinstance(other, Presentation) or self.quiver != other.quiver \
+                or self.field != other.field:
             return False
         pairs = set(self.relations) | set(other.relations)
         return all(self.relation_space(x, y) == other.relation_space(x, y)
                    for (x, y) in pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, Presentation) and self.same_relations(other)
 
     def __hash__(self):
         raise TypeError("presentations are not hashable")

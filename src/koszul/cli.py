@@ -331,13 +331,13 @@ def cmd_selfcheck(args):
     failures = []
     rounds = 12
     for t in range(rounds):
-        dc = randomgen.random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
+        dc = randomgen.random_double_complex(rng, pres, grid=(0, 2, 0, 2))
         tot = total_complex(dc)
         try:
             ComplexOfModules(pres, tot.window, tot.modules, tot.diffs)
         except ValueError:
             failures.append(f"total d^2 != 0 in round {t}")
-        other = randomgen.random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
+        other = randomgen.random_double_complex(rng, pres, grid=(0, 2, 0, 2))
         f = randomgen.random_double_morphism(rng, dc, other)
         src = relabel_cells(dc, 0)
         tgt = relabel_cells(other, 1)
@@ -352,9 +352,9 @@ def cmd_selfcheck(args):
         if null_homotopy_solve(tf) is None:
             failures.append(f"null homotopy not found in round {t}")
         rows_exact = randomgen.random_double_complex(rng, pres, grid=(0, 2, 0, 2),
-                                                     degrees=(0, 1), exact_rows=True)
+                                                     exact_rows=True)
         for n in range(0, 5):
-            verdict, trace = acyclic_assembly_check(rows_exact, n, "rows")
+            verdict, _ = acyclic_assembly_check(rows_exact, n)
             if verdict is False:
                 failures.append(f"acyclic assembly failed at n={n} in round {t}")
     payload = {"command": "selfcheck", "seed": args.seed, "rounds": rounds,

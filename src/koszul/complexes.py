@@ -2,9 +2,9 @@
 
 Double complexes follow the convention that makes the unsigned total
 differential square to zero: rows and columns are complexes and the mixed
-composites anticommute (h.v + v.h = 0).  Data that arrives with commuting
-squares is imported through `DoubleComplex.from_commuting`, which twists
-the columns by alternating signs.
+composites anticommute (h.v + v.h = 0).  Callers whose data arrives with
+commuting squares twist the columns themselves: column i's differential
+gets the sign (-1)^i.
 
 Direct-sum positions carry ordered block labels (opaque tuples); the
 canonical form sorts blocks by label so that structurally equal
@@ -78,24 +78,6 @@ class ComplexOfModules:
             diffs[n - k] = d if sign == 1 else d.negate()
         return ComplexOfModules(self.pres, self.window, modules, diffs, validate=False)
 
-    def twist(self) -> "ComplexOfModules":
-        return ComplexOfModules(self.pres, self.window, dict(self.modules),
-                                {n: d.negate() for n, d in self.diffs.items()},
-                                validate=False)
-
-    def twist_power(self, k: int) -> "ComplexOfModules":
-        return self.twist() if k % 2 else self
-
-    def grading_shift(self, s: int) -> "ComplexOfModules":
-        modules = {n: m.shift(s) for n, m in self.modules.items()}
-        diffs = {}
-        for n, d in self.diffs.items():
-            mats = {(i - s, x): mat for (i, x), mat in d.mats.items()}
-            diffs[n] = GradedMorphism(modules.get(n, self.module(n).shift(s)),
-                                      modules.get(n + 1, self.module(n + 1).shift(s)), mats)
-        w = (self.window[0] - s, self.window[1] - s)
-        return ComplexOfModules(self.pres, w, modules, diffs, validate=False)
-
     def same_content(self, other: "ComplexOfModules") -> bool:
         if set(self.modules) != set(other.modules):
             return False
@@ -106,9 +88,6 @@ class ComplexOfModules:
             if not self.diff(n).same_content(other.diff(n)):
                 return False
         return True
-
-    def block_keys(self):
-        return {n: tuple(k for k, _ in blocks_of(m)) for n, m in self.modules.items()}
 
     def canonical_form(self) -> "ComplexOfModules":
         """Sort every position's blocks by label and conjugate the differentials."""
@@ -134,8 +113,9 @@ class ComplexOfModules:
         return f"Complex(positions {lo}..{hi})"
 
 
-def single_module_complex(m: GradedModule, position: int = 0) -> ComplexOfModules:
-    return ComplexOfModules(m.pres, m.window, {position: m}, {}, validate=False)
+def single_module_complex(m: GradedModule) -> ComplexOfModules:
+    """m alone at position 0."""
+    return ComplexOfModules(m.pres, m.window, {0: m}, {}, validate=False)
 
 
 def relabel_positions(cx: ComplexOfModules, tag) -> ComplexOfModules:
@@ -237,21 +217,9 @@ class DoubleComplex:
             if not anti.is_zero():
                 raise ValueError(f"squares do not anticommute at ({i},{j})")
 
-    @classmethod
-    def from_commuting(cls, pres, window, cells, vert, horiz, validate=True):
-        """Import a grid with commuting squares: column i gets sign (-1)^i."""
-        new_vert = {(i, j): (d if i % 2 == 0 else d.negate())
-                    for (i, j), d in vert.items()}
-        return cls(pres, window, cells, new_vert, horiz, validate=validate)
-
     def row(self, j) -> ComplexOfModules:
         modules = {i: m for (i, jj), m in self.cells.items() if jj == j}
         diffs = {i: d for (i, jj), d in self.horiz.items() if jj == j}
-        return ComplexOfModules(self.pres, self.window, modules, diffs, validate=False)
-
-    def column(self, i) -> ComplexOfModules:
-        modules = {j: m for (ii, j), m in self.cells.items() if ii == i}
-        diffs = {j: d for (ii, j), d in self.vert.items() if ii == i}
         return ComplexOfModules(self.pres, self.window, modules, diffs, validate=False)
 
     def __repr__(self):
@@ -479,50 +447,19 @@ def null_homotopy_solve(f: ChainMap):
     return {n: GradedMorphism(x.module(n), y.module(n - 1), m) for n, m in mats.items()}
 
 
-def verify_homotopy(f: ChainMap, homotopy) -> bool:
-    x, y = f.source, f.target
-    for n in set(x.modules) | set(y.modules):
-        un1 = homotopy.get(n + 1)
-        un = homotopy.get(n)
-        acc = zero_morphism(x.module(n), y.module(n))
-        if un1 is not None:
-            acc = acc.add(GradedMorphism(x.module(n), y.module(n),
-                                         un1.compose(x.diff(n)).mats))
-        if un is not None:
-            acc = acc.add(GradedMorphism(x.module(n), y.module(n),
-                                         y.diff(n - 1).compose(un).mats))
-        if not acc.same_content(f.part(n)):
-            return False
-    return True
-
-
-def acyclic_assembly_check(dc: DoubleComplex, n: int, mode: str):
-    """Local acyclic assembly: verify the hypothesis, then H^n of the total.
-
-    mode="rows" requires H^{n-j}(row j) = 0 for all j; mode="columns"
-    requires H^{n-i}(column i) = 0.  Returns (verdict, trace), where verdict
-    is None when the hypothesis fails.
+def acyclic_assembly_check(dc: DoubleComplex, n: int):
+    """Local acyclic assembly: verify the hypothesis H^{n-j}(row j) = 0 for
+    all j, then H^n of the total.  Returns (verdict, trace), where verdict is
+    None when the hypothesis fails.
     """
-    trace = {"mode": mode, "position": n, "hypothesis": []}
+    trace = {"position": n, "hypothesis": []}
     ok = True
-    if mode == "rows":
-        js = sorted({j for (_, j) in dc.cells})
-        for j in js:
-            hom = homology_at(dc.row(j), n - j)
-            trace["hypothesis"].append({"row": j, "position": n - j,
-                                        "dims": {f"{k[0]},{k[1]}": v for k, v in hom.items()}})
-            if hom:
-                ok = False
-    elif mode == "columns":
-        is_ = sorted({i for (i, _) in dc.cells})
-        for i in is_:
-            hom = homology_at(dc.column(i), n - i)
-            trace["hypothesis"].append({"column": i, "position": n - i,
-                                        "dims": {f"{k[0]},{k[1]}": v for k, v in hom.items()}})
-            if hom:
-                ok = False
-    else:
-        raise ValueError("mode must be 'rows' or 'columns'")
+    for j in sorted({j for (_, j) in dc.cells}):
+        hom = homology_at(dc.row(j), n - j)
+        trace["hypothesis"].append({"row": j, "position": n - j,
+                                    "dims": {f"{k[0]},{k[1]}": v for k, v in hom.items()}})
+        if hom:
+            ok = False
     if not ok:
         trace["verdict"] = "hypothesis-failed"
         return None, trace

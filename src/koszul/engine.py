@@ -106,9 +106,6 @@ class KoszulCertificate:
     def is_koszul(self) -> bool:
         return not self.failures
 
-    def first_failure(self) -> CertEntry | None:
-        return self.failures[0] if self.failures else None
-
     def to_dict(self):
         return {
             "max_span": self.max_span,
@@ -485,7 +482,7 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
         block = evaluation_map(m, x, i, range(m.dim(i, x)), sub.dims.keys() & m.dims.keys())
         parts[(0, c)] = {k: mat.scale(sign) for k, mat in block.items()}
     eta0 = block_morphism(src0, m, [m], [sub for _, sub in blocks], parts)
-    eta = ChainMap(src, single_module_complex(m, 0), {0: eta0}).validate()
+    eta = ChainMap(src, single_module_complex(m), {0: eta0}).validate()
     lo_built = min(src.positions()) if src.positions() else 0
     return _augmentation_result(src, eta, (lo_built + 1, 1), "right")
 
@@ -511,7 +508,7 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
                                {(-j, y) for (j, y) in sub.dims.keys() & m.dims.keys()})
         parts[(r, 0)] = {(-j, y): mat.transpose().scale(sign) for (j, y), mat in block.items()}
     zeta0 = block_morphism(m, tgt0, [sub for _, sub in blocks], [m], parts)
-    zeta = ChainMap(single_module_complex(m, 0), tgt, {0: zeta0}).validate()
+    zeta = ChainMap(single_module_complex(m), tgt, {0: zeta0}).validate()
     hi_built = max(tgt.positions()) if tgt.positions() else 0
     return _augmentation_result(tgt, zeta, (-1, hi_built - 1), "left")
 

@@ -334,10 +334,6 @@ class Matrix:
         """The subspace {v : A v = 0}, in canonical form."""
         return _null_space(self.field, self.ncols, *_rref_sparse(self.field, self.sparse_rows))
 
-    def kernel_basis(self) -> "Matrix":
-        """Canonical basis (as rows) of {v : A v = 0}."""
-        return self.kernel().basis_matrix()
-
     def column_space(self) -> "Subspace":
         return Subspace.from_matrix(self.transpose())
 
@@ -660,10 +656,6 @@ class Subspace:
     def perp(self) -> "Subspace":
         """Annihilator subspace in the dual coordinates."""
         return _null_space(self.field, self.ambient, self.sparse_rows, self.pivots)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return self.perp().add(other.perp()).perp()
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient or self.field != other.field:

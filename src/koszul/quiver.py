@@ -162,7 +162,3 @@ class PathEnumerator:
 
     # the counts in the shape of `functools.lru_cache`'s; perfbench/tracer.py reads them
     basis.cache_info = lambda: _CacheInfo(*_basis_counts, None, None)
-
-    def count(self, n: int, x, y) -> int:
-        return len(self.basis(n, x, y))
-

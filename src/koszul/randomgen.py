@@ -1,7 +1,7 @@
-"""Seeded random quivers, presentations, modules and double complexes.
+"""Seeded random quivers, presentations, morphisms and double complexes.
 
-Everything takes an explicit `random.Random` so test runs and the CLI
-self-checks are reproducible from a single seed.
+Everything takes an explicit `random.Random` so the CLI self-checks and the
+benchmark inputs are reproducible from a single seed.
 """
 
 from __future__ import annotations
@@ -12,22 +12,8 @@ import string
 from .algebra import Presentation
 from .complexes import DoubleChainMap, DoubleComplex
 from .linalg import Matrix, MatrixEquations, Subspace, QQ
-from .modules import (GradedModule, GradedMorphism, direct_sum, hom_basis,
-                      projective_module, quotient_module)
+from .modules import GradedModule, GradedMorphism, hom_basis
 from .quiver import Quiver
-
-
-def random_acyclic_quiver(rng: random.Random, max_vertices=6, max_arrows=8) -> Quiver:
-    nv = rng.randint(2, max_vertices)
-    vertices = [str(i + 1) for i in range(nv)]
-    na = rng.randint(1, max_arrows)
-    arrows = []
-    names = iter(string.ascii_lowercase)
-    for _ in range(na):
-        i = rng.randint(0, nv - 2)
-        j = rng.randint(i + 1, nv - 1)
-        arrows.append((next(names), vertices[i], vertices[j]))
-    return Quiver(vertices, arrows)
 
 
 def random_quiver(rng: random.Random, max_vertices=4, max_arrows=6) -> Quiver:
@@ -39,21 +25,6 @@ def random_quiver(rng: random.Random, max_vertices=4, max_arrows=6) -> Quiver:
     for _ in range(na):
         arrows.append((next(names), rng.choice(vertices), rng.choice(vertices)))
     return Quiver(vertices, arrows)
-
-
-def path_algebra(quiver: Quiver, field=QQ, degree_cap=8) -> Presentation:
-    return Presentation(quiver, field, {}, degree_cap)
-
-
-def radical_square_zero(quiver: Quiver, field=QQ, degree_cap=8) -> Presentation:
-    helper = Presentation(quiver, field, {}, 2)
-    rels = {}
-    for x in quiver.vertices:
-        for y in quiver.vertices:
-            m = len(helper.path_basis(2, x, y))
-            if m:
-                rels[(x, y)] = Subspace.full(field, m)
-    return Presentation(quiver, field, rels, degree_cap)
 
 
 def random_presentation(rng: random.Random, quiver: Quiver | None = None,
@@ -74,43 +45,6 @@ def random_presentation(rng: random.Random, quiver: Quiver | None = None,
             if sp.dim:
                 rels[(x, y)] = sp
     return Presentation(quiver, field, rels, degree_cap)
-
-
-def random_module(rng: random.Random, pres: Presentation, window,
-                  max_summands=2, max_shift=2) -> GradedModule:
-    """A random finite dimensional module: quotient of projectives by a random submodule."""
-    summands = []
-    for k in range(rng.randint(1, max_summands)):
-        a = rng.choice(pres.quiver.vertices)
-        s = rng.randint(0, max_shift)
-        summands.append(((a, k), projective_module(pres, a, -s, window)))
-    big = direct_sum(pres, window, summands)
-    big = GradedModule(pres, big.window, big.dims, big.actions)  # forget labels
-    pieces = {k: Subspace.zero(pres.field, d) for k, d in big.dims.items()}
-    elements = []
-    keys = [k for k, d in big.dims.items() if d and k[0] > 0]
-    for _ in range(rng.randint(0, 3)):
-        if not keys:
-            break
-        (i, x) = rng.choice(keys)
-        vec = [pres.field.of(rng.randint(-2, 2)) for _ in range(big.dim(i, x))]
-        elements.append(((i, x), vec))
-    # close the generated pieces under the arrow actions
-    frontier = list(elements)
-    while frontier:
-        (i, x), vec = frontier.pop()
-        sp = pieces[(i, x)]
-        if sp.contains(vec):
-            continue
-        pieces[(i, x)] = sp.add(Subspace.from_vectors(pres.field, big.dim(i, x), [vec]))
-        for aidx in pres.quiver.out_arrows(x):
-            arrow = pres.quiver.arrows[aidx]
-            if big.dim(i + 1, arrow.target):
-                img = big.action(arrow.name, i).apply(vec)
-                if any(v != pres.field.zero for v in img):
-                    frontier.append(((i + 1, arrow.target), img))
-    quot, _ = quotient_module(big, pieces)
-    return quot
 
 
 def random_morphism(rng: random.Random, m: GradedModule, n: GradedModule):
@@ -158,18 +92,16 @@ def random_invertible(rng, field, n: int) -> tuple[Matrix, Matrix]:
     return a, b
 
 
-def random_double_complex(rng: random.Random, pres=None, window=(0, 0),
-                          grid=(0, 2, 0, 2), degrees=(0, 1), exact_rows=False
+def random_double_complex(rng: random.Random, pres, grid=(0, 2, 0, 2), exact_rows=False
                           ) -> DoubleComplex:
-    """A bounded double complex of graded vector spaces.
+    """A bounded double complex of graded vector spaces in degrees 0 and 1.
 
     Built as a direct sum of elementary pieces (dots, exact row/column pairs,
     anticommuting unit squares) conjugated by random basis changes, so the
     axioms hold exactly while the matrices look generic.
     """
-    pres = pres or point_presentation()
     i0, i1, j0, j1 = grid
-    window = (min(degrees), max(degrees))
+    degrees = window = (0, 1)
     dims: dict = {}
 
     def bump(i, j, d):

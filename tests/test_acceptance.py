@@ -15,7 +15,8 @@ from koszul.complexes import (ComplexOfModules, acyclic_assembly_check, homology
                               homology_tables, is_acyclic, mapping_cone,
                               null_homotopy_solve, relabel_cells, relabel_double_map,
                               total_chain_map, total_complex, horizontal_cone,
-                              vertical_cone, verify_homotopy)
+                              vertical_cone)
+from koszul.algebra import Presentation
 from koszul.dsl import parse_presentation
 from koszul.engine import (TruncationPolicy, eta_augmentation, ext_table,
                            extend_functor, extend_functor_map, koszul_functor,
@@ -25,13 +26,14 @@ from koszul.engine import (TruncationPolicy, eta_augmentation, ext_table,
 from koszul.linalg import QQ
 from koszul.modules import (GradedMorphism, injective_module, projective_module,
                             simple_module)
-from koszul.randomgen import (path_algebra, point_presentation, radical_square_zero,
-                              random_acyclic_quiver, random_double_complex,
+from koszul.randomgen import (point_presentation, random_double_complex,
                               random_double_morphism, random_horizontal_homotopy,
-                              random_module, random_morphism, random_presentation)
+                              random_morphism, random_presentation)
 from koszul.complexes import relabel_positions
 from koszul.modules import identity_morphism
 from tests.conftest import BISERIAL, MULTISERIAL, KRONECKER, EMPTY
+from tests.helpers import (radical_square_zero, random_acyclic_quiver, random_module,
+                           verify_homotopy)
 
 DUAL_MULTI = """
 quiver
@@ -55,7 +57,7 @@ def _corpus():
     randoms = {}
     for k in range(2):
         q = random_acyclic_quiver(rng, 5, 6)
-        randoms[f"path-{k}"] = path_algebra(q, QQ, 10)
+        randoms[f"path-{k}"] = Presentation(q, QQ, {}, 10)
         randoms[f"rz-{k}"] = radical_square_zero(q, QQ, 10)
     return named, randoms
 
@@ -78,7 +80,7 @@ def test_criterion_02_non_koszul_witness(biserial):
     t0 = time.monotonic()
     cert = koszulity_certificate(biserial, TruncationPolicy(4, (-2, 10)))
     assert cert.verdict == "NOT_KOSZUL"
-    first = cert.first_failure()
+    first = cert.failures[0]
     assert (first.vertex, first.position, first.degree) == ("1", -2, 4)
     assert first.witness_dim == 1 and first.witness is not None
     s1 = simple_module(biserial, "1", 0, (0, 10))
@@ -96,7 +98,7 @@ def test_criterion_03_koszul_certifications():
     count = 0
     for k in range(10):
         quiver = random_acyclic_quiver(rng, 6, 8)
-        for pres in (path_algebra(quiver, QQ, 10), radical_square_zero(quiver, QQ, 10)):
+        for pres in (Presentation(quiver, QQ, {}, 10), radical_square_zero(quiver, QQ, 10)):
             cert = koszulity_certificate(pres, policy)
             assert cert.is_koszul, f"quiver {k} failed"
             count += 1
@@ -152,10 +154,10 @@ def test_criterion_07_double_complex_identities():
     rng = random.Random(777)
     pres = point_presentation()
     for t in range(100):
-        m = random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
+        m = random_double_complex(rng, pres, grid=(0, 2, 0, 2))
         tot = total_complex(m)
         ComplexOfModules(pres, tot.window, tot.modules, tot.diffs)  # d^2 = 0
-        n = random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
+        n = random_double_complex(rng, pres, grid=(0, 2, 0, 2))
         f = random_double_morphism(rng, m, n)
         src, tgt = relabel_cells(m, 0), relabel_cells(n, 1)
         g = relabel_double_map(f, src, tgt)
@@ -167,12 +169,11 @@ def test_criterion_07_double_complex_identities():
         tf = total_chain_map(hf)
         solved = null_homotopy_solve(tf)
         assert solved is not None and verify_homotopy(tf, solved), t
-        rows_exact = random_double_complex(rng, pres, grid=(0, 2, 0, 2),
-                                           degrees=(0, 1), exact_rows=True)
+        rows_exact = random_double_complex(rng, pres, grid=(0, 2, 0, 2), exact_rows=True)
         tot_r = total_complex(rows_exact)
         lo, hi = tot_r.support()
         for pos in range(lo, hi + 1):
-            verdict, _ = acyclic_assembly_check(rows_exact, pos, "rows")
+            verdict, _ = acyclic_assembly_check(rows_exact, pos)
             assert verdict is True and not homology_at(tot_r, pos), (t, pos)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -242,7 +243,7 @@ def test_criterion_09_eta_zeta_quasi_isomorphisms():
     quiver = random_acyclic_quiver(random.Random(12), 4, 5)
     algebras = {
         "multiserial": parse_presentation(MULTISERIAL, QQ, 12),
-        "path": path_algebra(quiver, QQ, 10),
+        "path": Presentation(quiver, QQ, {}, 10),
         "rz": radical_square_zero(quiver, QQ, 10),
     }
     per_algebra = 20

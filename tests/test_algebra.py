@@ -10,9 +10,9 @@ from koszul.algebra import Presentation, subspace_circuits
 from koszul.dsl import parse_presentation, print_presentation
 from koszul.linalg import GF, Matrix, QQ, Subspace
 from koszul.quiver import Quiver
-from koszul.randomgen import (path_algebra, radical_square_zero, random_module,
-                              random_presentation, random_quiver)
+from koszul.randomgen import random_presentation, random_quiver
 from tests.conftest import MULTISERIAL, presentations_dir
+from tests.helpers import intersect, radical_square_zero, random_module
 
 P_CHECK = 1000003
 
@@ -70,7 +70,7 @@ def _r_upper_oracle(pres, n, a, x):
                             vec[target.index[q.arrows + p.arrows + r.arrows]] = coeff
                         vectors.append(vec)
         layer = Subspace.from_vectors(pres.field, len(target), vectors)
-        result = layer if result is None else result.intersect(layer)
+        result = layer if result is None else intersect(result, layer)
     return result
 
 
@@ -99,7 +99,7 @@ def test_multiserial_relation_piece_example(multiserial):
 
 def test_algebra_piece_dimensions(biserial, multiserial):
     # path algebra: dims equal path counts
-    pa = path_algebra(biserial.quiver, QQ, 8)
+    pa = Presentation(biserial.quiver, QQ, {}, 8)
     for n in range(0, 5):
         for x in pa.quiver.vertices:
             for y in pa.quiver.vertices:
@@ -282,7 +282,7 @@ def test_pairing_dimensions(biserial, multiserial, kronecker):
         for a in pres.quiver.vertices:
             assert pres.pairing_dimension_check(a, a, 0) == (True, 1, 1)
     # path algebra: R^(n) is the full path space, matching the dual piece
-    pa = path_algebra(kronecker.quiver, QQ, 8)
+    pa = Presentation(kronecker.quiver, QQ, {}, 8)
     for n in range(0, 5):
         for a in pa.quiver.vertices:
             for x in pa.quiver.vertices:
@@ -376,7 +376,7 @@ def test_piece_cache_idempotent(multiserial):
 
 @pytest.mark.parametrize("make", [
     lambda: parse_presentation(MULTISERIAL, QQ, 8),
-    lambda: path_algebra(Quiver(["1", "2"], [("a", "1", "2")]), QQ, 8)],
+    lambda: Presentation(Quiver(["1", "2"], [("a", "1", "2")]), QQ, {}, 8)],
     ids=["multiserial", "path 1->2"])
 def test_pieces_past_the_cap_raise_though_their_predecessors_vanish(make):
     # every degree-8 piece is zero, so degree 9 would be zero by recursion;

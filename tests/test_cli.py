@@ -13,16 +13,17 @@ from hypothesis import given, settings, strategies as st
 import koszul
 from koszul import cli
 from koszul.cli import CliError, main
-from koszul.dsl import parse_presentation
-from koszul.engine import (TruncationPolicy, extend_functor, extend_functor_map,
+from koszul.dsl import parse_presentation, print_presentation
+from koszul.engine import (TruncationPolicy, ext_table, extend_functor, extend_functor_map,
                            local_koszul_complex)
 from koszul.linalg import GF, QQ
 from koszul.modules import GradedMorphism, identity_morphism, projective_module
-from koszul.randomgen import random_module, random_morphism
+from koszul.randomgen import random_morphism
 from koszul.reports import dumps, module_json, morphism_json, complex_json, complex_from_json
 from koszul.complexes import (ChainMap, ComplexOfModules, relabel_positions,
                               single_module_complex)
-from tests.conftest import MULTISERIAL as MULTISERIAL_TEXT, presentations_dir
+from tests.conftest import MULTISERIAL as MULTISERIAL_TEXT, ROOT, presentations_dir
+from tests.helpers import block_keys, random_module
 
 BISERIAL = str(presentations_dir() / "biserial.kz")
 MULTISERIAL = str(presentations_dir() / "multiserial.kz")
@@ -140,6 +141,45 @@ def test_json_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _certificate(capsys, *argv):
+    code, out, _ = run(capsys, "check-koszul", *argv, "--json")
+    assert code == 0
+    return json.loads(out)["certificate"]
+
+
+def test_polynomial_ring_example(capsys, tmp_path):
+    # k[a,b,c] is Koszul and its dual is the exterior algebra (BGS, JAMS 1996)
+    path = str(presentations_dir() / "polynomial.kz")
+    code, out, _ = run(capsys, "dual", path)
+    assert code == 0
+    assert out.split("relations\n")[1].splitlines() == [
+        "  a*a", "  b*a + a*b", "  c*a + a*c", "  b*b", "  c*b + b*c", "  c*c"]
+    pres = parse_presentation((presentations_dir() / "polynomial.kz").read_text(), QQ, 10)
+    assert ext_table(pres, "1", "1", 5) == {0: 1, 1: 3, 2: 3, 3: 1, 4: 0, 5: 0}
+    assert [pres.dim_piece(n, "1", "1") for n in range(6)] == [1, 3, 6, 10, 15, 21]
+    cert = _certificate(capsys, path, "-N", "4", "--window", "-2", "9", "-D", "9")
+    assert (cert["verdict"], cert["checked_triples"], cert["failures"]) == \
+        ("KOSZUL_UP_TO_4", 34, [])
+    dual = tmp_path / "exterior.kz"
+    dual.write_text(out)
+    cert = _certificate(capsys, str(dual), "-N", "4", "--window", "-2", "9")
+    assert (cert["verdict"], cert["complete"], cert["checked_triples"]) == ("KOSZUL", True, 20)
+
+
+def test_multiserial_dual_example(capsys, multiserial):
+    # a comment line, then the output of `koszul dual multiserial.kz`
+    text = (presentations_dir() / "multiserial_dual.kz").read_text()
+    dual = multiserial.quadratic_dual()
+    pres = parse_presentation(text, QQ, multiserial.degree_cap)
+    assert pres == dual and pres.quadratic_dual() == multiserial
+    comment, body = text.split("\n", 1)
+    assert comment.startswith("#") and body == print_presentation(dual)
+    cert = _certificate(capsys, str(presentations_dir() / "multiserial_dual.kz"),
+                        "-N", "8", "--window", "-2", "16", "-D", "16")
+    assert (cert["verdict"], cert["checked_triples"], cert["failures"]) == \
+        ("KOSZUL_UP_TO_8", 648, [])
+
+
 # sha256 prefixes of the JSON of every local Koszul complex K_a under
 # TruncationPolicy(4, (-1, 8)) and degree cap 10, keyed by (vertex, augmented);
 # recorded before K_a was rebuilt as the Koszul functor F of one module.
@@ -193,7 +233,7 @@ def test_local_koszul_complex_bytes_pinned(name, p):
             keys = {n: k for n, k in keys.items() if k}
             if augmented:
                 keys[1] = ((),)
-            assert cx.block_keys() == keys
+            assert block_keys(cx) == keys
     assert digests == PINNED_LOCAL_KOSZUL[(name, p)]
 
 
@@ -209,7 +249,7 @@ PINNED_FUNCTOR_EXT = {
 
 
 def _labeled_complex_json(cx):
-    return {"complex": complex_json(cx), "blocks": repr(sorted(cx.block_keys().items()))}
+    return {"complex": complex_json(cx), "blocks": repr(sorted(block_keys(cx).items()))}
 
 
 @pytest.mark.parametrize("seed", PINNED_FUNCTOR_EXT)
@@ -328,7 +368,7 @@ def test_one_error_exit(monkeypatch, capsys, exc, code, kind, as_json):
 def test_homology_command_roundtrip(tmp_path, capsys):
     pres = parse_presentation((presentations_dir() / "multiserial.kz").read_text(), QQ, 10)
     p = projective_module(pres, "1", 0, (0, 6))
-    cx = single_module_complex(p, 0)
+    cx = single_module_complex(p)
     path = tmp_path / "complex.json"
     path.write_text(dumps(complex_json(cx)))
     code, out, _ = run(capsys, "homology", MULTISERIAL, "--complex", str(path))
@@ -498,6 +538,44 @@ def test_package_source_guards():
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     assert name in used, f"{path.name}:{node.lineno} imports unused {name}"
+
+
+# public names the package may define though nothing in it or in perfbench/
+# names them:
+#  - Subspace.coordinates is the dense reference that the tests compare
+#    coordinates_of against;
+#  - Quiver.adjacency_power_count will count paths before the pairing-table
+#    oracle enumerates them (ROADMAP item 3).
+UNUSED_ALLOWED = {"Subspace.coordinates", "Quiver.adjacency_power_count"}
+
+
+def test_package_defines_only_what_it_uses():
+    # every public module-level function and class, and every public method of
+    # a public class, is named (a Name, an Attribute or an import alias) in the
+    # package or the benchmark; what only the tests run lives in tests/helpers.py
+    package = sorted(Path(koszul.__file__).parent.glob("*.py"))
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    assert bench
+    named, defined = set(), []
+    for path in package + bench:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add((node.asname or node.name).split(".")[-1])
+        if path in bench:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((node.name, node.name))
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        defined.append((f"{node.name}.{sub.name}", sub.name))
+    unused = {full for full, name in defined if name not in named}
+    assert unused == UNUSED_ALLOWED, sorted(unused ^ UNUSED_ALLOWED)
 
 
 # the one block layout: every block matrix between direct sums is built by

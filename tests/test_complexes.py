@@ -11,7 +11,7 @@ from koszul.complexes import (ChainMap, ComplexOfModules, DoubleComplex,
                               null_homotopy_solve, quasi_iso_check, relabel_cells,
                               relabel_double_map, relabel_positions,
                               single_module_complex, total_chain_map, total_complex,
-                              verify_homotopy, vertical_cone)
+                              vertical_cone)
 from koszul.dsl import parse_presentation
 from koszul.engine import (TruncationPolicy, eta_augmentation, local_koszul_complex,
                            zeta_coaugmentation)
@@ -20,8 +20,10 @@ from koszul.modules import (GradedModule, GradedMorphism, block_morphism, direct
                             identity_morphism, simple_module, standard_module)
 from koszul.randomgen import (conjugate_double_complex, point_presentation,
                               random_double_complex, random_double_morphism,
-                              random_horizontal_homotopy, random_module)
+                              random_horizontal_homotopy)
 from tests.conftest import presentations_dir
+from tests.helpers import (block_keys, grading_shift, random_module, twist,
+                           verify_homotopy)
 
 
 def _vs(pres, window, dims):
@@ -59,7 +61,9 @@ def test_commuting_square_needs_signs(point):
     horiz = {(0, 0): _mor(point, k, k, one), (0, 1): _mor(point, k, k, one)}
     with pytest.raises(ValueError, match="anticommute"):
         DoubleComplex(point, w, cells, vert, horiz)
-    dc = DoubleComplex.from_commuting(point, w, cells, vert, horiz)
+    # twist the columns: column i's differential gets the sign (-1)^i
+    vert[(1, 0)] = vert[(1, 0)].negate()
+    dc = DoubleComplex(point, w, cells, vert, horiz)
     tot = total_complex(dc)
     ComplexOfModules(point, w, tot.modules, tot.diffs)  # validates d^2 = 0
 
@@ -96,7 +100,7 @@ def _rank_oracle(mat: Matrix) -> int:
 def test_total_homology_against_flatten_oracle(seed):
     pres = point_presentation(GF(7) if seed % 2 else QQ)
     rng = random.Random(40 + seed)
-    dc = random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
+    dc = random_double_complex(rng, pres, grid=(0, 2, 0, 2))
     tot = total_complex(dc)
     ComplexOfModules(pres, tot.window, tot.modules, tot.diffs)
     lo, hi = tot.support()
@@ -112,8 +116,8 @@ def test_total_homology_against_flatten_oracle(seed):
 def test_cone_of_zero_is_direct_sum(point):
     w = (0, 0)
     m = _vs(point, w, {0: 2})
-    x = single_module_complex(m, 0)
-    y = single_module_complex(m, 0)
+    x = single_module_complex(m)
+    y = single_module_complex(m)
     cone = mapping_cone(ChainMap(x, y, {}))
     assert cone.module(-1).dims == m.dims and cone.module(0).dims == m.dims
     assert not cone.diffs.get(-1) or cone.diff(-1).is_zero()
@@ -141,10 +145,10 @@ def test_chain_map_validate_checks_both_squares_at_a_stored_part(point, p):
     x = ComplexOfModules(point, w, {p - 1: k, p: k}, {p - 1: _mor(point, k, k, one)})
     f = {p: _mor(point, k, k, one)}
     with pytest.raises(ValueError, match=f"position {p - 1}"):
-        ChainMap(x, single_module_complex(k, p), f).validate()
+        ChainMap(x, ComplexOfModules(point, w, {p: k}, {}), f).validate()
     y = ComplexOfModules(point, w, {p: k, p + 1: k}, {p: _mor(point, k, k, one)})
     with pytest.raises(ValueError, match=f"position {p}"):
-        ChainMap(single_module_complex(k, p), y, f).validate()
+        ChainMap(ComplexOfModules(point, w, {p: k}, {}), y, f).validate()
     # with both squares commuting it is a chain map
     ChainMap(x, x, {p - 1: _mor(point, k, k, one), **f}).validate()
 
@@ -152,7 +156,7 @@ def test_chain_map_validate_checks_both_squares_at_a_stored_part(point, p):
 def test_zero_map_on_nonacyclic_is_not_quasi_iso(point):
     w = (0, 0)
     m = _vs(point, w, {0: 1})
-    x = single_module_complex(m, 0)
+    x = single_module_complex(m)
     assert not quasi_iso_check(ChainMap(x, x, {}))
 
 
@@ -161,8 +165,8 @@ def test_cone_identities_bit_exact(seed):
     field = GF(2) if seed % 3 == 0 else QQ  # include characteristic two
     pres = point_presentation(field)
     rng = random.Random(500 + seed)
-    m = random_double_complex(rng, pres, grid=(0, 1, 0, 1), degrees=(0, 1))
-    n = random_double_complex(rng, pres, grid=(0, 1, 0, 1), degrees=(0, 1))
+    m = random_double_complex(rng, pres, grid=(0, 1, 0, 1))
+    n = random_double_complex(rng, pres, grid=(0, 1, 0, 1))
     f = random_double_morphism(rng, m, n)
     assert not any(part.is_zero() for part in f.parts.values())
     src = relabel_cells(m, 0)
@@ -171,7 +175,7 @@ def test_cone_identities_bit_exact(seed):
     lhs = total_complex(horizontal_cone(g)).canonical_form()
     mid = mapping_cone(total_chain_map(g)).canonical_form()
     rhs = total_complex(vertical_cone(g)).canonical_form()
-    assert lhs.block_keys() == mid.block_keys() == rhs.block_keys()
+    assert block_keys(lhs) == block_keys(mid) == block_keys(rhs)
     assert lhs.same_content(mid) and mid.same_content(rhs)
     # cones satisfy the double complex axioms
     horizontal_cone(g)._validate()
@@ -180,7 +184,7 @@ def test_cone_identities_bit_exact(seed):
 
 def test_homology_of_simple_complex(multiserial):
     s = simple_module(multiserial, "2", 0, (0, 2))
-    x = single_module_complex(s, 0)
+    x = single_module_complex(s)
     assert homology_tables(x) == {0: {(0, "2"): 1}}
 
 
@@ -195,16 +199,16 @@ def test_biserial_koszul_complex_homology(biserial):
 
 def test_shift_twist_grading_invariants(point):
     rng = random.Random(77)
-    dc = random_double_complex(rng, point, grid=(0, 2, 0, 1), degrees=(0, 1))
+    dc = random_double_complex(rng, point, grid=(0, 2, 0, 1))
     x = total_complex(dc)
     base = homology_tables(x)
     # twist: same homology positionwise
-    assert homology_tables(x.twist()) == base
+    assert homology_tables(twist(x)) == base
     # complex shift: homology shifts position
     shifted = homology_tables(x.shift(1))
     assert shifted == {n - 1: t for n, t in base.items()}
     # grading shift: tables reindexed in internal degree
-    g = homology_tables(x.grading_shift(2))
+    g = homology_tables(grading_shift(x, 2))
     assert g == {n: {(i - 2, v): d for (i, v), d in t.items()} for n, t in base.items()}
 
 
@@ -212,8 +216,8 @@ def test_shift_twist_grading_invariants(point):
 def test_horizontal_homotopy_totalizes(seed):
     pres = point_presentation()
     rng = random.Random(900 + seed)
-    m = random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
-    n = random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
+    m = random_double_complex(rng, pres, grid=(0, 2, 0, 2))
+    n = random_double_complex(rng, pres, grid=(0, 2, 0, 2))
     u, f = random_horizontal_homotopy(rng, m, n)
     tf = total_chain_map(f)
     # the proof's explicit total homotopy: h^n has block u^{i, n-i} at (i-1, i)
@@ -243,19 +247,18 @@ def test_horizontal_homotopy_totalizes(seed):
 
 def test_acyclic_assembly_modes(point):
     rng = random.Random(4)
-    rows_exact = random_double_complex(rng, point, grid=(0, 2, 0, 2),
-                                       degrees=(0, 1), exact_rows=True)
+    rows_exact = random_double_complex(rng, point, grid=(0, 2, 0, 2), exact_rows=True)
     for n in range(-1, 6):
-        verdict, trace = acyclic_assembly_check(rows_exact, n, "rows")
+        verdict, trace = acyclic_assembly_check(rows_exact, n)
         assert verdict is True
         assert trace["verdict"] == "acyclic"
     # zero double complex: trivially acyclic
     empty = DoubleComplex(point, (0, 0), {}, {}, {})
-    verdict, _ = acyclic_assembly_check(empty, 0, "rows")
+    verdict, _ = acyclic_assembly_check(empty, 0)
     assert verdict is True
     # hypothesis failure is reported, not asserted
     dot = DoubleComplex(point, (0, 0), {(0, 0): _vs(point, (0, 0), {0: 1})}, {}, {})
-    verdict, trace = acyclic_assembly_check(dot, 0, "rows")
+    verdict, trace = acyclic_assembly_check(dot, 0)
     assert verdict is None and trace["verdict"] == "hypothesis-failed"
 
 
@@ -263,12 +266,12 @@ def test_acyclic_assembly_modes(point):
 def test_acyclic_assembly_against_direct_homology(seed):
     pres = point_presentation()
     rng = random.Random(60 + seed)
-    dc = random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1),
+    dc = random_double_complex(rng, pres, grid=(0, 2, 0, 2),
                                exact_rows=True)
     tot = total_complex(dc)
     lo, hi = tot.support()
     for n in range(lo, hi + 1):
-        verdict, _ = acyclic_assembly_check(dc, n, "rows")
+        verdict, _ = acyclic_assembly_check(dc, n)
         assert verdict is True
         assert not homology_at(tot, n)
 
@@ -277,7 +280,7 @@ def test_columnwise_quasi_iso_totalizes(point):
     # an instance of the vertical-cone lemma: columnwise quasi-iso =>
     # total quasi-iso, via the cone oracle
     rng = random.Random(123)
-    m = random_double_complex(rng, point, grid=(0, 2, 0, 2), degrees=(0, 1))
+    m = random_double_complex(rng, point, grid=(0, 2, 0, 2))
     f = relabel_double_map(
         random_double_morphism(rng, m, m), relabel_cells(m, 0), relabel_cells(m, 1))
     # build identity morphism columnwise (a quasi-iso on every column)
@@ -369,9 +372,9 @@ def test_cone_of_a_total_chain_map_matches_the_hand_built_cone(seed):
     pres = point_presentation(GF(3) if seed % 2 else QQ)
     rng = random.Random(700 + seed)
     grid = (0, 2, 0, 1) if seed % 4 < 2 else (-1, 1, 0, 2)
-    m = random_double_complex(rng, pres, grid=grid, degrees=(0, 1))
+    m = random_double_complex(rng, pres, grid=grid)
     n = conjugate_double_complex(rng, m) if seed % 3 else \
-        random_double_complex(rng, pres, grid=grid, degrees=(0, 1))
+        random_double_complex(rng, pres, grid=grid)
     f = random_double_morphism(rng, relabel_cells(m, 0), relabel_cells(n, 1))
     g, want = total_chain_map(f), _total_chain_map_reference(f)
     assert g.parts.keys() == want.parts.keys()

@@ -8,6 +8,7 @@ import pytest
 
 from koszul import _kernels
 from koszul.linalg import GF, Matrix, MatrixEquations, QQ, Subspace, matrix_kernels, solve
+from tests.helpers import intersect
 
 P_CHECK = 1000003
 
@@ -41,10 +42,10 @@ def test_subspace_trivial_cases():
     u = Subspace.from_vectors(QQ, 2, [[1, 0]])
     v = Subspace.from_vectors(QQ, 2, [[0, 1]])
     s = u.add(v)
-    assert s.dim == 2 and u.intersect(v).dim == 0
+    assert s.dim == 2 and intersect(u, v).dim == 0
     assert u.perp() == v  # annihilator of the x-axis is the y-functional line
     assert u.project(range(2)) == Matrix.from_rows(QQ, [[0, 1]])   # e_0 is in u, e_1 is not
-    assert u.add(u) == u and u.intersect(u) == u
+    assert u.add(u) == u and intersect(u, u) == u
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
@@ -252,7 +253,7 @@ def test_dimension_formula_against_stacked_oracle(seed):
     u = Subspace.from_vectors(QQ, 7, urows)
     v = Subspace.from_vectors(QQ, 7, vrows)
     s = u.add(v)
-    i = u.intersect(v)
+    i = intersect(u, v)
     assert s.dim == len(_reference_rref(urows + vrows, 7)[1])
     assert s.dim + i.dim == u.dim + v.dim
     # s maps onto a (dim s - dim u)-dimensional subspace of k^7 / u
@@ -265,8 +266,8 @@ def test_double_perp_and_perp_laws(seed):
     u = Subspace.from_vectors(QQ, 6, [[rng.randint(-2, 2) for _ in range(6)] for _ in range(2)])
     v = Subspace.from_vectors(QQ, 6, [[rng.randint(-2, 2) for _ in range(6)] for _ in range(3)])
     assert u.perp().perp() == u
-    assert u.add(v).perp() == u.perp().intersect(v.perp())
-    assert u.intersect(v).perp() == u.perp().add(v.perp())
+    assert u.add(v).perp() == intersect(u.perp(), v.perp())
+    assert intersect(u, v).perp() == u.perp().add(v.perp())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -280,7 +281,7 @@ def test_rationals_agree_with_prime_field(seed):
     assert pq == pp
     gf = GF(P_CHECK)
     assert [[gf.of(v) for v in row] for row in rq.rows] == rp.rows
-    assert fq.kernel_basis().nrows == fp.kernel_basis().nrows
+    assert fq.kernel().basis_matrix().nrows == fp.kernel().basis_matrix().nrows
 
 
 def _random_rows(rng, nrows, ncols, density, rational):
@@ -353,7 +354,7 @@ def test_kernel_and_rank_agree_with_rref(seed):
         mat = Matrix(field, len(rows), n,
                      [{c: w for c, v in enumerate(r) if (w := field.of(v))} for r in rows])
         ker = mat.kernel()
-        dense = mat.kernel_basis()
+        dense = mat.kernel().basis_matrix()
         assert ker == Subspace.from_matrix(dense)
         assert mat.rank() == len(mat.rref()[1])
         assert ker.dim == n - mat.rank()
@@ -422,7 +423,7 @@ def test_rationals_are_ints_when_integral():
     assert piv == (0, 1) and red.sparse_rows == [{0: 1, 2: -1}, {1: 1, 2: 2}]
     red, _ = Matrix.from_rows(QQ, [[3, 1, 0]]).rref()
     assert red.sparse_rows == [{0: 1, 1: f(1, 3)}] and _canonical_rows(red)
-    assert _canonical_rows(third.kernel_basis()) and _canonical_rows(third.rref()[0])
+    assert _canonical_rows(third.kernel().basis_matrix()) and _canonical_rows(third.rref()[0])
     # solutions, of A x = b and of matrix equations
     x = solve(Matrix.from_rows(QQ, [[f(1, 3), 0], [0, 3]]), [1, 1])
     assert x == [3, f(1, 3)] and _canonical(QQ, x)
@@ -470,7 +471,7 @@ def test_matrix_equations_solve_and_kernel(field):
             for k in range(2):
                 flat[2 * r + c][6 + 2 * r + k] -= b.rows[k][c]
     got = [sum(sol["x"].rows + sol["y"].rows, []) for sol in eqs.kernel()]
-    assert got == Matrix.from_rows(field, flat).kernel_basis().rows
+    assert got == Matrix.from_rows(field, flat).kernel().basis_matrix().rows
 
 
 def test_matrix_equations_keep_an_inconsistent_equation():

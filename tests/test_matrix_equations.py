@@ -13,16 +13,17 @@ import random
 import pytest
 
 from koszul.complexes import (ChainMap, ComplexOfModules, null_homotopy_solve,
-                              single_module_complex, total_chain_map, verify_homotopy)
+                              single_module_complex, total_chain_map)
 from koszul.dsl import parse_presentation
 from koszul.linalg import GF, Matrix, QQ
 from koszul.modules import (GradedMorphism, hom_basis, identity_morphism,
                             injective_module, projective_module)
 from koszul.randomgen import (double_hom_basis, point_presentation, random_double_complex,
-                              random_horizontal_homotopy, random_module)
+                              random_horizontal_homotopy)
 from koszul.reports import dumps, morphism_json
 
 from .conftest import presentations_dir
+from .helpers import random_module, verify_homotopy
 
 FIELDS = {"QQ": QQ, "GF(101)": GF(101)}
 
@@ -137,8 +138,8 @@ PINNED_DOUBLE = {
 def test_double_complex_solvers_bytes_pinned(fname, seed):
     pres = point_presentation(FIELDS[fname])
     rng = random.Random(700 + seed)
-    m = random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
-    n = random_double_complex(rng, pres, grid=(0, 2, 0, 2), degrees=(0, 1))
+    m = random_double_complex(rng, pres, grid=(0, 2, 0, 2))
+    n = random_double_complex(rng, pres, grid=(0, 2, 0, 2))
     basis = double_hom_basis(m, n)
     for g in basis:
         g.validate()
@@ -162,7 +163,7 @@ def _identity(cx):
 def test_identity_of_one_term_complex_is_not_null_homotopic(fname):
     # no unknowns at all: u^n maps X^n to X^{n-1} = 0, and the right side is 1
     pres = _pres("kronecker", FIELDS[fname])
-    cx = single_module_complex(projective_module(pres, "1", 0, (0, 4)), 0)
+    cx = single_module_complex(projective_module(pres, "1", 0, (0, 4)))
     assert null_homotopy_solve(_identity(cx)) is None
 
 

@@ -12,9 +12,10 @@ from koszul.modules import (GradedModule, GradedMorphism, _projective_module, bl
                             injective_module, kernel_module, projective_cover,
                             projective_module, quotient_module, radical_pieces,
                             simple_module, standard_module, top_generators, zero_module)
-from koszul.randomgen import (point_presentation, radical_square_zero, random_module,
-                              random_morphism, random_presentation, random_quiver)
+from koszul.randomgen import (point_presentation, random_morphism, random_presentation,
+                              random_quiver)
 from tests.conftest import KRONECKER, MULTISERIAL
+from tests.helpers import radical_square_zero, random_module
 
 
 def test_simple_module_indicator(multiserial):
@@ -118,7 +119,7 @@ def test_cover_is_surjective_with_small_kernel(multiserial):
         rad = radical_pieces(cover)
         for (i, x) in k.dims:
             sub = rad[(i, x)]
-            ker = f.piece(i, x).kernel_basis()
+            ker = f.piece(i, x).kernel().basis_matrix()
             for row in ker.rows:
                 assert sub.contains(row)  # Ker(f) inside rad P
 
