@@ -18,13 +18,19 @@ from .quiver import Path, PathEnumerator, Quiver
 
 @dataclass
 class AlgebraPiece:
-    """e_y Lambda_n e_x by its normal words: the paths x -> y that are not
-    pivots of R_n(x, y)."""
+    """e_y Lambda_n e_x by its normal words: the candidates p.al (p a normal
+    word of degree n-1, al an arrow into y; `candidates` maps each one's arrows
+    to its coordinate) that are not pivots of their `relations`."""
 
     degree: int
     source: object
     target: object
     basis_paths: tuple[Path, ...]
+    candidates: dict
+    relations: Subspace
+
+    def __post_init__(self):
+        self.index = {p.arrows: i for i, p in enumerate(self.basis_paths)}
 
     @property
     def dim(self) -> int:
@@ -35,15 +41,12 @@ class Presentation:
     """A quadratic presentation Lambda = kQ/R over an exact field.
 
     Immutable after construction, so its derived data is memoized on it and
-    dropped with it: the relation pieces R_n (`_rel_piece`), the spaces R^(n)
-    (`_r_upper`, each the perp of a relation piece that sits in the
-    `_rel_piece` of (Lambda^!)^op, reached as `quadratic_dual().opposite()`),
-    algebra pieces (`_alg_piece`), arrow-multiplication matrices and their
-    injective mates (`_arrow_mat`), and the standard projective and injective
-    modules (`_modules`, filled by `koszul.modules`).  Every memoized value is
-    shared and never written into.  Lambda is generated in degree 1, so an
-    algebra piece whose predecessor pieces all vanish is zero by recursion:
-    R_n and kQ_n are then neither built nor stored for it.
+    dropped with it: algebra pieces (`_alg_piece`), arrow-multiplication
+    matrices and their injective mates (`_arrow_mat`), the standard projective
+    and injective modules (`_modules`, filled by `koszul.modules`), and the
+    related presentations.  Every memoized value is shared and never written
+    into.  Only the pairing table's oracle enumerates paths above degree 2:
+    the relation pieces R_n of kQ_n (`_rel_piece`) and R^(n) (`_r_upper`).
     """
 
     def __init__(self, quiver: Quiver, field: Field = QQ, relations=None,
@@ -67,6 +70,7 @@ class Presentation:
         self._support: dict[tuple, frozenset] | None = None
         self._dual: Presentation | None = None
         self._opp: Presentation | None = None
+        self._rev: Presentation | None = None
 
     # -- basic coordinate plumbing ------------------------------------------
 
@@ -113,21 +117,52 @@ class Presentation:
         return space
 
     def algebra_piece(self, n: int, x, y) -> AlgebraPiece:
-        """e_y Lambda_n e_x with its canonical representative paths; zero, with no
-        path enumerated or reduced, once Lambda_{n-1}(x, w) = 0 for each arrow w -> y."""
+        """e_y Lambda_n e_x as the quotient of its candidates by Lambda_{n-2} . R_2.
+
+        A row's pivot is its lex-least word and lex order is a monomial
+        order, so these normal words are the non-pivot paths of R_n(x, y) in
+        kQ_n (Bergman's diamond lemma): a word p.al with p not normal is a
+        pivot of R_{n-1} . kQ_1, and the rest of R_n = R_{n-1} . kQ_1 +
+        kQ_{n-2} . R_2 reduces to the relation rows among the candidates."""
         if n > self.degree_cap:
             raise ValueError(f"degree {n} exceeds cap {self.degree_cap}")
         key = (n, x, y)
         if key not in self._alg_piece:
-            if n and not any(self.dim_piece(n - 1, x, self.quiver.arrows[aidx].source)
-                             for aidx in self.quiver.in_arrows(y)):
-                reps = ()
-            else:
-                pivset = set(self.relation_piece(n, x, y).pivots)
-                reps = tuple(p for i, p in enumerate(self.path_basis(n, x, y).paths)
-                             if i not in pivset)
-            self._alg_piece[key] = AlgebraPiece(n, x, y, reps)
+            words = [()] if n == 0 and x == y else sorted(
+                p.arrows + (aidx,) for aidx in self.quiver.in_arrows(y) if n for p in
+                self.algebra_piece(n - 1, x, self.quiver.arrows[aidx].source).basis_paths)
+            candidates = {word: c for c, word in enumerate(words)}
+            relations = Subspace.from_sparse(self.field, len(words),
+                                             self._relation_rows(n, x, y, candidates))
+            pivots = set(relations.pivots)
+            self._alg_piece[key] = AlgebraPiece(
+                n, x, y, tuple(Path(x, word) for c, word in enumerate(words) if c not in pivots),
+                candidates, relations)
         return self._alg_piece[key]
+
+    def _relation_rows(self, n: int, x, y, candidates) -> list[dict]:
+        """q . r for the normal words q of Lambda_{n-2}(x, b) and the rows r of
+        R_2(b, y), in the candidates' coordinates: the prefix q.be of a term
+        q.be.ga goes to its normal form by left multiplication by be."""
+        rows, columns = [], {}
+        for (b, z), gen in self.relations.items() if n > 1 and candidates else ():
+            if z != y or not self.dim_piece(n - 2, x, b):
+                continue
+            paths = self.path_basis(2, b, y).paths
+            for row in gen.sparse_rows:
+                acc = [{} for _ in range(self.dim_piece(n - 2, x, b))]
+                for col, coeff in row.items():
+                    bidx, gidx = paths[col].arrows
+                    if bidx not in columns:     # left multiplication by be, column by column
+                        columns[bidx] = self.left_arrow_matrix(
+                            self.quiver.arrows[bidx].name, n - 2, x).transpose().sparse_rows
+                    mid = self.algebra_piece(n - 1, x, self.quiver.arrows[bidx].target)
+                    for image, out in zip(columns[bidx], acc):
+                        for j, v in image.items():
+                            c = candidates[mid.basis_paths[j].arrows + (gidx,)]
+                            out[c] = out.get(c, 0) + coeff * v
+                rows.extend(acc)
+        return rows
 
     def dim_piece(self, n, x, y) -> int:
         return self.algebra_piece(n, x, y).dim
@@ -148,26 +183,48 @@ class Presentation:
     # -- multiplication ------------------------------------------------------
 
     def left_arrow_matrix(self, arrow_name: str, n: int, x) -> Matrix:
-        """Left multiplication by an arrow a: w->z on e_w Lambda_n e_x (cached, shared)."""
+        """Left multiplication by an arrow a: w->z on e_w Lambda_n e_x (cached,
+        shared): each p.a is a candidate of e_z Lambda_{n+1} e_x, taken to its class."""
         key = ("left", arrow_name, n, x)
         if key not in self._arrow_mat:
             arrow = self.quiver.arrow(arrow_name)
             aidx = self.quiver.arrow_index(arrow_name)
-            self._arrow_mat[key] = self._multiplication(
-                self.algebra_piece(n, x, arrow.source), self.algebra_piece(n + 1, x, arrow.target),
-                lambda arrows: arrows + (aidx,))
+            src = self.algebra_piece(n, x, arrow.source)
+            tgt = self.algebra_piece(n + 1, x, arrow.target)
+            self._arrow_mat[key] = tgt.relations.project(
+                [tgt.candidates[p.arrows + (aidx,)] for p in src.basis_paths])
         return self._arrow_mat[key]
 
     def right_arrow_matrix(self, arrow_name: str, n: int, w) -> Matrix:
         """Right multiplication by an arrow a: y->x, e_w Lambda_n e_x -> e_w Lambda_{n+1} e_y
-        (cached, shared)."""
+        (cached, shared).  a.p is its own class when it is a normal word; else
+        p = p'.be, and a.p is the class of a.p' (one degree lower) times be."""
         key = ("right", arrow_name, n, w)
         if key not in self._arrow_mat:
             arrow = self.quiver.arrow(arrow_name)
             aidx = self.quiver.arrow_index(arrow_name)
-            self._arrow_mat[key] = self._multiplication(
-                self.algebra_piece(n, arrow.target, w), self.algebra_piece(n + 1, arrow.source, w),
-                lambda arrows: (aidx,) + arrows)
+            src = self.algebra_piece(n, arrow.target, w)
+            tgt = self.algebra_piece(n + 1, arrow.source, w)
+            cols = [{} for _ in range(src.dim)]
+            by_last = {}
+            for i, p in enumerate(src.basis_paths if tgt.dim else ()):
+                j = tgt.index.get((aidx,) + p.arrows)
+                if j is None:
+                    by_last.setdefault(p.arrows[-1], []).append(i)
+                else:
+                    cols[i] = {j: self.field.one}
+            for bidx, members in by_last.items():
+                # the columns of the inner matrix, read once per arrow be
+                beta = self.quiver.arrows[bidx]
+                inner = self.right_arrow_matrix(arrow_name, n - 1, beta.source).transpose()
+                prefix = self.algebra_piece(n - 1, arrow.target, beta.source).index
+                outer = self.left_arrow_matrix(beta.name, n, arrow.source).transpose()
+                picked = Matrix(self.field, len(members), outer.nrows,
+                                [inner.sparse_rows[prefix[src.basis_paths[i].arrows[:-1]]]
+                                 for i in members])
+                for i, col in zip(members, (picked * outer).sparse_rows):
+                    cols[i] = col
+            self._arrow_mat[key] = Matrix(self.field, src.dim, tgt.dim, cols).transpose()
         return self._arrow_mat[key]
 
     def opposite_right_arrow_transpose(self, arrow_name: str, n: int, w) -> Matrix:
@@ -177,15 +234,6 @@ class Presentation:
         if key not in self._arrow_mat:
             self._arrow_mat[key] = self.opposite().right_arrow_matrix(arrow_name, n, w).transpose()
         return self._arrow_mat[key]
-
-    def _multiplication(self, src: AlgebraPiece, tgt: AlgebraPiece, times) -> Matrix:
-        """The map src -> tgt sending each basis path p to the class of the path
-        `times(p.arrows)` modulo the relations of tgt."""
-        if not tgt.dim:
-            return Matrix(self.field, 0, src.dim, [])
-        index = self.path_basis(tgt.degree, tgt.source, tgt.target).index
-        return self.relation_piece(tgt.degree, tgt.source, tgt.target).project(
-            [index[times(p.arrows)] for p in src.basis_paths])
 
     # -- R^(n) ----------------------------------------------------------------
 
@@ -201,41 +249,39 @@ class Presentation:
             self._r_upper[key] = self.quadratic_dual().opposite().relation_piece(n, a, x).perp()
         return self._r_upper[key]
 
-    def r_upper_derivation(self, arrow_name: str, n: int, a) -> Matrix:
-        """The derivation q.al -> q by an arrow al: y -> x, restricted to
-        R^(n)(a, x) -> R^(n-1)(a, y), in the stored bases.  The paths are
-        read from (Lambda^!)^op's bases, where R^(n) is built, so kQ_n is
-        enumerated once."""
-        arrow = self.quiver.arrow(arrow_name)
-        aidx = self.quiver.arrow_index(arrow_name)
-        dual_opposite = self.quadratic_dual().opposite()
-        paths = dual_opposite.path_basis(n, a, arrow.target).paths
-        index = dual_opposite.path_basis(n - 1, a, arrow.source).index
-        tgt = self.r_upper(n - 1, a, arrow.source)
-        images = [{index[paths[c].arrows[:-1]]: v for c, v in row.items()
-                   if paths[c].arrows[-1] == aidx}
-                  for row in self.r_upper(n, a, arrow.target).sparse_rows]
-        return tgt.coordinates_of(Matrix(self.field, len(images), tgt.ambient, images).transpose())
-
     # -- opposites and duals ---------------------------------------------------
 
-    def _transport_to_opposite(self, space: Subspace, x, y, opp_quiver) -> Subspace:
-        """Carry a subspace of kQ_2(x,y) to kQ^o_2(y,x) along p -> p^o."""
+    def _transport(self, space: Subspace, x, y, quiver, pair, word) -> Subspace:
+        """Carry a subspace of kQ_2(x,y) to the kQ'_2 of `quiver` at `pair`
+        along p -> word(p.arrows)."""
         src = self.path_basis(2, x, y)
-        opp_paths = PathEnumerator(opp_quiver, 2).basis(2, y, x)
-        rows = [{opp_paths.index[tuple(reversed(src.paths[c].arrows))]: v
-                 for c, v in row.items()} for row in space.sparse_rows]
-        return Subspace.from_sparse(self.field, len(opp_paths), rows)
+        tgt = PathEnumerator(quiver, 2).basis(2, *pair)
+        rows = [{tgt.index[word(src.paths[c].arrows)]: v for c, v in row.items()}
+                for row in space.sparse_rows]
+        return Subspace.from_sparse(self.field, len(tgt), rows)
 
     def opposite(self) -> "Presentation":
         if self._opp is None:
             opp = self.quiver.opposite()
             rels = {}
             for (x, y), space in self.relations.items():
-                rels[(y, x)] = self._transport_to_opposite(space, x, y, opp)
+                rels[(y, x)] = self._transport(space, x, y, opp, (y, x), lambda w: w[::-1])
             self._opp = Presentation(opp, self.field, rels, self.degree_cap)
             self._opp._opp = self       # the opposite of the opposite is this presentation
         return self._opp
+
+    def reversed_arrows(self) -> "Presentation":
+        """The same algebra with its arrow list reversed: arrow k becomes arrow
+        K-1-k, so lex order on the words of one length turns round."""
+        if self._rev is None:
+            last = len(self.quiver.arrows) - 1
+            quiver = Quiver(self.quiver.vertices, self.quiver.arrows[::-1])
+            rels = {(x, y): self._transport(space, x, y, quiver, (x, y),
+                                            lambda word: tuple(last - k for k in word))
+                    for (x, y), space in self.relations.items()}
+            self._rev = Presentation(quiver, self.field, rels, self.degree_cap)
+            self._rev._rev = self
+        return self._rev
 
     def quadratic_dual(self) -> "Presentation":
         """Lambda^! = kQ^o / R^!, with R^!_2(y,x) the transported perp of R_2(x,y)."""
@@ -248,7 +294,7 @@ class Presentation:
                     continue
                 perp = self.relation_space(x, y).perp()
                 if perp.dim:
-                    rels[(y, x)] = self._transport_to_opposite(perp, x, y, opp)
+                    rels[(y, x)] = self._transport(perp, x, y, opp, (y, x), lambda w: w[::-1])
             self._dual = Presentation(opp, self.field, rels, self.degree_cap)
         return self._dual
 
@@ -267,8 +313,8 @@ class Presentation:
         """dim R^(n)(a,x) versus dim e_a Lambda^!_n e_x; they must agree.
 
         Two recursions meet here: R^(n) is the perp of (Lambda^!)^op's relation
-        piece in kQ_n(a, x), and Lambda^!_n is the quotient by Lambda^!'s own
-        relation piece in kQ^o_n(x, a).  R^(n) as the intersection of the
+        piece in kQ_n(a, x), and Lambda^!_n is counted by Lambda^!'s normal
+        words, which enumerate no path of kQ^o_n.  R^(n) as the intersection of the
         kQ_i . R_2 . kQ_{n-2-i} is checked only by the tests' oracle."""
         left = self.r_upper(n, a, x).dim
         right = self.quadratic_dual().dim_piece(n, x, a)

@@ -36,54 +36,59 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+# the options every subcommand takes, then per subcommand its help and its
+# own arguments, each argument as (flags, keyword arguments)
+_COMMON = [
+    (("--field",), dict(default="rationals", help="'rationals' or a prime p for F_p arithmetic")),
+    (("-N", "--span"), dict(type=int, default=6, help="max homological span for truncated claims")),
+    (("--window",), dict(nargs=2, type=int, default=(-2, 10), metavar=("LO", "HI"),
+                         help="internal degree window")),
+    (("-D", "--degree-cap"), dict(type=int, default=None,
+                                  help="degree cap for algebra pieces (default: fits the window)")),
+    (("--json",), dict(action="store_true", help="machine-readable output")),
+    (("--seed",), dict(type=int, default=0, help="seed for randomized self-check subcommands"))]
+_INPUT = (("input",), dict(help="presentation file (.kz)"))
+_SUBCOMMANDS = {
+    "dual": ("emit the quadratic dual presentation", [_INPUT]),
+    "check-koszul": ("Koszulity certificate", [
+        _INPUT, (("--expect",), dict(choices=["koszul", "non-koszul"], default=None))]),
+    "check-star": ("special multiserial and condition (*) verdicts", [
+        _INPUT, (("--expect",), dict(choices=["satisfied", "violated"], default=None))]),
+    "resolve": ("projective resolution of a module", [
+        _INPUT,
+        (("--module",), dict(required=True,
+                             help="simple:a[@s], proj:a[@s], inj:a[@s] or a JSON file")),
+        (("--coresolution",), dict(action="store_true",
+                                   help="emit the injective coresolution instead"))]),
+    "functor": ("apply a Koszul functor", [
+        _INPUT, (("--side",), dict(required=True, choices=["F", "G"])),
+        (("--module",), dict(required=True))]),
+    "homology": ("homology of a complex file", [
+        _INPUT, (("--complex",), dict(required=True, help="JSON complex in the module schema"))]),
+    "ext-table": ("graded Ext dimensions between simples", [
+        _INPUT, (("--from",), dict(dest="src", required=True)),
+        (("--to",), dict(dest="dst", required=True))]),
+    "pairing-table": ("dim R^(n)(a,x) versus dim e_a Lambda^!_n e_x", [_INPUT]),
+    "selfcheck": ("seeded randomized identity checks", []),
+}
+
+
 @functools.cache
-def build_parser():
-    """The argument parser, built on the first call and shared by every `main`;
-    defaults are immutable, so no parsed namespace shares a mutable value."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="rationals",
-                        help="'rationals' or a prime p for F_p arithmetic")
-    common.add_argument("-N", "--span", type=int, default=6,
-                        help="max homological span for truncated claims")
-    common.add_argument("--window", nargs=2, type=int, default=(-2, 10),
-                        metavar=("LO", "HI"), help="internal degree window")
-    common.add_argument("-D", "--degree-cap", type=int, default=None,
-                        help="degree cap for algebra pieces (default: fits the window)")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized self-check subcommands")
+def build_parser(command=None):
+    """The argument parser, built on the first call per `command` and shared by
+    every `main`; defaults are immutable, so no parsed namespace shares a
+    mutable value.  With a `command`, only that subcommand's parser is built:
+    it parses that command's arguments, help and errors as the full one does."""
     p = _Parser(
         prog="koszul",
         description="Quadratic quiver algebras: Koszul duals, certificates, "
                     "Koszul functors and resolutions, by exact linear algebra.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, with_input=True):
-        sp = sub.add_parser(name, help=help_text, parents=[common])
-        if with_input:
-            sp.add_argument("input", help="presentation file (.kz)")
-        return sp
-
-    add("dual", "emit the quadratic dual presentation")
-    ck = add("check-koszul", "Koszulity certificate")
-    ck.add_argument("--expect", choices=["koszul", "non-koszul"], default=None)
-    cs = add("check-star", "special multiserial and condition (*) verdicts")
-    cs.add_argument("--expect", choices=["satisfied", "violated"], default=None)
-    rs = add("resolve", "projective resolution of a module")
-    rs.add_argument("--module", required=True,
-                    help="simple:a[@s], proj:a[@s], inj:a[@s] or a JSON file")
-    rs.add_argument("--coresolution", action="store_true",
-                    help="emit the injective coresolution instead")
-    fn = add("functor", "apply a Koszul functor")
-    fn.add_argument("--side", required=True, choices=["F", "G"])
-    fn.add_argument("--module", required=True)
-    hm = add("homology", "homology of a complex file")
-    hm.add_argument("--complex", required=True, help="JSON complex in the module schema")
-    et = add("ext-table", "graded Ext dimensions between simples")
-    et.add_argument("--from", dest="src", required=True)
-    et.add_argument("--to", dest="dst", required=True)
-    add("pairing-table", "dim R^(n)(a,x) versus dim e_a Lambda^!_n e_x")
-    add("selfcheck", "seeded randomized identity checks", with_input=False)
+    for name, (help_text, arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flags, kwargs in _COMMON + arguments:
+                sp.add_argument(*flags, **kwargs)
     return p
 
 
@@ -382,7 +387,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = build_parser(command).parse_args(argv)
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, MemoryError, RecursionError) as exc:
         code = exc.code if isinstance(exc, CliError) else 1

@@ -70,14 +70,24 @@ def local_koszul_complex(pres: Presentation, a, policy: TruncationPolicy,
 
 
 def _r_upper_module(pres: Presentation, a, n_max: int) -> GradedModule:
-    """The Lambda^!-module with piece (-n, x) = R^(n)(a, x), n <= n_max, on
-    which each arrow acts by the derivation restricted to R^(n)."""
-    dims = {(-n, x): pres.r_upper(n, a, x).dim
-            for n in range(n_max + 1) for x in pres.quiver.vertices}
-    actions = {(arrow.name, -n): pres.r_upper_derivation(arrow.name, n, a)
-               for n in range(1, n_max + 1) for arrow in pres.quiver.arrows
-               if dims[(-n, arrow.target)] and dims[(1 - n, arrow.source)]}
+    """The Lambda^!-module N_a: piece (-n, x) = R^(n)(a, x), n <= n_max, on
+    which an arrow al acts by the derivation q.al -> q.  R^(n) is the perp of a
+    relation piece of (Lambda^!)^op; reversing its arrow list turns lex order
+    round, so R^(n)'s canonical basis, read backwards, is the dual basis of that
+    presentation's normal words: N_a is the graded dual of its P_a."""
+    if n_max > pres.degree_cap:     # R^(n_max) lies past the cap even where P_a ends sooner
+        raise ValueError(f"degree {pres.degree_cap + 1} exceeds cap {pres.degree_cap}")
+    p_a = projective_module(pres.quadratic_dual().opposite().reversed_arrows(), a, 0, (0, n_max))
+    dims = {(-n, x): d for (n, x), d in p_a.dims.items()}
+    actions = {(name, -n - 1): _reversed_transpose(mat) for (name, n), mat in p_a.actions.items()}
     return GradedModule(pres.quadratic_dual(), (-n_max, 0), dims, actions)
+
+
+def _reversed_transpose(mat: Matrix) -> Matrix:
+    """The transpose of `mat` with its rows and its columns each in reverse order."""
+    t = mat.transpose()
+    return Matrix(t.field, t.nrows, t.ncols,
+                  [{t.ncols - 1 - c: v for c, v in row.items()} for row in t.sparse_rows[::-1]])
 
 
 # -- certificate ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ import string
 
 from koszul.algebra import Presentation
 from koszul.complexes import ChainMap, ComplexOfModules, blocks_of
-from koszul.linalg import QQ, Subspace
+from koszul.linalg import QQ, Matrix, Subspace
 from koszul.modules import (GradedModule, GradedMorphism, direct_sum, projective_module,
                             quotient_module, zero_morphism)
 from koszul.quiver import Quiver
@@ -65,6 +65,26 @@ def verify_homotopy(f: ChainMap, homotopy) -> bool:
 def intersect(u: Subspace, v: Subspace) -> Subspace:
     """u ∩ v as the annihilator of u^⊥ + v^⊥."""
     return u.perp().add(v.perp()).perp()
+
+
+# -- R^(n) ----------------------------------------------------------------------
+
+
+def r_upper_derivation(pres: Presentation, arrow_name: str, n: int, a) -> Matrix:
+    """The derivation q.al -> q by an arrow al: y -> x, restricted to
+    R^(n)(a, x) -> R^(n-1)(a, y), in the bases of `Presentation.r_upper`.
+    The paths are read from (Lambda^!)^op's bases, where R^(n) is built: the
+    reference for the actions of the engine's N_a."""
+    arrow = pres.quiver.arrow(arrow_name)
+    aidx = pres.quiver.arrow_index(arrow_name)
+    dual_opposite = pres.quadratic_dual().opposite()
+    paths = dual_opposite.path_basis(n, a, arrow.target).paths
+    index = dual_opposite.path_basis(n - 1, a, arrow.source).index
+    tgt = pres.r_upper(n - 1, a, arrow.source)
+    images = [{index[paths[c].arrows[:-1]]: v for c, v in row.items()
+               if paths[c].arrows[-1] == aidx}
+              for row in pres.r_upper(n, a, arrow.target).sparse_rows]
+    return tgt.coordinates_of(Matrix(pres.field, len(images), tgt.ambient, images).transpose())
 
 
 # -- random quivers, presentations and modules ----------------------------------

@@ -9,10 +9,8 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from koszul.complexes import (ComplexOfModules, acyclic_assembly_check, homology_at,
-                              homology_tables, is_acyclic, mapping_cone,
+                              homology_tables, mapping_cone,
                               null_homotopy_solve, relabel_cells, relabel_double_map,
                               total_chain_map, total_complex, horizontal_cone,
                               vertical_cone)

@@ -7,12 +7,12 @@ import random
 import pytest
 
 from koszul.algebra import Presentation, subspace_circuits
-from koszul.dsl import parse_presentation, print_presentation
+from koszul.dsl import parse_presentation
 from koszul.linalg import GF, Matrix, QQ, Subspace
 from koszul.quiver import Quiver
 from koszul.randomgen import random_presentation, random_quiver
 from tests.conftest import MULTISERIAL, presentations_dir
-from tests.helpers import intersect, radical_square_zero, random_module
+from tests.helpers import intersect, r_upper_derivation, radical_square_zero, random_module
 
 P_CHECK = 1000003
 
@@ -167,7 +167,7 @@ def test_r_upper_derivation_matches_dense_reference(biserial, multiserial, krone
         oracle = functools.cache(functools.partial(_r_upper_oracle, pres))
         for a in pres.quiver.vertices:
             for arrow in pres.quiver.arrows:
-                assert pres.r_upper_derivation(arrow.name, n, a) == \
+                assert r_upper_derivation(pres, arrow.name, n, a) == \
                     _r_upper_derivation_reference(pres, oracle, arrow, n, a), (n, a, arrow.name)
 
 
@@ -188,7 +188,7 @@ def test_r_upper_derivation_extracts_coefficients(src, a, x, coefficients):
     assert pres.r_upper(2, a, x).dim == 1
     lead = next(iter(coefficients.values()))
     for name, c in coefficients.items():
-        d = pres.r_upper_derivation(name, 2, a)
+        d = r_upper_derivation(pres, name, 2, a)
         assert [[lead * v for v in row] for row in d.rows] == [[c]]
 
 
@@ -198,7 +198,7 @@ def test_r_upper_derivation_containment(biserial, multiserial):
         for a in pres.quiver.vertices:
             for n in range(1, 7):
                 for arrow in pres.quiver.arrows:
-                    pres.r_upper_derivation(arrow.name, n, a)
+                    r_upper_derivation(pres, arrow.name, n, a)
 
 
 def test_r_upper_membership_criterion(multiserial):
@@ -482,23 +482,67 @@ def _multiplication_reference(pres, src, tgt, times):
     return Matrix.from_rows(field, cols).transpose() if cols else Matrix.zeros(field, tgt.dim, 0)
 
 
+def _assert_arrow_matrices_match_reference(ps, top, pres=None):
+    """Both arrow matrices of ps up to degree `top` against unit-vector
+    reduction modulo R_{n+1}, and, where ps is the opposite of `pres`, the
+    injective-side mate of right multiplication."""
+    for arrow in ps.quiver.arrows:
+        aidx = ps.quiver.arrow_index(arrow.name)
+        for n in range(top + 1):
+            for v in ps.quiver.vertices:
+                assert ps.left_arrow_matrix(arrow.name, n, v) == _multiplication_reference(
+                    ps, ps.algebra_piece(n, v, arrow.source),
+                    ps.algebra_piece(n + 1, v, arrow.target), lambda q: q + (aidx,))
+                right = _multiplication_reference(
+                    ps, ps.algebra_piece(n, arrow.target, v),
+                    ps.algebra_piece(n + 1, arrow.source, v), lambda q: (aidx,) + q)
+                assert ps.right_arrow_matrix(arrow.name, n, v) == right
+                if pres is not None:
+                    assert pres.opposite_right_arrow_transpose(arrow.name, n, v) \
+                        == right.transpose()
+
+
 @pytest.mark.parametrize("p", [None, 2, 101], ids=["QQ", "GF(2)", "GF(101)"])
 @pytest.mark.parametrize("seed", range(4))
 def test_arrow_matrices_match_unit_vector_reduction(p, seed):
     field = QQ if p is None else GF(p)
     pres = random_presentation(random.Random(seed), field=field, degree_cap=5)
-    for ps in (pres, pres.opposite()):
-        for arrow in ps.quiver.arrows:
-            aidx = ps.quiver.arrow_index(arrow.name)
-            for n in range(4):
-                for v in ps.quiver.vertices:
-                    assert ps.left_arrow_matrix(arrow.name, n, v) == _multiplication_reference(
-                        ps, ps.algebra_piece(n, v, arrow.source),
-                        ps.algebra_piece(n + 1, v, arrow.target), lambda q: q + (aidx,))
-                    right = _multiplication_reference(
-                        ps, ps.algebra_piece(n, arrow.target, v),
-                        ps.algebra_piece(n + 1, arrow.source, v), lambda q: (aidx,) + q)
-                    assert ps.right_arrow_matrix(arrow.name, n, v) == right
-                    if ps is not pres:      # the injective side: opposite right multiplication
-                        assert pres.opposite_right_arrow_transpose(arrow.name, n, v) \
-                            == right.transpose()
+    _assert_arrow_matrices_match_reference(pres, 3)
+    _assert_arrow_matrices_match_reference(pres.opposite(), 3, pres)
+
+
+def _quotient_corpus(pres):
+    """The presentations the engine builds normal words on: Lambda, Lambda^!,
+    its opposite (injectives) and (Lambda^!)^op with its arrows reversed (N_a)."""
+    dual = pres.quadratic_dual()
+    return (pres, pres.opposite(), dual, dual.opposite().reversed_arrows())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF(3)"])
+@pytest.mark.parametrize("name", [p.stem for p in sorted(presentations_dir().glob("*.kz"))])
+def test_quotient_recursion_matches_relation_pieces_on_shipped_presentations(name, field):
+    # the normal words and both arrow matrices from the quotient recursion
+    # against the non-pivot paths of R_n and unit-vector reduction modulo R_n
+    pres = parse_presentation((presentations_dir() / f"{name}.kz").read_text(), field, 5)
+    for ps in _quotient_corpus(pres):
+        _assert_pieces_are_normal_words(ps)
+        _assert_arrow_matrices_match_reference(ps, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF(3)"])
+def test_quotient_recursion_matches_relation_pieces_on_random_presentations(field):
+    for seed in range(24):
+        rng = random.Random(seed)
+        pres = random_presentation(rng, random_quiver(rng, 3, 4), field, 5)
+        for ps in _quotient_corpus(pres):
+            _assert_pieces_are_normal_words(ps)
+            _assert_arrow_matrices_match_reference(ps, 3)
+
+
+def test_reversed_arrows_reverses_lex_order_and_keeps_the_algebra(multiserial):
+    rev = multiserial.reversed_arrows()
+    assert rev.reversed_arrows() is multiserial
+    assert [a.name for a in rev.quiver.arrows] == [a.name for a in multiserial.quiver.arrows][::-1]
+    for n, (x, y) in itertools.product(range(5), itertools.product(
+            multiserial.quiver.vertices, repeat=2)):
+        assert rev.dim_piece(n, x, y) == multiserial.dim_piece(n, x, y)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import json
@@ -19,7 +20,7 @@ from koszul.engine import (TruncationPolicy, ext_table, extend_functor, extend_f
 from koszul.linalg import GF, QQ
 from koszul.modules import GradedMorphism, identity_morphism, projective_module
 from koszul.randomgen import random_morphism
-from koszul.reports import dumps, module_json, morphism_json, complex_json, complex_from_json
+from koszul.reports import dumps, morphism_json, complex_json, complex_from_json
 from koszul.complexes import (ChainMap, ComplexOfModules, relabel_positions,
                               single_module_complex)
 from tests.conftest import MULTISERIAL as MULTISERIAL_TEXT, ROOT, presentations_dir
@@ -139,6 +140,17 @@ def test_json_bytes_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_span_past_the_degree_cap_is_an_input_error(capsys):
+    # N_a needs R^(n) up to n = N, so a span above -D is refused at degree
+    # cap + 1, even where Lambda^! vanishes below it (biserial's Lambda^!_9)
+    code, out, _ = run(capsys, "check-koszul", MULTISERIAL, "-N", "8", "-D", "4", "--json")
+    assert code == 1
+    assert json.loads(out) == {"code": "input-error", "error": "degree 5 exceeds cap 4",
+                               "exit": 1}
+    code, out, err = run(capsys, "check-koszul", BISERIAL, "-N", "9", "-D", "8")
+    assert (code, out, err) == (1, "", "error: degree 9 exceeds cap 8\n")
 
 
 def _certificate(capsys, *argv):
@@ -512,8 +524,8 @@ def _subscript_base(node):
 def test_package_source_guards():
     # matrices and the containers above are built whole and never written in
     # place (no `m.sparse_rows[i][j] = ...`, `out.parts[k] = ...` or
-    # `m.sparse_rows.append`), and every module-level import is used (__init__
-    # re-exports on purpose)
+    # `m.sparse_rows.append`), and every module-level import is used, in the
+    # package (__init__ re-exports on purpose) and in the tests
     for path in sorted(Path(koszul.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -529,15 +541,21 @@ def test_package_source_guards():
                             and isinstance(owner, ast.Attribute)
                             and owner.attr in ("rows", "sparse_rows")), \
                     f"{path.name}:{node.lineno} grows .{owner.attr} in place"
-        if path.name == "__init__.py":
-            continue
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
-                    getattr(node, "module", None) != "__future__":
-                for alias in node.names:
-                    name = (alias.asname or alias.name).split(".")[0]
-                    assert name in used, f"{path.name}:{node.lineno} imports unused {name}"
+        if path.name != "__init__.py":
+            _assert_imports_used(path, tree)
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        _assert_imports_used(path, ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _assert_imports_used(path, tree):
+    """Every module-level import of the file is named somewhere in it."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                assert name in used, f"{path.name}:{node.lineno} imports unused {name}"
 
 
 # public names the package may define though nothing in it or in perfbench/
@@ -651,6 +669,25 @@ def test_path_actions_have_one_routine():
                     f"engine.py:{node.lineno} imports from koszul.quiver"
 
 
+# the engine reaches Lambda_n, Lambda^!_n and N_a through normal words only:
+# relation pieces of kQ_n and the spaces R^(n) are the pairing table's oracle,
+# and a path basis is read only in degree 2, for the relations a module checks
+PATH_SPACE_CALLS = {"relation_piece", "r_upper"}
+
+
+def test_engine_builds_no_path_space():
+    for name in ("engine.py", "modules.py"):
+        path = Path(koszul.__file__).parent / name
+        for func, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            attr = getattr(call.func, "attr", None)
+            assert attr not in PATH_SPACE_CALLS, f"{name}:{call.lineno} {func} calls .{attr}"
+            if attr == "path_basis":
+                degree = call.args[0]
+                assert (name, func) == ("modules.py", "GradedModule.validate") and \
+                    isinstance(degree, ast.Constant) and degree.value == 2, \
+                    f"{name}:{call.lineno} {func} enumerates paths"
+
+
 # the cone and the total complex read the stored dicts, never the accessors
 # that synthesize a zero object on a miss
 ZERO_ACCESSORS = {"module", "diff", "part", "cell", "v", "h"}
@@ -692,7 +729,9 @@ def test_package_has_no_true_division():
 
 
 def test_parser_is_built_once_and_namespaces_keep_their_own_window(monkeypatch):
-    assert cli.build_parser() is cli.build_parser()
+    # one parser per invoked subcommand, and one full parser
+    for command in [None, *cli._SUBCOMMANDS]:
+        assert cli.build_parser(command) is cli.build_parser(command)
     seen = []
 
     def record(args):
@@ -706,6 +745,39 @@ def test_parser_is_built_once_and_namespaces_keep_their_own_window(monkeypatch):
     assert [list(w) for w in seen] == [[0, 3], [1, 5], [-2, 10]]
     # a namespace's window is its own list or the immutable default
     assert seen[0] is not seen[1] and isinstance(seen[2], tuple)
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parsed(parser, argv):
+    """The namespace of argv as a dict, or the usage error's text."""
+    try:
+        return vars(parser.parse_args(argv))
+    except CliError as exc:
+        return str(exc)
+
+
+def test_subcommand_parser_matches_the_full_parser():
+    # `main` builds only the invoked subcommand's parser; its help, its usage
+    # errors and its `invalid choice` errors are the full parser's, byte for byte
+    full = cli.build_parser()
+    assert list(_subparsers(full)) == list(cli._SUBCOMMANDS) == list(cli._COMMANDS)
+    for command in cli._SUBCOMMANDS:
+        own = cli.build_parser(command)
+        assert list(_subparsers(own)) == [command]
+        assert _subparsers(own)[command].format_help() == _subparsers(full)[command].format_help()
+        for argv in ([command], [command, "in.kz"], [command, "in.kz", "--no-such-flag"],
+                     [command, "in.kz", "-N", "abc"], [command, "in.kz", "--window", "1"],
+                     [command, "in.kz", "--expect", "maybe"], [command, "in.kz", "--side", "H"],
+                     [command, "in.kz", "--side", "F", "--module", "simple:1", "--json"]):
+            assert _parsed(own, argv) == _parsed(full, argv), argv
+    errors = [_parsed(full, argv) for argv in (["check-koszul", "in.kz", "--expect", "maybe"],
+                                               ["functor", "in.kz", "--side", "H"])]
+    assert all("invalid choice" in e for e in errors)
+    # an unknown command, or none, goes to the full parser
+    assert "invalid choice: 'no-such-command'" in _parsed(full, ["no-such-command"])
 
 
 KZ_TEXTS = [p.read_text() for p in sorted(presentations_dir().glob("*.kz"))]

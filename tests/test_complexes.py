@@ -9,9 +9,8 @@ from koszul.complexes import (ChainMap, ComplexOfModules, DoubleComplex,
                               acyclic_assembly_check, blocks_of, homology_at, homology_tables,
                               horizontal_cone, is_acyclic, mapping_cone,
                               null_homotopy_solve, quasi_iso_check, relabel_cells,
-                              relabel_double_map, relabel_positions,
-                              single_module_complex, total_chain_map, total_complex,
-                              vertical_cone)
+                              relabel_double_map, single_module_complex, total_chain_map,
+                              total_complex, vertical_cone)
 from koszul.dsl import parse_presentation
 from koszul.engine import (TruncationPolicy, eta_augmentation, local_koszul_complex,
                            zeta_coaugmentation)

@@ -25,12 +25,11 @@ from koszul.modules import (GradedModule, GradedMorphism, block_morphism, direct
                             hom_basis, identity_morphism, injective_module, kernel_module,
                             projective_cover, projective_module, simple_module,
                             standard_module)
-from koszul.quiver import Path
 from koszul.randomgen import random_morphism, random_presentation, random_quiver
 from koszul.reports import dumps, morphism_json
 from tests.conftest import EMPTY, MULTISERIAL, ROOT, presentations_dir
-from tests.helpers import (grading_shift, radical_square_zero, random_acyclic_quiver,
-                           random_module, twist)
+from tests.helpers import (grading_shift, r_upper_derivation, radical_square_zero,
+                           random_acyclic_quiver, random_module, twist)
 
 POLICY = TruncationPolicy(6, (-2, 10))
 
@@ -71,6 +70,37 @@ def test_r_upper_is_a_module_over_the_quadratic_dual(biserial, multiserial, kron
             for n in range(6):
                 for x in pres.quiver.vertices:
                     assert n_a.dim(-n, x) == dual.dim_piece(n, x, a)
+
+
+def _assert_n_a_matches_reference(pres, n_max):
+    """N_a from the normal words of (Lambda^!)^op with its arrows reversed
+    against R^(n)'s canonical bases and the derivations q.al -> q on them."""
+    for a in pres.quiver.vertices:
+        n_a = _r_upper_module(pres, a, n_max)
+        assert n_a.pres is pres.quadratic_dual()
+        for n in range(n_max + 1):
+            for x in pres.quiver.vertices:
+                assert n_a.dim(-n, x) == pres.r_upper(n, a, x).dim, (a, n, x)
+            for arrow in pres.quiver.arrows if n else ():
+                assert n_a.action(arrow.name, -n) == \
+                    r_upper_derivation(pres, arrow.name, n, a), (a, n, arrow.name)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF(3)"])
+@pytest.mark.parametrize("name", [p.stem for p in sorted(presentations_dir().glob("*.kz"))])
+def test_r_upper_module_matches_the_derivation_reference_on_shipped_presentations(name, field):
+    pres = parse_presentation((presentations_dir() / f"{name}.kz").read_text(), field, 6)
+    _assert_n_a_matches_reference(pres, 6)
+    _assert_n_a_matches_reference(pres.quadratic_dual(), 6)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF(3)"])
+def test_r_upper_module_matches_the_derivation_reference_on_random_presentations(field):
+    for seed in range(24):
+        rng = random.Random(seed)
+        pres = random_presentation(rng, random_quiver(rng, 3, 4), field, 6)
+        _assert_n_a_matches_reference(pres, 6)
+        _assert_n_a_matches_reference(pres.quadratic_dual(), 6)
 
 
 def test_certificate_intersects_no_subspaces():
@@ -948,8 +978,11 @@ def test_certificate_ranks_each_piece_once(multiserial, monkeypatch):
 
 def test_deep_certificate_reduces_no_relation_piece_past_the_vanishing_degree():
     # Lambda vanishes in degree 3, so every later piece is zero by recursion;
-    # the R^(n) spans still enumerate kQ_n up to the span
+    # Lambda_n and N_a come from normal words, so no presentation the
+    # certificate reaches enumerates a path above degree 2 (its relations')
     pres = parse_presentation(MULTISERIAL, QQ, degree_cap=24)
     assert koszulity_certificate(pres, TruncationPolicy(12, (-2, 24))).verdict == "KOSZUL"
-    assert max(n for n, _, _ in pres._rel_piece) <= 3
-    assert max(n for n, _ in pres.paths._layers) <= 12
+    assert all(n <= 3 for n, _, _ in pres._rel_piece)
+    dual = pres.quadratic_dual()
+    for ps in (pres, dual, dual.opposite(), dual.opposite().reversed_arrows()):
+        assert all(n <= 2 for n, _ in ps.paths._layers)

@@ -7,7 +7,7 @@ import pytest
 
 from koszul.dsl import parse_presentation
 from koszul.linalg import GF, Matrix, QQ, Subspace
-from koszul.modules import (GradedModule, GradedMorphism, _projective_module, block_morphism,
+from koszul.modules import (GradedModule, _projective_module, block_morphism,
                             block_parts, direct_sum, hom_basis,
                             injective_module, kernel_module, projective_cover,
                             projective_module, quotient_module, radical_pieces,
