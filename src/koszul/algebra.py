@@ -22,9 +22,6 @@ class AlgebraPiece:
     word of degree n-1, al an arrow into y; `candidates` maps each one's arrows
     to its coordinate) that are not pivots of their `relations`."""
 
-    degree: int
-    source: object
-    target: object
     basis_paths: tuple[Path, ...]
     candidates: dict
     relations: Subspace
@@ -65,6 +62,7 @@ class Presentation:
         self._rel_piece: dict[tuple, Subspace] = {}
         self._r_upper: dict[tuple, Subspace] = {}
         self._alg_piece: dict[tuple, AlgebraPiece] = {}
+        self._empty_piece = AlgebraPiece((), {}, Subspace.zero(field, 0))
         self._arrow_mat: dict[tuple, Matrix] = {}
         self._modules: dict[tuple, object] = {}
         self._support: dict[tuple, frozenset] | None = None
@@ -123,7 +121,8 @@ class Presentation:
         order, so these normal words are the non-pivot paths of R_n(x, y) in
         kQ_n (Bergman's diamond lemma): a word p.al with p not normal is a
         pivot of R_{n-1} . kQ_1, and the rest of R_n = R_{n-1} . kQ_1 +
-        kQ_{n-2} . R_2 reduces to the relation rows among the candidates."""
+        kQ_{n-2} . R_2 reduces to the relation rows among the candidates.
+        Every piece without candidates is one shared empty piece."""
         if n > self.degree_cap:
             raise ValueError(f"degree {n} exceeds cap {self.degree_cap}")
         key = (n, x, y)
@@ -131,13 +130,16 @@ class Presentation:
             words = [()] if n == 0 and x == y else sorted(
                 p.arrows + (aidx,) for aidx in self.quiver.in_arrows(y) if n for p in
                 self.algebra_piece(n - 1, x, self.quiver.arrows[aidx].source).basis_paths)
-            candidates = {word: c for c, word in enumerate(words)}
-            relations = Subspace.from_sparse(self.field, len(words),
-                                             self._relation_rows(n, x, y, candidates))
-            pivots = set(relations.pivots)
-            self._alg_piece[key] = AlgebraPiece(
-                n, x, y, tuple(Path(x, word) for c, word in enumerate(words) if c not in pivots),
-                candidates, relations)
+            if not words:
+                self._alg_piece[key] = self._empty_piece
+            else:
+                candidates = {word: c for c, word in enumerate(words)}
+                relations = Subspace.from_sparse(self.field, len(words),
+                                                 self._relation_rows(n, x, y, candidates))
+                pivots = set(relations.pivots)
+                self._alg_piece[key] = AlgebraPiece(
+                    tuple(Path(x, word) for c, word in enumerate(words) if c not in pivots),
+                    candidates, relations)
         return self._alg_piece[key]
 
     def _relation_rows(self, n: int, x, y, candidates) -> list[dict]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import random
 import sys
@@ -36,43 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-# the options every subcommand takes, then per subcommand its help and its
-# own arguments, each argument as (flags, keyword arguments)
-_COMMON = [
-    (("--field",), dict(default="rationals", help="'rationals' or a prime p for F_p arithmetic")),
-    (("-N", "--span"), dict(type=int, default=6, help="max homological span for truncated claims")),
-    (("--window",), dict(nargs=2, type=int, default=(-2, 10), metavar=("LO", "HI"),
-                         help="internal degree window")),
-    (("-D", "--degree-cap"), dict(type=int, default=None,
-                                  help="degree cap for algebra pieces (default: fits the window)")),
-    (("--json",), dict(action="store_true", help="machine-readable output")),
-    (("--seed",), dict(type=int, default=0, help="seed for randomized self-check subcommands"))]
-_INPUT = (("input",), dict(help="presentation file (.kz)"))
-_SUBCOMMANDS = {
-    "dual": ("emit the quadratic dual presentation", [_INPUT]),
-    "check-koszul": ("Koszulity certificate", [
-        _INPUT, (("--expect",), dict(choices=["koszul", "non-koszul"], default=None))]),
-    "check-star": ("special multiserial and condition (*) verdicts", [
-        _INPUT, (("--expect",), dict(choices=["satisfied", "violated"], default=None))]),
-    "resolve": ("projective resolution of a module", [
-        _INPUT,
-        (("--module",), dict(required=True,
-                             help="simple:a[@s], proj:a[@s], inj:a[@s] or a JSON file")),
-        (("--coresolution",), dict(action="store_true",
-                                   help="emit the injective coresolution instead"))]),
-    "functor": ("apply a Koszul functor", [
-        _INPUT, (("--side",), dict(required=True, choices=["F", "G"])),
-        (("--module",), dict(required=True))]),
-    "homology": ("homology of a complex file", [
-        _INPUT, (("--complex",), dict(required=True, help="JSON complex in the module schema"))]),
-    "ext-table": ("graded Ext dimensions between simples", [
-        _INPUT, (("--from",), dict(dest="src", required=True)),
-        (("--to",), dict(dest="dst", required=True))]),
-    "pairing-table": ("dim R^(n)(a,x) versus dim e_a Lambda^!_n e_x", [_INPUT]),
-    "selfcheck": ("seeded randomized identity checks", []),
-}
-
-
 @functools.cache
 def build_parser(command=None):
     """The argument parser, built on the first call per `command` and shared by
@@ -84,7 +48,7 @@ def build_parser(command=None):
         description="Quadratic quiver algebras: Koszul duals, certificates, "
                     "Koszul functors and resolutions, by exact linear algebra.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments) in _SUBCOMMANDS.items():
+    for name, (_, help_text, arguments) in _SUBCOMMANDS.items():
         if command in (None, name):
             sp = sub.add_parser(name, help=help_text)
             for flags, kwargs in _COMMON + arguments:
@@ -229,20 +193,21 @@ def cmd_resolve(args):
     else:
         res = engine.projective_resolution(m, policy)
         kind = "projective resolution"
+    labels = res.labels
     def payload():      # every dense action and differential: built only under --json
         return {"command": "resolve", "kind": kind, "koszul_certificate": cert.verdict,
                 "asserted": cert.is_koszul, "quasi_isomorphism": res.quasi_iso,
                 "h0_isomorphism": res.h0_isomorphism,
                 "safe_positions": list(res.safe_positions),
-                "complex": reports.labeled_complex_json(res.complex, res.labels)}
+                "complex": reports.labeled_complex_json(res.complex, labels)}
     lines = [f"{kind}; certificate: {cert.verdict}",
              f"quasi-isomorphism: {res.quasi_iso} (safe positions "
              f"{res.safe_positions[0]}..{res.safe_positions[1]}); "
              f"H^0 matches: {res.h0_isomorphism}"]
-    for n in sorted(res.labels):
+    for n in sorted(labels):
         terms = ", ".join(f"{'P' if not args.coresolution else 'I'}_{e['vertex']}"
                           f"<{e['shift']}>^{e['multiplicity']}"
-                          for e in res.labels[n]) or "0"
+                          for e in labels[n]) or "0"
         lines.append(f"  position {n}: {terms}")
     _emit(args, payload, lines)
     if cert.is_koszul and not (res.quasi_iso and res.h0_isomorphism):
@@ -256,7 +221,7 @@ def cmd_functor(args):
     m = _module_of(args, pres, policy)
     side = "right" if args.side == "F" else "left"
     cx = engine.koszul_functor(side, m, policy.degree_window)
-    labels = engine.functor_labels(cx, side, pres.quadratic_dual())
+    labels = engine.functor_labels(cx)
     def payload():      # the complex and its homology: built only under --json
         return {"command": "functor", "side": args.side,
                 "complex": reports.labeled_complex_json(cx, labels),
@@ -370,16 +335,41 @@ def cmd_selfcheck(args):
     return 0 if not failures else 2
 
 
-_COMMANDS = {
-    "dual": cmd_dual,
-    "check-koszul": cmd_check_koszul,
-    "check-star": cmd_check_star,
-    "resolve": cmd_resolve,
-    "functor": cmd_functor,
-    "homology": cmd_homology,
-    "ext-table": cmd_ext_table,
-    "pairing-table": cmd_pairing_table,
-    "selfcheck": cmd_selfcheck,
+# the options every subcommand takes, then per subcommand its handler, its
+# help and its own arguments, each argument as (flags, keyword arguments)
+_COMMON = [
+    (("--field",), dict(default="rationals", help="'rationals' or a prime p for F_p arithmetic")),
+    (("-N", "--span"), dict(type=int, default=6, help="max homological span for truncated claims")),
+    (("--window",), dict(nargs=2, type=int, default=(-2, 10), metavar=("LO", "HI"),
+                         help="internal degree window")),
+    (("-D", "--degree-cap"), dict(type=int, default=None,
+                                  help="degree cap for algebra pieces (default: fits the window)")),
+    (("--json",), dict(action="store_true", help="machine-readable output")),
+    (("--seed",), dict(type=int, default=0, help="seed for randomized self-check subcommands"))]
+_INPUT = (("input",), dict(help="presentation file (.kz)"))
+_SUBCOMMANDS = {
+    "dual": (cmd_dual, "emit the quadratic dual presentation", [_INPUT]),
+    "check-koszul": (cmd_check_koszul, "Koszulity certificate", [
+        _INPUT, (("--expect",), dict(choices=["koszul", "non-koszul"], default=None))]),
+    "check-star": (cmd_check_star, "special multiserial and condition (*) verdicts", [
+        _INPUT, (("--expect",), dict(choices=["satisfied", "violated"], default=None))]),
+    "resolve": (cmd_resolve, "projective resolution of a module", [
+        _INPUT,
+        (("--module",), dict(required=True,
+                             help="simple:a[@s], proj:a[@s], inj:a[@s] or a JSON file")),
+        (("--coresolution",), dict(action="store_true",
+                                   help="emit the injective coresolution instead"))]),
+    "functor": (cmd_functor, "apply a Koszul functor", [
+        _INPUT, (("--side",), dict(required=True, choices=["F", "G"])),
+        (("--module",), dict(required=True))]),
+    "homology": (cmd_homology, "homology of a complex file", [
+        _INPUT, (("--complex",), dict(required=True, help="JSON complex in the module schema"))]),
+    "ext-table": (cmd_ext_table, "graded Ext dimensions between simples", [
+        _INPUT, (("--from",), dict(dest="src", required=True)),
+        (("--to",), dict(dest="dst", required=True))]),
+    "pairing-table": (cmd_pairing_table, "dim R^(n)(a,x) versus dim e_a Lambda^!_n e_x",
+                      [_INPUT]),
+    "selfcheck": (cmd_selfcheck, "seeded randomized identity checks", []),
 }
 
 
@@ -389,11 +379,15 @@ def main(argv=None) -> int:
     try:
         command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
         args = build_parser(command).parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except (CliError, ValueError, MemoryError, RecursionError) as exc:
+        # free the failed command's frames, and after running out of memory or stack
+        # its presentation's reference cycles, before the error is formatted
+        exc.__traceback__ = None
         code = exc.code if isinstance(exc, CliError) else 1
         message = str(exc)
         if isinstance(exc, (MemoryError, RecursionError)):
+            gc.collect()
             message = f"input too large: {type(exc).__name__} {message}".rstrip()
         # a usage error leaves no parsed arguments: look for --json in argv
         if args.json if args is not None else "--json" in argv:

@@ -393,24 +393,17 @@ def extend_functor_map(side: str, f: ChainMap, window,
     return total_chain_map(dmap)
 
 
-def functor_labels(cx: ComplexOfModules, side: str, target_pres):
+def functor_labels(cx: ComplexOfModules):
     """Per position, the (vertex, shift, multiplicity) of each labeled summand.
 
-    A summand is P_x<j> (right side) or I_x<j> (left side) tensored with a
-    space of the multiplicity's dimension, so any one of its pieces gives it.
+    A summand P_x<j> (x) N_j e_x (or I_x<j> (x) N_j e_x) is keyed by its
+    parent's key + ((x, j),), and `tensor` builds it as the sum of its
+    multiplicity's number of copies of P_x<j> (I_x<j>).
     """
-    out = {}
-    for n in cx.positions():
-        entries = []
-        for key, sub in blocks_of(cx.module(n)):
-            (x, j) = key[-1]
-            (i, y), d = next(iter(sub.dims.items()))
-            base = target_pres.dim_piece(j + i, x, y) if side == "right" else \
-                target_pres.opposite().dim_piece(-(j + i), x, y)
-            entries.append({"vertex": x, "shift": j, "multiplicity": d // base,
-                            "key": repr(key)})
-        out[n] = entries
-    return out
+    return {n: [{"vertex": key[-1][0], "shift": key[-1][1],
+                 "multiplicity": 1 if sub.blocks is None else len(sub.blocks),
+                 "key": repr(key)} for key, sub in blocks_of(cx.module(n))]
+            for n in cx.positions()}
 
 
 # -- eta and zeta -------------------------------------------------------------------
@@ -435,7 +428,11 @@ class AugmentationResult:
     safe_positions: tuple
     quasi_iso: bool
     h0_isomorphism: bool
-    labels: dict
+
+    @property
+    def labels(self) -> dict:
+        """position -> the labels of the complex's summands (`functor_labels`)."""
+        return functor_labels(self.complex)
 
     def betti(self):
         """position -> {(vertex, shift): multiplicity} from the label map."""
@@ -453,14 +450,11 @@ def _augmentation_input(m: GradedModule, policy: TruncationPolicy) -> GradedModu
     return m if m.blocks is None else GradedModule(m.pres, m.window, m.dims, m.actions)
 
 
-def _augmentation_result(cx: ComplexOfModules, f: ChainMap, safe: tuple,
-                         side: str) -> AugmentationResult:
-    """The (co)resolution cx of f with its verdicts and the labels of its
-    `side` functor's summands."""
+def _augmentation_result(cx: ComplexOfModules, f: ChainMap, safe: tuple) -> AugmentationResult:
+    """The (co)resolution cx of f with its verdicts."""
     cone = mapping_cone(f)
     qi = is_acyclic(cone, range(safe[0], safe[1] + 1))
-    return AugmentationResult(cx, f, safe, qi, _h0_isomorphism(cone),
-                              functor_labels(cx, side, cx.pres))
+    return AugmentationResult(cx, f, safe, qi, _h0_isomorphism(cone))
 
 
 def _h0_isomorphism(cone: ComplexOfModules) -> bool:
@@ -494,7 +488,7 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
     eta0 = block_morphism(src0, m, [m], [sub for _, sub in blocks], parts)
     eta = ChainMap(src, single_module_complex(m), {0: eta0}).validate()
     lo_built = min(src.positions()) if src.positions() else 0
-    return _augmentation_result(src, eta, (lo_built + 1, 1), "right")
+    return _augmentation_result(src, eta, (lo_built + 1, 1))
 
 
 def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:
@@ -520,7 +514,7 @@ def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> Augmentati
     zeta0 = block_morphism(m, tgt0, [sub for _, sub in blocks], [m], parts)
     zeta = ChainMap(single_module_complex(m), tgt, {0: zeta0}).validate()
     hi_built = max(tgt.positions()) if tgt.positions() else 0
-    return _augmentation_result(tgt, zeta, (-1, hi_built - 1), "left")
+    return _augmentation_result(tgt, zeta, (-1, hi_built - 1))
 
 
 def projective_resolution(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:

@@ -7,7 +7,9 @@ never written into after construction: the standard projectives and
 injectives are shared, one per (vertex, shift, window) and presentation,
 and `tensor(1)` and `shift(0)` return the module itself.  A direct sum
 stores only its ordered blocks: its block-diagonal actions are built from
-them on the first read of `actions`, which most sums never see.
+them on the first read of `actions`, which most sums never see.  So is
+`tensor(d)`, the lazy sum of d copies of the module: its multiplicity is
+its number of blocks.
 
 The block layout of a sum lives here alone: `block_morphism` builds a
 morphism between direct sums from its blocks, and `block_parts` slices one
@@ -105,13 +107,11 @@ class GradedModule:
         return GradedModule(self.pres, (lo - s, hi - s), dims, actions)
 
     def tensor(self, d: int) -> "GradedModule":
-        """Tensor with a d-dimensional space; the tensor index is major."""
+        """Tensor with a d-dimensional space: the lazy direct sum of d copies,
+        keyed (k,), so the tensor index is major."""
         if d == 1:
             return self
-        dims = {k: v * d for k, v in self.dims.items()}
-        eye = Matrix.identity(self.pres.field, d)
-        actions = {k: Matrix.kron(eye, m) for k, m in self.actions.items()}
-        return GradedModule(self.pres, self.window, dims, actions)
+        return direct_sum(self.pres, self.window, [((k,), self) for k in range(d)])
 
     def dualize(self) -> "GradedModule":
         """The graded dual over the opposite presentation."""

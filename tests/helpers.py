@@ -59,6 +59,25 @@ def verify_homotopy(f: ChainMap, homotopy) -> bool:
     return True
 
 
+def functor_labels_by_dimension(cx: ComplexOfModules, side: str, target_pres: Presentation):
+    """The labels of `engine.functor_labels`, each multiplicity found by
+    dividing one piece of its summand by that piece of P_x<j> (side='right')
+    or I_x<j> (side='left') over `target_pres`: the reference for the
+    multiplicities the engine reads off its blocks."""
+    out = {}
+    for n in cx.positions():
+        entries = []
+        for key, sub in blocks_of(cx.module(n)):
+            (x, j) = key[-1]
+            (i, y), d = next(iter(sub.dims.items()))
+            base = target_pres.dim_piece(j + i, x, y) if side == "right" else \
+                target_pres.opposite().dim_piece(-(j + i), x, y)
+            entries.append({"vertex": x, "shift": j, "multiplicity": d // base,
+                            "key": repr(key)})
+        out[n] = entries
+    return out
+
+
 # -- subspaces ------------------------------------------------------------------
 
 

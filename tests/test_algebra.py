@@ -467,11 +467,12 @@ def test_arrow_matrix_memo_matches_fresh_presentation(name, field):
             assert pf.right_arrow_matrix(*k) == right
 
 
-def _multiplication_reference(pres, src, tgt, times):
+def _multiplication_reference(pres, src, key, times):
     """Each basis path p of `src` sent to the path times(p) as a dense unit
-    vector, reduced modulo the relations of `tgt` and read at its free columns."""
-    field, basis = pres.field, pres.path_basis(tgt.degree, tgt.source, tgt.target)
-    rel = pres.relation_piece(tgt.degree, tgt.source, tgt.target)
+    vector, reduced modulo the relations of the piece at key = (n, x, y) and
+    read at its free columns."""
+    field, basis, tgt = pres.field, pres.path_basis(*key), pres.algebra_piece(*key)
+    rel = pres.relation_piece(*key)
     free = [c for c in range(len(basis)) if c not in rel.pivots]
     cols = []
     for p in src.basis_paths:
@@ -492,10 +493,10 @@ def _assert_arrow_matrices_match_reference(ps, top, pres=None):
             for v in ps.quiver.vertices:
                 assert ps.left_arrow_matrix(arrow.name, n, v) == _multiplication_reference(
                     ps, ps.algebra_piece(n, v, arrow.source),
-                    ps.algebra_piece(n + 1, v, arrow.target), lambda q: q + (aidx,))
+                    (n + 1, v, arrow.target), lambda q: q + (aidx,))
                 right = _multiplication_reference(
                     ps, ps.algebra_piece(n, arrow.target, v),
-                    ps.algebra_piece(n + 1, arrow.source, v), lambda q: (aidx,) + q)
+                    (n + 1, arrow.source, v), lambda q: (aidx,) + q)
                 assert ps.right_arrow_matrix(arrow.name, n, v) == right
                 if pres is not None:
                     assert pres.opposite_right_arrow_transpose(arrow.name, n, v) \

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def set_handler(monkeypatch, command, handler):
+    """Replace a subcommand's handler, keeping its help and arguments."""
+    monkeypatch.setitem(cli._SUBCOMMANDS, command, (handler, *cli._SUBCOMMANDS[command][1:]))
 
 
 def test_dual_human_and_json(capsys):
@@ -365,7 +371,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_one_error_exit(monkeypatch, capsys, exc, code, kind, as_json):
     def fail(args):
         raise exc
-    monkeypatch.setitem(cli._COMMANDS, "dual", fail)
+    set_handler(monkeypatch, "dual", fail)
     got, out, err = run(capsys, "dual", MULTISERIAL, *(["--json"] if as_json else []))
     assert got == code
     assert "Traceback" not in out + err
@@ -375,6 +381,32 @@ def test_one_error_exit(monkeypatch, capsys, exc, code, kind, as_json):
         assert not err
     else:
         assert not out and err.startswith("error: ") and err.strip() != "error:"
+
+
+def test_memory_error_frees_the_presentation_before_formatting(monkeypatch, capsys):
+    # the failed command's frames hold its presentation, and the presentation
+    # holds reference cycles (its shared P_1 points back at it): both are
+    # dropped before the error JSON is formatted, with the same bytes
+    refs, alive = [], []
+
+    def fail(args):
+        pres = parse_presentation(MULTISERIAL_TEXT, QQ, 8)
+        projective_module(pres, "1", 0, (0, 4))
+        refs.append(weakref.ref(pres))
+        raise MemoryError
+
+    real_dumps = cli.reports.dumps
+
+    def recording_dumps(payload):
+        alive.append(refs[0]() is not None)
+        return real_dumps(payload)
+
+    monkeypatch.setattr(cli.reports, "dumps", recording_dumps)
+    set_handler(monkeypatch, "dual", fail)
+    code, out, err = run(capsys, "dual", MULTISERIAL, "--json")
+    assert alive == [False]
+    assert (code, out, err) == (1, dumps({"error": "input too large: MemoryError", "exit": 1,
+                                          "code": "input-error"}), "")
 
 
 def test_homology_command_roundtrip(tmp_path, capsys):
@@ -738,7 +770,7 @@ def test_parser_is_built_once_and_namespaces_keep_their_own_window(monkeypatch):
         seen.append(args.window)
         return 0
 
-    monkeypatch.setitem(cli._COMMANDS, "check-koszul", record)
+    set_handler(monkeypatch, "check-koszul", record)
     assert main(["check-koszul", BISERIAL, "--window", "0", "3"]) == 0
     assert main(["check-koszul", BISERIAL, "--window", "1", "5"]) == 0
     assert main(["check-koszul", BISERIAL]) == 0
@@ -763,7 +795,8 @@ def test_subcommand_parser_matches_the_full_parser():
     # `main` builds only the invoked subcommand's parser; its help, its usage
     # errors and its `invalid choice` errors are the full parser's, byte for byte
     full = cli.build_parser()
-    assert list(_subparsers(full)) == list(cli._SUBCOMMANDS) == list(cli._COMMANDS)
+    assert list(_subparsers(full)) == list(cli._SUBCOMMANDS)
+    assert all(callable(handler) for handler, _, _ in cli._SUBCOMMANDS.values())
     for command in cli._SUBCOMMANDS:
         own = cli.build_parser(command)
         assert list(_subparsers(own)) == [command]

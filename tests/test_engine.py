@@ -28,8 +28,8 @@ from koszul.modules import (GradedModule, GradedMorphism, block_morphism, direct
 from koszul.randomgen import random_morphism, random_presentation, random_quiver
 from koszul.reports import dumps, morphism_json
 from tests.conftest import EMPTY, MULTISERIAL, ROOT, presentations_dir
-from tests.helpers import (grading_shift, r_upper_derivation, radical_square_zero,
-                           random_acyclic_quiver, random_module, twist)
+from tests.helpers import (functor_labels_by_dimension, grading_shift, r_upper_derivation,
+                           radical_square_zero, random_acyclic_quiver, random_module, twist)
 
 POLICY = TruncationPolicy(6, (-2, 10))
 
@@ -255,7 +255,7 @@ def test_functor_on_simple_is_single_projective(multiserial):
     s = simple_module(multiserial, "2", 0, (-2, 10))
     cx = koszul_functor("right", s, (-2, 10))
     assert cx.positions() == [0]
-    labels = functor_labels(cx, "right", multiserial.quadratic_dual())
+    labels = functor_labels(cx)
     assert labels[0] == [{"vertex": "2", "shift": 0, "multiplicity": 1,
                           "key": repr((("2", 0),))}]
 
@@ -267,7 +267,7 @@ def test_f_of_injectives_resolve_dual_simples(multiserial):
         cx = koszul_functor("right", i_a, (-1, 9), multiserial, dual)
         assert homology_tables(cx) == {0: {(0, a): 1}}
         # linear: position -n summands are P^!_x<-n>
-        labels = functor_labels(cx, "right", dual)
+        labels = functor_labels(cx)
         for n, entries in labels.items():
             assert all(e["shift"] == n for e in entries)
 
@@ -287,8 +287,8 @@ def test_functor_dimension_tables_transport(multiserial):
     dual = multiserial.quadratic_dual()
     f_cx = koszul_functor("right", m, (-2, 8), multiserial, dual)
     g_cx = koszul_functor("left", m, (-8, 2), multiserial, dual)
-    lf = functor_labels(f_cx, "right", dual)
-    lg = functor_labels(g_cx, "left", dual)
+    lf = functor_labels(f_cx)
+    lg = functor_labels(g_cx)
     for n in set(lf) | set(lg):
         key = lambda e: (e["vertex"], e["shift"], e["multiplicity"])
         assert sorted(map(key, lf.get(n, []))) == sorted(map(key, lg.get(n, [])))
@@ -296,13 +296,15 @@ def test_functor_dimension_tables_transport(multiserial):
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_functor_labels_build_no_module(multiserial, monkeypatch, side):
-    # a summand is P_x<j> or I_x<j> tensored with the multiplicity, so one of
-    # its pieces gives the multiplicity: no module is built to divide dimensions
+    # a summand is P_x<j> or I_x<j> tensored with the multiplicity, a sum of
+    # that many copies, so no module is built to divide dimensions; the tensor
+    # is flattened to one block, so that the multiplicities stay above 1
     import koszul.engine as engine
     import koszul.modules as modules
     dual = multiserial.quadratic_dual()
     window = (-2, 8) if side == "right" else (-8, 2)
-    m = random_module(random.Random(31), multiserial, (0, 6)).tensor(2)
+    t = random_module(random.Random(31), multiserial, (0, 6)).tensor(2)
+    m = GradedModule(t.pres, t.window, t.dims, t.actions)
     cx = koszul_functor(side, m, window, multiserial, dual)
     build = projective_module if side == "right" else injective_module
     want = {n: [sum(sub.dims.values()) // sum(build(dual, *key[-1], window).dims.values())
@@ -314,9 +316,41 @@ def test_functor_labels_build_no_module(multiserial, monkeypatch, side):
             real = getattr(mod, name)
             monkeypatch.setattr(mod, name, lambda *args, _real=real, **kwargs:
                                 calls.append(args) or _real(*args, **kwargs))
-    labels = functor_labels(cx, side, dual)
+    labels = functor_labels(cx)
     assert not calls
     assert {n: [e["multiplicity"] for e in entries] for n, entries in labels.items()} == want
+
+
+KZ_NAMES = [p.name for p in sorted(presentations_dir().glob("*.kz"))]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF(3)"])
+@pytest.mark.parametrize("name", KZ_NAMES)
+def test_functor_labels_match_the_dimension_reference(name, field):
+    # the multiplicities read off the blocks equal those found by dividing a
+    # piece of each summand by that piece of P_x<j> or I_x<j>
+    pres = parse_presentation((presentations_dir() / name).read_text(), field, 10)
+    dual = pres.quadratic_dual()
+    policy = TruncationPolicy(3, (-2, 6))
+    window = policy.degree_window
+    for a in pres.quiver.vertices:
+        for build in (simple_module, projective_module, injective_module):
+            m = build(pres, a, 0, window)
+            for side, fwindow in (("right", (-2, 8)), ("left", (-8, 2))):
+                cx = koszul_functor(side, m, fwindow, pres, dual)
+                assert functor_labels(cx) == functor_labels_by_dimension(cx, side, dual)
+            res = projective_resolution(m, policy)
+            assert res.labels == functor_labels_by_dimension(res.complex, "right", pres)
+            res = injective_coresolution(m, policy)
+            assert res.labels == functor_labels_by_dimension(res.complex, "left", pres)
+
+
+def test_functor_labels_call_no_dim_piece(multiserial, monkeypatch):
+    m = random_module(random.Random(31), multiserial, (0, 6))
+    cxs = [koszul_functor("right", m, (-2, 8)), koszul_functor("left", m, (-8, 2)),
+           projective_resolution(m, POLICY).complex]
+    monkeypatch.setattr(type(multiserial), "dim_piece", lambda *args: pytest.fail("dim_piece"))
+    assert all(functor_labels(cx) for cx in cxs)
 
 
 def test_functor_map_is_chain_map_and_functorial(multiserial):

@@ -322,6 +322,18 @@ def test_standard_module_memo_matches_fresh_presentation(field):
     assert not warm.opposite()._modules
 
 
+def test_tensor_is_a_lazy_sum_of_copies(multiserial, monkeypatch):
+    m = random_module(random.Random(5), multiserial, (0, 3))
+    with monkeypatch.context() as patched:
+        patched.setattr(Matrix, "kron", classmethod(lambda *args: pytest.fail("kron")))
+        t = m.tensor(3)
+        assert [key for key, _ in t.blocks] == [(0,), (1,), (2,)]
+        assert all(block is m for _, block in t.blocks)
+    # its actions are built on first read, and equal I_3 (x) A
+    eye = Matrix.identity(multiserial.field, 3)
+    assert t.actions == {k: Matrix.kron(eye, mat) for k, mat in m.actions.items()}
+
+
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
 def test_tensor_one_is_the_module_and_two_is_a_kron(field):
     pres = parse_presentation(MULTISERIAL, field, 8)
