@@ -23,6 +23,6 @@ from .linalg import GF, Matrix, QQ, Subspace, kernel_backend, matrix_kernels, so
 from .modules import (GradedModule, GradedMorphism, direct_sum, hom_basis,
                       injective_module, kernel_module, projective_cover,
                       projective_module, simple_module, standard_module, zero_module)
-from .quiver import Arrow, Path, PathBasis, Quiver
+from .quiver import Arrow, PathBasis, Quiver
 
 __version__ = "0.1.0"

@@ -13,25 +13,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Field, Matrix, QQ, Subspace
-from .quiver import Path, PathEnumerator, Quiver
+from .quiver import PathEnumerator, Quiver
 
 
 @dataclass
 class AlgebraPiece:
     """e_y Lambda_n e_x by its normal words: the candidates p.al (p a normal
-    word of degree n-1, al an arrow into y; `candidates` maps each one's arrows
-    to its coordinate) that are not pivots of their `relations`."""
+    word of degree n-1, al an arrow into y; `candidates` maps each one to its
+    coordinate) that are not pivots of their `relations`."""
 
-    basis_paths: tuple[Path, ...]
+    words: tuple[tuple[int, ...], ...]
     candidates: dict
     relations: Subspace
 
     def __post_init__(self):
-        self.index = {p.arrows: i for i, p in enumerate(self.basis_paths)}
+        self.index = {w: i for i, w in enumerate(self.words)}
 
     @property
     def dim(self) -> int:
-        return len(self.basis_paths)
+        return len(self.words)
 
 
 class Presentation:
@@ -101,14 +101,14 @@ class Presentation:
             rows = []
             for aidx in self.quiver.in_arrows(y):
                 w = self.quiver.arrows[aidx].source
-                paths = self.path_basis(n - 1, x, w).paths
-                rows.extend({index[paths[c].arrows + (aidx,)]: v for c, v in row.items()}
+                words = self.path_basis(n - 1, x, w).words
+                rows.extend({index[words[c] + (aidx,)]: v for c, v in row.items()}
                             for row in self.relation_piece(n - 1, x, w).sparse_rows)
             for (b, z), gen in self.relations.items():
                 if z == y:
-                    paths = self.path_basis(2, b, y).paths
-                    rows.extend({index[q.arrows + paths[c].arrows]: v for c, v in row.items()}
-                                for q in self.path_basis(n - 2, x, b).paths
+                    words = self.path_basis(2, b, y).words
+                    rows.extend({index[q + words[c]]: v for c, v in row.items()}
+                                for q in self.path_basis(n - 2, x, b).words
                                 for row in gen.sparse_rows)
             space = Subspace.from_sparse(self.field, len(index), rows)
         self._rel_piece[key] = space
@@ -128,8 +128,8 @@ class Presentation:
         key = (n, x, y)
         if key not in self._alg_piece:
             words = [()] if n == 0 and x == y else sorted(
-                p.arrows + (aidx,) for aidx in self.quiver.in_arrows(y) if n for p in
-                self.algebra_piece(n - 1, x, self.quiver.arrows[aidx].source).basis_paths)
+                p + (aidx,) for aidx in self.quiver.in_arrows(y) if n for p in
+                self.algebra_piece(n - 1, x, self.quiver.arrows[aidx].source).words)
             if not words:
                 self._alg_piece[key] = self._empty_piece
             else:
@@ -138,7 +138,7 @@ class Presentation:
                                                  self._relation_rows(n, x, y, candidates))
                 pivots = set(relations.pivots)
                 self._alg_piece[key] = AlgebraPiece(
-                    tuple(Path(x, word) for c, word in enumerate(words) if c not in pivots),
+                    tuple(word for c, word in enumerate(words) if c not in pivots),
                     candidates, relations)
         return self._alg_piece[key]
 
@@ -150,18 +150,18 @@ class Presentation:
         for (b, z), gen in self.relations.items() if n > 1 and candidates else ():
             if z != y or not self.dim_piece(n - 2, x, b):
                 continue
-            paths = self.path_basis(2, b, y).paths
+            words = self.path_basis(2, b, y).words
             for row in gen.sparse_rows:
                 acc = [{} for _ in range(self.dim_piece(n - 2, x, b))]
                 for col, coeff in row.items():
-                    bidx, gidx = paths[col].arrows
+                    bidx, gidx = words[col]
                     if bidx not in columns:     # left multiplication by be, column by column
                         columns[bidx] = self.left_arrow_matrix(
                             self.quiver.arrows[bidx].name, n - 2, x).transpose().sparse_rows
                     mid = self.algebra_piece(n - 1, x, self.quiver.arrows[bidx].target)
                     for image, out in zip(columns[bidx], acc):
                         for j, v in image.items():
-                            c = candidates[mid.basis_paths[j].arrows + (gidx,)]
+                            c = candidates[mid.words[j] + (gidx,)]
                             out[c] = out.get(c, 0) + coeff * v
                 rows.extend(acc)
         return rows
@@ -194,7 +194,7 @@ class Presentation:
             src = self.algebra_piece(n, x, arrow.source)
             tgt = self.algebra_piece(n + 1, x, arrow.target)
             self._arrow_mat[key] = tgt.relations.project(
-                [tgt.candidates[p.arrows + (aidx,)] for p in src.basis_paths])
+                [tgt.candidates[p + (aidx,)] for p in src.words])
         return self._arrow_mat[key]
 
     def right_arrow_matrix(self, arrow_name: str, n: int, w) -> Matrix:
@@ -209,10 +209,10 @@ class Presentation:
             tgt = self.algebra_piece(n + 1, arrow.source, w)
             cols = [{} for _ in range(src.dim)]
             by_last = {}
-            for i, p in enumerate(src.basis_paths if tgt.dim else ()):
-                j = tgt.index.get((aidx,) + p.arrows)
+            for i, p in enumerate(src.words if tgt.dim else ()):
+                j = tgt.index.get((aidx,) + p)
                 if j is None:
-                    by_last.setdefault(p.arrows[-1], []).append(i)
+                    by_last.setdefault(p[-1], []).append(i)
                 else:
                     cols[i] = {j: self.field.one}
             for bidx, members in by_last.items():
@@ -222,7 +222,7 @@ class Presentation:
                 prefix = self.algebra_piece(n - 1, arrow.target, beta.source).index
                 outer = self.left_arrow_matrix(beta.name, n, arrow.source).transpose()
                 picked = Matrix(self.field, len(members), outer.nrows,
-                                [inner.sparse_rows[prefix[src.basis_paths[i].arrows[:-1]]]
+                                [inner.sparse_rows[prefix[src.words[i][:-1]]]
                                  for i in members])
                 for i, col in zip(members, (picked * outer).sparse_rows):
                     cols[i] = col
@@ -255,10 +255,10 @@ class Presentation:
 
     def _transport(self, space: Subspace, x, y, quiver, pair, word) -> Subspace:
         """Carry a subspace of kQ_2(x,y) to the kQ'_2 of `quiver` at `pair`
-        along p -> word(p.arrows)."""
+        along each word p -> word(p)."""
         src = self.path_basis(2, x, y)
         tgt = PathEnumerator(quiver, 2).basis(2, *pair)
-        rows = [{tgt.index[word(src.paths[c].arrows)]: v for c, v in row.items()}
+        rows = [{tgt.index[word(src.words[c])]: v for c, v in row.items()}
                 for row in space.sparse_rows]
         return Subspace.from_sparse(self.field, len(tgt), rows)
 
@@ -333,7 +333,7 @@ class Presentation:
                 cols = set()
                 for row in space.sparse_rows:
                     cols.update(row)
-                supp[(x, z)] = frozenset(basis.paths[j].arrows for j in cols)
+                supp[(x, z)] = frozenset(basis.words[j] for j in cols)
             self._support = supp
         return self._support
 
@@ -388,12 +388,12 @@ class Presentation:
         for (x, z) in sorted(pres.relations, key=_pair_key(quiver)):
             basis = pres.path_basis(2, x, z)
             for circ in pres.circuits(x, z):
-                terms = [(coeff, basis.paths[j]) for j, coeff in enumerate(circ) if coeff]
+                terms = [(coeff, basis.words[j]) for j, coeff in enumerate(circ) if coeff]
                 if len(terms) < 2:
                     continue  # monomial relation: quantifier domain empty
                 witness_idx = set()
                 for i, (_, p) in enumerate(terms):
-                    beta = p.terminal_arrow()
+                    beta = p[-1]
                     for zeta in quiver.out_arrows(z):
                         pair = (quiver.arrows[beta].source, quiver.arrows[zeta].target)
                         rel = pres.relations.get(pair)
@@ -407,7 +407,7 @@ class Presentation:
                         for j, (_, pj) in enumerate(terms):
                             if j == i:
                                 continue
-                            alpha_j = pj.initial_arrow()
+                            alpha_j = pj[0]
                             y_j = quiver.arrows[alpha_j].target
                             comp = (gidx, alpha_j)
                             if comp not in supports.get((gamma.source, y_j), ()):

@@ -66,10 +66,10 @@ def _field_of(args):
 
 
 def _policy_of(args) -> TruncationPolicy:
-    lo, hi = args.window
-    if args.span < 1 or lo > hi:
-        raise CliError("invalid -N/--window configuration")
-    return TruncationPolicy(args.span, (lo, hi))
+    try:
+        return TruncationPolicy(args.span, tuple(args.window))
+    except ValueError:
+        raise CliError("invalid -N/--window configuration") from None
 
 
 def _load(args) -> Presentation:

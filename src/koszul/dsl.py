@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import Presentation
 from .linalg import QQ, Subspace
-from .quiver import Quiver
+from .quiver import PathEnumerator, Quiver
 
 _KEYWORDS = {"quiver", "vertices", "arrows", "relations"}
 
@@ -236,16 +236,13 @@ def _parse_term(p: _Parser, quiver: Quiver):
 def build_presentation(quiver: Quiver, parsed_relations, field=QQ,
                        degree_cap: int = 8) -> Presentation:
     """Assemble relation subspaces from parsed (coeff, word) term lists."""
-    from .quiver import Path
-
-    helper = Presentation(quiver, field, {}, max(degree_cap, 2))
+    bases = PathEnumerator(quiver, 2)
     grouped: dict[tuple, list] = {}
     for terms in parsed_relations:
         if not terms:
             continue
-        vec = None
+        row: dict = {}
         pair = None
-        ref = terms[0][2]
         for coeff, word, tok in terms:
             if len(word) != 2:
                 raise ParseError("relation not quadratic", tok.line, tok.col)
@@ -258,25 +255,21 @@ def build_presentation(quiver: Quiver, parsed_relations, field=QQ,
                         f"non-composable product at {name!r}", atok.line, atok.col)
                 prev_target = arrow.target
                 arrows.append(quiver.arrow_index(name))
-            path = Path(quiver.arrows[arrows[0]].source, tuple(arrows))
-            this_pair = (path.start, path.end(quiver))
+            this_pair = (quiver.arrows[arrows[0]].source, prev_target)
             if pair is None:
                 pair = this_pair
             elif pair != this_pair:
                 raise ParseError("relation not homogeneous of degree 2 "
                                  "(terms with different endpoints)", tok.line, tok.col)
-            basis = helper.path_basis(2, *pair)
-            if vec is None:
-                vec = [field.zero] * len(basis)
-            pos = basis.position(path)
-            vec[pos] = vec[pos] + coeff if field.characteristic == 0 \
-                else (vec[pos] + coeff) % field.p
-        if vec is not None and any(v != field.zero for v in vec):
-            grouped.setdefault(pair, []).append(vec)
-        elif vec is not None:
+            pos = bases.basis(2, *pair).index[tuple(arrows)]
+            row[pos] = field.of(row.get(pos, field.zero) + coeff)
+        row = {c: row[c] for c in sorted(row) if row[c]}
+        if not row:
+            ref = terms[0][2]
             raise ParseError("relation is identically zero", ref.line, ref.col)
-    spaces = {pair: Subspace.from_vectors(field, len(helper.path_basis(2, *pair)), vecs)
-              for pair, vecs in grouped.items()}
+        grouped.setdefault(pair, []).append(row)
+    spaces = {pair: Subspace.from_sparse(field, len(bases.basis(2, *pair)), rows)
+              for pair, rows in grouped.items()}
     return Presentation(quiver, field, spaces, degree_cap)
 
 
@@ -304,7 +297,7 @@ def _format_vector(pres: Presentation, row, basis) -> str:
     field = pres.field
     parts = []
     for c, coeff in sorted(row.items()):
-        word = basis.paths[c].word(pres.quiver)
+        word = pres.quiver.word(basis.words[c])
         if field.characteristic == 0 and coeff < 0:
             sign, mag = "-", -coeff
         else:

@@ -30,11 +30,10 @@ class TruncationPolicy:
     max_span: int = 6
     degree_window: tuple = (-2, 10)
 
-    def check(self):
+    def __post_init__(self):
         lo, hi = self.degree_window
         if self.max_span < 1 or lo > hi:
             raise ValueError("bad truncation policy")
-        return self
 
 
 def _sign(k: int):
@@ -53,7 +52,6 @@ def local_koszul_complex(pres: Presentation, a, policy: TruncationPolicy,
     augmented=True the simple S_a is appended at position 1 so that
     exactness of the augmented resolution is positionwise homology vanishing.
     """
-    policy.check()
     window = policy.degree_window
     cx = koszul_functor("right", _r_upper_module(pres, a, policy.max_span), window,
                         pres.quadratic_dual(), pres)
@@ -139,7 +137,6 @@ class KoszulCertificate:
 
 def koszulity_certificate(pres: Presentation, policy: TruncationPolicy) -> KoszulCertificate:
     """Positionwise, degreewise exactness of every augmented local Koszul complex."""
-    policy.check()
     lo, hi = policy.degree_window
     n_max = policy.max_span
     # completeness needs Lambda to vanish by degree hi - n_max + 1, so only
@@ -170,13 +167,16 @@ def koszulity_certificate(pres: Presentation, policy: TruncationPolicy) -> Koszu
 
 
 def _exactness_witness(dn: Matrix, dp: Matrix):
-    """A kernel vector of dn outside the column space of dp, as scalar strings."""
-    field = dn.field
-    img = dp.column_space()
-    for row in dn.kernel().dense_rows():
-        if not img.contains(row):
-            assert all(v == field.zero for v in dn.apply(row))
-            return [field.to_str(v) for v in row]
+    """The first canonical kernel vector of dn outside the column space of dp,
+    as scalar strings: its class modulo that space is its product with the
+    classes of the unit vectors."""
+    field, n = dn.field, dn.ncols
+    ker = dn.kernel().basis_matrix()
+    classes = ker * dp.column_space().project(range(n)).transpose()
+    for row, cls in zip(ker.sparse_rows, classes.sparse_rows):
+        if cls:
+            assert (Matrix(field, 1, n, [row]) * dn.transpose()).is_zero()
+            return [field.to_str(row.get(c, field.zero)) for c in range(n)]
     return None
 
 
@@ -442,9 +442,8 @@ class AugmentationResult:
         return out
 
 
-def _augmentation_input(m: GradedModule, policy: TruncationPolicy) -> GradedModule:
-    """m without its block labels, once the policy and Lambda^!! = Lambda are checked."""
-    policy.check()
+def _augmentation_input(m: GradedModule) -> GradedModule:
+    """m without its block labels, once Lambda^!! = Lambda is checked."""
     if m.pres.quadratic_dual().quadratic_dual() != m.pres:
         raise AssertionError("double quadratic dual differs from the presentation")
     return m if m.blocks is None else GradedModule(m.pres, m.window, m.dims, m.actions)
@@ -470,7 +469,7 @@ def _h0_isomorphism(cone: ComplexOfModules) -> bool:
 
 def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:
     """The natural map (F^C . G)(M) -> M with sign (-1)^{i(i+1)/2} on level i."""
-    m = _augmentation_input(m, policy)
+    m = _augmentation_input(m)
     pres = m.pres
     dual = pres.quadratic_dual()
     mlo, mhi = _degree_bounds(m)
@@ -493,7 +492,7 @@ def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationR
 
 def zeta_coaugmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:
     """The natural map M -> (G^C . F)(M) with sign (-1)^{(i-1)i/2} on level i."""
-    m = _augmentation_input(m, policy)
+    m = _augmentation_input(m)
     pres = m.pres
     dual = pres.quadratic_dual()
     mlo, mhi = _degree_bounds(m)

@@ -109,11 +109,14 @@ class PrimeField:
 
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the 12 prime bases 2..37, which decides primality
+    exactly below 2^64; a larger n raises rather than risk a pseudoprime."""
+    if n >= 1 << 64:
+        raise ValueError("a modulus must be below 2^64")
     if n < 4:
         return n >= 2
     if n % 2 == 0:
         return False
-    # deterministic Miller-Rabin for 64-bit range
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

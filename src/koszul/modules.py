@@ -86,7 +86,7 @@ class GradedModule:
                 for i in sorted(i for (i, y) in self.dims if y == x and i < hi - 1):
                     acc = None
                     for c, coeff in row.items():
-                        m = self.path_action(basis.paths[c], i).scale(coeff)
+                        m = self.path_action(x, basis.words[c], i).scale(coeff)
                         acc = m if acc is None else acc + m
                     if acc is not None and not acc.is_zero():
                         raise ValueError(f"relation not respected at degree {i}, pair ({x},{z})")
@@ -123,10 +123,11 @@ class GradedModule:
             actions[(name, -i - 1)] = mat.transpose()
         return GradedModule(opp, (-hi, -lo), dims, actions)
 
-    def path_action(self, rho, i: int) -> Matrix:
-        """Action of the path rho: M_i(start) -> M_{i+len}(end); identity for length 0."""
-        mat = Matrix.identity(self.pres.field, self.dim(i, rho.start))
-        for k, aidx in enumerate(rho.arrows):
+    def path_action(self, x, word, i: int) -> Matrix:
+        """Action of the path from x with this word: M_i(x) -> M_{i+len}(end);
+        identity for length 0."""
+        mat = Matrix.identity(self.pres.field, self.dim(i, x))
+        for k, aidx in enumerate(word):
             mat = self.action(self.pres.quiver.arrows[aidx].name, i + k) * mat
         return mat
 
@@ -424,8 +425,8 @@ def evaluation_map(m: GradedModule, x, i: int, cols, keys) -> dict:
     out = {}
     for (d, w) in keys:
         # the columns of each path action, as transposed rows
-        acts = [m.path_action(rho, i).transpose().sparse_rows
-                for rho in m.pres.algebra_piece(d - i, x, w).basis_paths]
+        acts = [m.path_action(x, rho, i).transpose().sparse_rows
+                for rho in m.pres.algebra_piece(d - i, x, w).words]
         rows = [act[c] for c in cols for act in acts]
         out[(d, w)] = Matrix(m.pres.field, len(rows), m.dim(d, w), rows).transpose()
     return out

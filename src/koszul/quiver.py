@@ -1,8 +1,10 @@
 """Finite quivers, paths and lexicographic path bases.
 
-Paths compose right to left: the product written ``b*a`` traverses `a`
-first.  Internally a path stores its arrows in traversal order, so the
-written word is the reverse of the stored tuple.
+A path of positive length is its word: the tuple of its arrow indices in
+traversal order (initial arrow first).  Paths compose right to left: the
+product written ``b*a`` traverses `a` first, so the written word is the
+reverse of the tuple.  A basis of paths from x knows x, so a word never
+carries its start vertex; the word of length 0 is ``()``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class Quiver:
         return Quiver(self.vertices,
                       [Arrow(a.name, a.target, a.source) for a in self.arrows])
 
+    def word(self, word) -> str:
+        """The written form ``b*a`` of a word of positive length."""
+        return "*".join(self.arrows[i].name for i in reversed(word))
+
     def __eq__(self, other):
         return (isinstance(other, Quiver) and self.vertices == other.vertices
                 and self.arrows == other.arrows)
@@ -79,43 +85,15 @@ class Quiver:
         return acc[self._vindex[y]][self._vindex[x]]
 
 
-@dataclass(frozen=True)
-class Path:
-    """A path; `arrows` holds arrow indices in traversal order (initial first)."""
-
-    start: str
-    arrows: tuple[int, ...]
-
-    def end(self, quiver: Quiver) -> str:
-        return quiver.arrows[self.arrows[-1]].target if self.arrows else self.start
-
-    def terminal_arrow(self) -> int:
-        return self.arrows[-1]
-
-    def initial_arrow(self) -> int:
-        return self.arrows[0]
-
-    def word(self, quiver: Quiver) -> str:
-        if not self.arrows:
-            return f"e_{self.start}"
-        return "*".join(quiver.arrows[i].name for i in reversed(self.arrows))
-
-
 class PathBasis:
-    """All paths in Q_n(x, y), lexicographically ordered by arrow sequence."""
+    """The words of Q_n(x, y) in lexicographic order, and each one's position."""
 
-    def __init__(self, degree: int, source, target, paths: tuple[Path, ...]):
-        self.degree = degree
-        self.source = source
-        self.target = target
-        self.paths = paths
-        self.index = {p.arrows: i for i, p in enumerate(paths)}
+    def __init__(self, words: tuple[tuple[int, ...], ...]):
+        self.words = words
+        self.index = {w: i for i, w in enumerate(words)}
 
     def __len__(self):
-        return len(self.paths)
-
-    def position(self, path: Path) -> int:
-        return self.index[path.arrows]
+        return len(self.words)
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -128,36 +106,35 @@ class PathEnumerator:
     def __init__(self, quiver: Quiver, degree_cap: int = 8):
         self.quiver = quiver
         self.degree_cap = degree_cap
-        self._layers = {}       # (n, x) -> (paths, {end vertex: paths ending there})
+        self._layers = {}       # (n, x) -> (words, {end vertex: words ending there})
         self._bases = {}
 
     def _layer(self, n: int, x):
-        """The paths of length n from x, in lexicographic order, and the same
-        paths grouped by end vertex, each group keeping that order."""
+        """The words of length n from x, in lexicographic order, and the same
+        words grouped by end vertex, each group keeping that order."""
         if n > self.degree_cap:
             raise ValueError(f"degree {n} exceeds cap {self.degree_cap}")
         key = (n, x)
         if key in self._layers:
             return self._layers[key]
         if n == 0:
-            paths = [Path(x, ())]
-            ends = {x: paths}
+            words = [()]
+            ends = {x: words}
         else:
-            paths, ends = [], {}
+            arrows, words, ends = self.quiver.arrows, [], {}
             for p in self._layer(n - 1, x)[0]:
-                for a in self.quiver.out_arrows(p.end(self.quiver)):
-                    path = Path(x, p.arrows + (a,))
-                    paths.append(path)
-                    ends.setdefault(self.quiver.arrows[a].target, []).append(path)
-        layer = self._layers[key] = (paths, {y: tuple(g) for y, g in ends.items()})
+                for a in self.quiver.out_arrows(arrows[p[-1]].target if p else x):
+                    word = p + (a,)
+                    words.append(word)
+                    ends.setdefault(arrows[a].target, []).append(word)
+        layer = self._layers[key] = (words, {y: tuple(g) for y, g in ends.items()})
         return layer
 
     def basis(self, n: int, x, y) -> PathBasis:
         found = self._bases.get((n, x, y))
         _basis_counts[found is None] += 1
         if found is None:
-            paths = self._layer(n, x)[1].get(y, ())
-            found = self._bases[(n, x, y)] = PathBasis(n, x, y, paths)
+            found = self._bases[(n, x, y)] = PathBasis(self._layer(n, x)[1].get(y, ()))
         return found
 
     # the counts in the shape of `functools.lru_cache`'s; perfbench/tracer.py reads them

@@ -13,7 +13,7 @@ from .algebra import Presentation
 from .complexes import DoubleChainMap, DoubleComplex
 from .linalg import Matrix, MatrixEquations, Subspace, QQ
 from .modules import GradedModule, GradedMorphism, hom_basis
-from .quiver import Quiver
+from .quiver import PathEnumerator, Quiver
 
 
 def random_quiver(rng: random.Random, max_vertices=4, max_arrows=6) -> Quiver:
@@ -30,11 +30,11 @@ def random_quiver(rng: random.Random, max_vertices=4, max_arrows=6) -> Quiver:
 def random_presentation(rng: random.Random, quiver: Quiver | None = None,
                         field=QQ, degree_cap=8) -> Presentation:
     quiver = quiver or random_quiver(rng)
-    helper = Presentation(quiver, field, {}, 2)
+    bases = PathEnumerator(quiver, 2)
     rels = {}
     for x in quiver.vertices:
         for y in quiver.vertices:
-            m = len(helper.path_basis(2, x, y))
+            m = len(bases.basis(2, x, y))
             if not m:
                 continue
             k = rng.randint(0, m)

@@ -33,7 +33,7 @@ def presentation_json(pres: Presentation):
         basis = pres.path_basis(2, x, z)
         for row in space.sparse_rows:
             terms = [{"coefficient": scalar(pres.field, row[c]),
-                      "path": basis.paths[c].word(quiver)} for c in sorted(row)]
+                      "path": quiver.word(basis.words[c])} for c in sorted(row)]
             rels.append({"source": x, "target": z, "terms": terms})
     return {
         "field": pres.field.name,

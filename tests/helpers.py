@@ -97,11 +97,11 @@ def r_upper_derivation(pres: Presentation, arrow_name: str, n: int, a) -> Matrix
     arrow = pres.quiver.arrow(arrow_name)
     aidx = pres.quiver.arrow_index(arrow_name)
     dual_opposite = pres.quadratic_dual().opposite()
-    paths = dual_opposite.path_basis(n, a, arrow.target).paths
+    words = dual_opposite.path_basis(n, a, arrow.target).words
     index = dual_opposite.path_basis(n - 1, a, arrow.source).index
     tgt = pres.r_upper(n - 1, a, arrow.source)
-    images = [{index[paths[c].arrows[:-1]]: v for c, v in row.items()
-               if paths[c].arrows[-1] == aidx}
+    images = [{index[words[c][:-1]]: v for c, v in row.items()
+               if words[c][-1] == aidx}
               for row in pres.r_upper(n, a, arrow.target).sparse_rows]
     return tgt.coordinates_of(Matrix(pres.field, len(images), tgt.ambient, images).transpose())
 

@@ -37,13 +37,13 @@ def _ideal_piece_oracle(pres, n, x, y):
             if gen is None:
                 continue
             gen_basis = pres.path_basis(2, a, b)
-            for q in pres.path_basis(j, x, a).paths:
-                for r in pres.path_basis(n - 2 - j, b, y).paths:
+            for q in pres.path_basis(j, x, a).words:
+                for r in pres.path_basis(n - 2 - j, b, y).words:
                     for row in gen.sparse_rows:
                         vec = [pres.field.zero] * len(target)
                         for col, coeff in row.items():
-                            p = gen_basis.paths[col]
-                            vec[target.index[q.arrows + p.arrows + r.arrows]] = coeff
+                            p = gen_basis.words[col]
+                            vec[target.index[q + p + r]] = coeff
                         vectors.append(vec)
     return Subspace.from_vectors(pres.field, len(target), vectors)
 
@@ -61,13 +61,13 @@ def _r_upper_oracle(pres, n, a, x):
             if gen is None:
                 continue
             gen_basis = pres.path_basis(2, b, c)
-            for q in pres.path_basis(j, a, b).paths:
-                for r in pres.path_basis(n - 2 - j, c, x).paths:
+            for q in pres.path_basis(j, a, b).words:
+                for r in pres.path_basis(n - 2 - j, c, x).words:
                     for row in gen.sparse_rows:
                         vec = [pres.field.zero] * len(target)
                         for col, coeff in row.items():
-                            p = gen_basis.paths[col]
-                            vec[target.index[q.arrows + p.arrows + r.arrows]] = coeff
+                            p = gen_basis.words[col]
+                            vec[target.index[q + p + r]] = coeff
                         vectors.append(vec)
         layer = Subspace.from_vectors(pres.field, len(target), vectors)
         result = layer if result is None else intersect(result, layer)
@@ -93,7 +93,7 @@ def test_multiserial_relation_piece_example(multiserial):
     space = multiserial.relation_space("1", "1")
     assert space.dim == 1
     basis = multiserial.path_basis(2, "1", "1")
-    words = {basis.paths[j].word(multiserial.quiver): c for j, c in space.sparse_rows[0].items()}
+    words = {multiserial.quiver.word(basis.words[j]): c for j, c in space.sparse_rows[0].items()}
     assert words["al*al"] == 1 and words["be*ga"] == 1
 
 
@@ -153,9 +153,9 @@ def _r_upper_derivation_reference(pres, oracle, arrow, n, a):
     cols = []
     for row in oracle(n, a, arrow.target).dense_rows():
         image = [pres.field.zero] * len(tgt)
-        for p, v in zip(src.paths, row):
-            if p.arrows[-1] == aidx:
-                image[tgt.index[p.arrows[:-1]]] = v
+        for p, v in zip(src.words, row):
+            if p[-1] == aidx:
+                image[tgt.index[p[:-1]]] = v
         cols.append(lower.coordinates(image))
     return Matrix(pres.field, lower.dim, len(cols),
                   [{j: c[r] for j, c in enumerate(cols) if c[r]} for r in range(lower.dim)])
@@ -219,7 +219,7 @@ def test_r_upper_membership_criterion(multiserial):
                     for row in sub.sparse_rows:
                         vec = [pres.field.zero] * len(target)
                         for c, coeff in row.items():
-                            vec[target.index[src.paths[c].arrows + (aidx,)]] = coeff
+                            vec[target.index[src.words[c] + (aidx,)]] = coeff
                         left_vectors.append(vec)
                 left = Subspace.from_vectors(pres.field, len(target), left_vectors)
                 right = _ideal_right_oracle(pres, n, a, x, target)
@@ -235,11 +235,11 @@ def _ideal_right_oracle(pres, n, a, x, target):
         if gen is None:
             continue
         gen_basis = pres.path_basis(2, b, x)
-        for q in pres.path_basis(n - 2, a, b).paths:
+        for q in pres.path_basis(n - 2, a, b).words:
             for row in gen.sparse_rows:
                 vec = [pres.field.zero] * len(target)
                 for c, coeff in row.items():
-                    vec[target.index[q.arrows + gen_basis.paths[c].arrows]] = coeff
+                    vec[target.index[q + gen_basis.words[c]]] = coeff
                 vectors.append(vec)
     return Subspace.from_vectors(pres.field, len(target), vectors)
 
@@ -394,7 +394,7 @@ def test_pieces_past_the_cap_raise_though_their_predecessors_vanish(make):
 
 def _normal_words(pres, n, x, y):
     pivots = set(pres.relation_piece(n, x, y).pivots)
-    return tuple(p for i, p in enumerate(pres.path_basis(n, x, y).paths) if i not in pivots)
+    return tuple(p for i, p in enumerate(pres.path_basis(n, x, y).words) if i not in pivots)
 
 
 def _assert_pieces_are_normal_words(pres):
@@ -407,7 +407,7 @@ def _assert_pieces_are_normal_words(pres):
     zero_with_paths = 0
     for n, (x, y) in reversed(keys):
         piece = pres.algebra_piece(n, x, y)
-        assert piece.basis_paths == _normal_words(fresh, n, x, y), (n, x, y)
+        assert piece.words == _normal_words(fresh, n, x, y), (n, x, y)
         assert not fresh._alg_piece
         zero_with_paths += not piece.dim and len(pres.path_basis(n, x, y)) > 0
     return zero_with_paths
@@ -475,9 +475,9 @@ def _multiplication_reference(pres, src, key, times):
     rel = pres.relation_piece(*key)
     free = [c for c in range(len(basis)) if c not in rel.pivots]
     cols = []
-    for p in src.basis_paths:
+    for p in src.words:
         unit = [field.zero] * len(basis)
-        unit[basis.index[times(p.arrows)]] = field.one
+        unit[basis.index[times(p)]] = field.one
         red = rel.reduce(unit)
         cols.append([red[c] for c in free])
     return Matrix.from_rows(field, cols).transpose() if cols else Matrix.zeros(field, tgt.dim, 0)

@@ -315,6 +315,16 @@ def test_prime_field_mode(capsys):
     assert code == 1
 
 
+def test_modulus_past_the_exact_primality_range_is_refused(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37
+    code, out, err = run(capsys, "dual", MULTISERIAL, "--field", "318665857834031151167461",
+                         "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"code": "input-error", "exit": 1, "error":
+                               "bad field '318665857834031151167461': "
+                               "a modulus must be below 2^64"}
+
+
 def test_resolve_and_functor(capsys):
     code, out, _ = run(capsys, "resolve", MULTISERIAL, "--module", "simple:1", "-N", "4")
     assert code == 0
@@ -540,11 +550,12 @@ def test_package_reads_no_environment():
         assert "environ" not in text and "getenv" not in text, path.name
 
 
-# attributes of matrices, modules, morphisms and complexes, which are shared
-# between callers (arrow matrices are cached, Kronecker factors reused, and
-# matrices share row dicts with each other and with subspaces)
+# attributes of matrices, modules, morphisms and complexes, and of the word
+# bases of path bases and algebra pieces, which are shared between callers
+# (arrow matrices, path bases and algebra pieces are memoized, Kronecker
+# factors reused, and matrices share row dicts with each other and with subspaces)
 FROZEN_ATTRS = {"rows", "sparse_rows", "dims", "actions", "_actions", "mats", "parts", "modules",
-                "diffs"}
+                "diffs", "words", "index", "candidates"}
 
 
 def _subscript_base(node):
@@ -595,7 +606,7 @@ def _assert_imports_used(path, tree):
 #  - Subspace.coordinates is the dense reference that the tests compare
 #    coordinates_of against;
 #  - Quiver.adjacency_power_count will count paths before the pairing-table
-#    oracle enumerates them (ROADMAP item 3).
+#    oracle enumerates them (the budgets of ROADMAP item 5).
 UNUSED_ALLOWED = {"Subspace.coordinates", "Quiver.adjacency_power_count"}
 
 
@@ -649,8 +660,7 @@ def test_block_matrices_have_one_layout():
 # them; None allows a whole file.  Inside the engine vectors stay sparse rows.
 DENSE_CALLS = {"dense_rows", "apply", "reduce", "coordinates", "contains", "from_vectors"}
 DENSE_ALLOWED = {
-    "reports.py": None, "randomgen.py": None, "dsl.py": None,
-    "engine.py": {"_exactness_witness"},        # the witness is printed as a dense vector
+    "reports.py": None, "randomgen.py": None,
     "complexes.py": {"homology_module"},        # its returned representatives
     "linalg.py": {"Subspace.contains"},         # a member reduces to zero
 }

@@ -147,13 +147,13 @@ def test_lemma_diff_identity(biserial):
     # K^{-2} = P_4<-2> (x) span{z*a}; pick u = class of path e: 4->5
     eidx = pres.quiver.arrow_index("e")
     u_piece = pres.algebra_piece(1, "4", "5")
-    assert [p.arrows for p in u_piece.basis_paths] == [(eidx,)]
+    assert u_piece.words == ((eidx,),)
     vec = d.piece(3, "5")
     # target block P_2<-1> (x) span{a}: piece (3, '5') = e_5 Lambda_2 e_2, whose
     # canonical representative is the non-pivot path e*z
     tgt_piece = pres.algebra_piece(2, "2", "5")
     assert tgt_piece.dim == 1
-    assert tgt_piece.basis_paths[0].word(pres.quiver) == "e*z"
+    assert pres.quiver.word(tgt_piece.words[0]) == "e*z"
     # d(u (x) z*a) = u zbar (x) a with u = class(e): coefficient +1 on e*z
     assert vec.ncols == 1 and vec.nrows == 1
     assert vec.rows[0][0] == QQ.one

@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 
 from koszul import _kernels
-from koszul.linalg import GF, Matrix, MatrixEquations, QQ, Subspace, matrix_kernels, solve
+from koszul.linalg import (GF, Matrix, MatrixEquations, QQ, Subspace, _is_prime, matrix_kernels,
+                           solve)
 from tests.helpers import intersect
 
 P_CHECK = 1000003
@@ -498,3 +499,15 @@ def test_matrix_equations_reject_misfitting_terms():
         eqs.add(2, 3, [(1, None, "x", Matrix.identity(QQ, 2))])
     with pytest.raises(ValueError, match="does not fit"):
         eqs.add(2, 3, [], Matrix.identity(QQ, 2))
+
+
+def test_primality_is_exact_or_refused():
+    assert [n for n in range(10_000) if _is_prime(n)] == \
+        [n for n in range(2, 10_000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert _is_prime(2 ** 64 - 59) and not _is_prime(2 ** 64 - 1)
+    # the least composite that passes Miller-Rabin to every prime base 2..37
+    strong_pseudoprime = 318665857834031151167461
+    assert strong_pseudoprime == 399165290221 * 798330580441
+    for n in (strong_pseudoprime, 2 ** 64):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            GF(n)

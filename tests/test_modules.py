@@ -87,12 +87,12 @@ def test_path_action_on_projective_is_product_of_arrow_matrices(multiserial):
         for x, y, i, length in itertools.product(quiver.vertices, quiver.vertices,
                                                  range(3), range(4)):
             # a length-0 path (x == y) acts as the identity on e_x Lambda_i e_a
-            for rho in multiserial.path_basis(length, x, y).paths:
+            for rho in multiserial.path_basis(length, x, y).words:
                 expected = Matrix.identity(QQ, multiserial.dim_piece(i, a, x))
-                for k, aidx in enumerate(rho.arrows):
+                for k, aidx in enumerate(rho):
                     name = quiver.arrows[aidx].name
                     expected = multiserial.left_arrow_matrix(name, i + k, a) * expected
-                assert p.path_action(rho, i) == expected
+                assert p.path_action(x, rho, i) == expected
 
 
 def test_projective_cover_of_simple(biserial):

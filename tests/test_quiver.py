@@ -7,28 +7,28 @@ import weakref
 import pytest
 
 from koszul.dsl import ParseError, parse_presentation, print_presentation
-from koszul.linalg import QQ
+from koszul.linalg import GF, QQ
 from koszul.modules import injective_module, projective_module
-from koszul.quiver import Path, PathEnumerator, Quiver
+from koszul.quiver import PathEnumerator, Quiver
 
-from .conftest import MULTISERIAL
+from .conftest import MULTISERIAL, presentations_dir
 
 
 def test_trivial_path_basis():
     q = Quiver(["1"], [])
     basis = PathEnumerator(q, 0).basis(0, "1", "1")
-    assert [p.arrows for p in basis.paths] == [()]
+    assert basis.words == ((),)
 
 
 def test_biserial_degree_two_paths(biserial):
     basis = biserial.path_basis(2, "1", "3")
     assert len(basis) == 1
-    assert basis.paths[0].word(biserial.quiver) == "b*a"
+    assert biserial.quiver.word(basis.words[0]) == "b*a"
 
 
 def test_kronecker_paths_and_adjacency(kronecker):
     basis = kronecker.path_basis(1, "1", "2")
-    assert [p.word(kronecker.quiver) for p in basis.paths] == ["a", "b"]
+    assert [kronecker.quiver.word(w) for w in basis.words] == ["a", "b"]
     assert kronecker.quiver.adjacency_power_count(1, "1", "2") == 2
 
 
@@ -69,19 +69,23 @@ def test_path_bases_are_lexicographic_layers_and_counted(multiserial):
                      if all(q.arrows[a].target == q.arrows[b].source for a, b in zip(w, w[1:]))
                      and (not w or q.arrows[w[0]].source == x)]
             for y in q.vertices:
-                expected = [w for w in words if Path(x, w).end(q) == y]
-                assert [p.arrows for p in enum.basis(n, x, y).paths] == expected
+                expected = tuple(w for w in words if (q.arrows[w[-1]].target if w else x) == y)
+                assert enum.basis(n, x, y).words == expected
                 assert enum.basis(n, x, y) is enum.basis(n, x, y)
                 asked += 1
     after = PathEnumerator.basis.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (2 * asked, asked)
 
 
-def test_parser_roundtrip_canonical(biserial, multiserial):
-    for pres in (biserial, multiserial):
-        text = print_presentation(pres)
-        again = parse_presentation(text, pres.field, pres.degree_cap)
-        assert again == pres
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+@pytest.mark.parametrize("name", sorted(p.name for p in presentations_dir().glob("*.kz")))
+def test_parser_roundtrip_canonical(name, field):
+    # every shipped quiver (loops, parallel arrows, no arrows) and its dual's
+    pres = parse_presentation((presentations_dir() / name).read_text(), field, 4)
+    for p in (pres, pres.quadratic_dual()):
+        text = print_presentation(p)
+        again = parse_presentation(text, p.field, p.degree_cap)
+        assert again == p
         assert print_presentation(again) == text
 
 
