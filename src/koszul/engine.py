@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import Presentation
 from .complexes import (ChainMap, ComplexOfModules, DoubleChainMap, DoubleComplex,
-                        blocks_of, homology_at, is_acyclic, mapping_cone,
-                        single_module_complex, total_chain_map, total_complex)
+                        blocks_of, homology_at, is_acyclic, single_module_complex,
+                        total_chain_map, total_complex)
 from .linalg import Matrix
 from .modules import (GradedModule, GradedMorphism, block_morphism, block_parts,
                       direct_sum, evaluation_map, injective_module, kernel_module,
@@ -140,9 +140,10 @@ def koszulity_certificate(pres: Presentation, policy: TruncationPolicy) -> Koszu
     lo, hi = policy.degree_window
     n_max = policy.max_span
     # completeness needs Lambda to vanish by degree hi - n_max + 1, so only
-    # that many degrees are probed (infinite algebras stay cheap)
+    # that many degrees are probed (infinite algebras stay cheap), and the
+    # window to reach down to degree 0, where K_a's lowest pieces lie
     vanish = pres.lambda_vanishing_degree(limit=max(0, hi - n_max + 1))
-    complete = vanish is not None and hi >= n_max + vanish - 1
+    complete = lo <= 0 and vanish is not None and hi >= n_max + vanish - 1
     vertices = pres.quiver.vertices
     order = {x: k for k, x in enumerate(vertices)}
     failures = []
@@ -416,9 +417,10 @@ def _degree_bounds(m: GradedModule):
 
 @dataclass
 class AugmentationResult:
-    """eta or zeta with its verdicts, both read off the map's mapping cone C.
+    """eta or zeta with its verdicts, both read off the augmented complex A
+    of the map (`_augmented_complex`).
 
-    quasi_iso: C is acyclic at every position of `safe_positions`, those
+    quasi_iso: A is acyclic at every position of `safe_positions`, those
     whose neighbouring differentials were built.  h0_isomorphism: the map
     induces an isomorphism on H^0 (`_h0_isomorphism`).
     """
@@ -451,20 +453,42 @@ def _augmentation_input(m: GradedModule) -> GradedModule:
 
 def _augmentation_result(cx: ComplexOfModules, f: ChainMap, safe: tuple) -> AugmentationResult:
     """The (co)resolution cx of f with its verdicts."""
-    cone = mapping_cone(f)
-    qi = is_acyclic(cone, range(safe[0], safe[1] + 1))
-    return AugmentationResult(cx, f, safe, qi, _h0_isomorphism(cone))
+    aug = _augmented_complex(f)
+    qi = is_acyclic(aug, range(safe[0], safe[1] + 1))
+    return AugmentationResult(cx, f, safe, qi, _h0_isomorphism(aug))
 
 
-def _h0_isomorphism(cone: ComplexOfModules) -> bool:
-    """Does f induce an isomorphism on H^0, judged on its mapping cone C?
+def _augmented_complex(f: ChainMap) -> ComplexOfModules:
+    """The augmented complex of f: X -> Y, built on f's stored objects.
 
-    C's long exact sequence gives H^-1(C) = ker H^0(f) and H^0(C) = coker
+    Position n holds X^(n+1) with X's differential, or Y^n with Y's, and
+    f^(n+1) joins them: for eta, ... -> X^-1 -> X^0 -> M with M at 0; for
+    zeta, M -> Y^0 -> Y^1 -> ... with M at -1.  It is f's mapping cone with
+    X's differentials not negated, so the two have the same ranks and
+    homology.  Precondition: one side is a single module at position 0 and
+    no position holds both an X and a Y term; ValueError otherwise.
+    """
+    x, y = f.source, f.target
+    if not (x.modules.keys() <= {0} or y.modules.keys() <= {0}) \
+            or {n - 1 for n in x.modules} & y.modules.keys():
+        raise ValueError("the augmented complex needs a single module at position 0 "
+                         "and no position holding both an X and a Y term")
+    modules = {**{n - 1: m for n, m in x.modules.items()}, **y.modules}
+    diffs = {**{n - 1: d for n, d in x.diffs.items()}, **y.diffs,
+             **{n - 1: g for n, g in f.parts.items()}}
+    return ComplexOfModules(x.pres, x.window, modules, diffs, validate=False)
+
+
+def _h0_isomorphism(cx: ComplexOfModules) -> bool:
+    """Does f induce an isomorphism on H^0, judged on its augmented complex A
+    (or on its mapping cone, which has the same homology)?
+
+    A's long exact sequence gives H^-1(A) = ker H^0(f) and H^0(A) = coker
     H^0(f) when H^-1 of f's target and H^1 of f's source are zero.  For eta
     and zeta they are: M is a single module at position 0, a resolution sits
     in positions <= 0 and a coresolution in positions >= 0.
     """
-    return not homology_at(cone, -1) and not homology_at(cone, 0)
+    return not homology_at(cx, -1) and not homology_at(cx, 0)
 
 
 def eta_augmentation(m: GradedModule, policy: TruncationPolicy) -> AugmentationResult:

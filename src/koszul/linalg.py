@@ -316,11 +316,16 @@ class Matrix:
 
     @classmethod
     def kron(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        """Kronecker product, `a`-index major; `b` itself when `a` is the 1x1 identity."""
+        """Kronecker product, `a`-index major; `b` itself when `a` is the 1x1 identity.
+        Each row is written from a row of `a` and one of `b`, in canonical form."""
         if a.nrows == a.ncols == 1 and a.sparse_rows[0].get(0) == a.field.one:
             return b
-        blocks = {(i, j): b.scale(v) for i, row in enumerate(a.sparse_rows) for j, v in row.items()}
-        return cls.block(a.field, [b.nrows] * a.nrows, [b.ncols] * a.ncols, blocks)
+        p, bn = a.field.characteristic, b.ncols
+        rows = [{j * bn + c: v * w for j, v in ra.items() for c, w in rb.items()}
+                for ra in a.sparse_rows for rb in b.sparse_rows]
+        if p or any(type(v) is not int for m in (a, b) for r in m.sparse_rows for v in r.values()):
+            rows = [_nonzero_sums(r, p) for r in rows]
+        return cls(a.field, a.nrows * b.nrows, a.ncols * bn, rows)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Canonical reduced row echelon form (zero rows dropped)."""

@@ -108,10 +108,11 @@ class GradedModule:
 
     def tensor(self, d: int) -> "GradedModule":
         """Tensor with a d-dimensional space: the lazy direct sum of d copies,
-        keyed (k,), so the tensor index is major."""
+        keyed (k,) so the tensor index is major, with d times the dims."""
         if d == 1:
             return self
-        return direct_sum(self.pres, self.window, [((k,), self) for k in range(d)])
+        return GradedModule(self.pres, self.window, {k: d * v for k, v in self.dims.items()},
+                            None, tuple(((k,), self) for k in range(d)))
 
     def dualize(self) -> "GradedModule":
         """The graded dual over the opposite presentation."""
@@ -166,16 +167,18 @@ def block_morphism(src, tgt, tgt_parts, src_parts, parts) -> "GradedMorphism":
     """The morphism src -> tgt between the direct sums of `src_parts` and
     `tgt_parts` whose block (r, c) at piece (i, x) is parts[(r, c)][(i, x)], a
     map from that piece of src_parts[c] to that of tgt_parts[r].  Omitted
-    blocks are zero, and so is a piece of src and tgt without any block; a
-    block of the wrong shape, at any piece, raises ValueError."""
+    blocks are zero, and a piece of src and tgt without any block is one
+    `Matrix.zeros`; a block of the wrong shape, at any piece, raises ValueError."""
     by_piece: dict = {}
     for rc, mats in parts.items():
         for key, mat in mats.items():
             by_piece.setdefault(key, {})[rc] = mat
     field = src.pres.field
-    mats = {key: Matrix.block(field, [m.dim(*key) for m in tgt_parts],
-                              [m.dim(*key) for m in src_parts], by_piece.get(key, {}))
-            for key in (src.dims.keys() & tgt.dims.keys()) | by_piece.keys()}
+    mats = {key: Matrix.zeros(field, tgt.dims[key], src.dims[key])
+            for key in (src.dims.keys() & tgt.dims.keys()) - by_piece.keys()}
+    for key, blocks in by_piece.items():
+        mats[key] = Matrix.block(field, [m.dims.get(key, 0) for m in tgt_parts],
+                                 [m.dims.get(key, 0) for m in src_parts], blocks)
     return GradedMorphism(src, tgt, mats)
 
 

@@ -17,7 +17,7 @@ from koszul import cli
 from koszul.cli import CliError, main
 from koszul.dsl import parse_presentation, print_presentation
 from koszul.engine import (TruncationPolicy, ext_table, extend_functor, extend_functor_map,
-                           local_koszul_complex)
+                           koszulity_certificate, local_koszul_complex)
 from koszul.linalg import GF, QQ
 from koszul.modules import GradedMorphism, identity_morphism, projective_module
 from koszul.randomgen import random_morphism
@@ -76,6 +76,21 @@ def test_check_koszul_verdicts_and_exit_codes(capsys):
     f = data["certificate"]["failures"][0]
     assert (f["vertex"], f["position"], f["degree"]) == ("1", -2, 4)
     assert f["witness_dim"] == 1
+
+
+def test_window_above_degree_zero_gives_no_complete_certificate(capsys, biserial):
+    # every piece of the augmented K_a lies in internal degree >= 0, so a
+    # window starting above 0 checks none of biserial's failures (the first
+    # sits in degree 4): it must not claim KOSZUL
+    code, out, _ = run(capsys, "check-koszul", BISERIAL, "-N", "4", "--window", "6", "20",
+                       "--json")
+    cert = json.loads(out)["certificate"]
+    assert code == 0
+    assert (cert["verdict"], cert["complete"], cert["checked_triples"]) == \
+        ("KOSZUL_UP_TO_4", False, 0)
+    lib = koszulity_certificate(biserial, TruncationPolicy(4, (6, 20)))
+    assert (lib.verdict, lib.complete) == ("KOSZUL_UP_TO_4", False)
+    assert koszulity_certificate(biserial, TruncationPolicy(4, (0, 20))).verdict == "NOT_KOSZUL"
 
 
 def test_usage_error_exits_1_with_input_error(capsys):

@@ -11,8 +11,8 @@ from koszul.complexes import (ChainMap, ComplexOfModules, blocks_of, homology_at
                               mapping_cone, relabel_positions, single_module_complex,
                               total_complex)
 from koszul.dsl import parse_presentation, print_presentation
-from koszul.engine import (TruncationPolicy, _h0_isomorphism, _r_upper_module,
-                           eta_augmentation, ext_table,
+from koszul.engine import (TruncationPolicy, _augmented_complex, _h0_isomorphism,
+                           _r_upper_module, eta_augmentation, ext_table,
                            extend_functor, extend_functor_map,
                            extension_conjecture_check, functor_labels,
                            injective_coresolution, koszul_functor,
@@ -798,6 +798,18 @@ def _single_map(f: GradedMorphism) -> ChainMap:
                     {0: f}).validate()
 
 
+def _same_verdicts(f: ChainMap, safe: tuple) -> bool:
+    """The acyclicity, H^0 and homology tables of f's augmented complex equal
+    those of its mapping cone; returns the H^0 verdict."""
+    aug, cone = _augmented_complex(f), mapping_cone(f)
+    span = range(safe[0], safe[1] + 1)
+    assert is_acyclic(aug, span) == is_acyclic(cone, span)
+    assert homology_tables(aug) == homology_tables(cone)
+    verdict = _h0_isomorphism(aug)
+    assert verdict == _h0_isomorphism(cone)
+    return verdict
+
+
 def test_h0_check_rejects_zero_maps(multiserial):
     s = simple_module(multiserial, "1", 0, POLICY.degree_window)
     cx = single_module_complex(s)
@@ -816,7 +828,7 @@ def test_h0_check_rejects_endomorphisms_with_a_kernel(multiserial):
     kinds = set()
     for f in hom_basis(mm, mm):
         injective = all(f.piece(*k).rank() == d for k, d in mm.dims.items())
-        assert _h0_isomorphism(mapping_cone(_single_map(f))) == injective
+        assert _same_verdicts(_single_map(f), (-1, 0)) == injective
         kinds.add(injective)
     assert False in kinds
     assert _h0_isomorphism(mapping_cone(_single_map(identity_morphism(mm))))
@@ -871,6 +883,55 @@ def test_h0_check_matches_homology_modules_on_random_maps(multiserial):
         assert verdicts == {"eta": {True, False}, "zeta": {True, False}}
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF(3)"])
+@pytest.mark.parametrize("name", ["multiserial", "kronecker", "polynomial"])
+def test_augmented_complex_verdicts_equal_mapping_cone_verdicts(name, field):
+    pres = parse_presentation((presentations_dir() / f"{name}.kz").read_text(), field, 8)
+    policy = TruncationPolicy(3, (-2, 6))
+    verdicts = set()
+    for seed in range(4):
+        rng = random.Random(seed)
+        m = random_module(rng, pres, (0, 3))
+        g = random_morphism(rng, m, m)
+        for kind, build in (("eta", eta_augmentation), ("zeta", zeta_coaugmentation)):
+            res = build(m, policy)
+            assert (res.quasi_iso, res.h0_isomorphism) == (True, True)
+            f0 = res.map.part(0)
+            bent = g.compose(f0) if kind == "eta" else f0.compose(g)
+            for f in (res.map, ChainMap(res.map.source, res.map.target, {}),
+                      ChainMap(res.map.source, res.map.target, {0: bent}).validate(),
+                      ChainMap(res.map.source, res.map.target, {0: f0.scale(2)}).validate()):
+                verdicts.add(_same_verdicts(f, res.safe_positions))
+        # maps of single modules: a random morphism, the zero maps, and M -> 0, 0 -> M
+        cx, zero = single_module_complex(m), ComplexOfModules(pres, m.window, {}, {})
+        for f in (_single_map(g), _single_map(identity_morphism(m)), ChainMap(cx, cx, {}),
+                  ChainMap(cx, zero, {}), ChainMap(zero, cx, {})):
+            verdicts.add(_same_verdicts(f, (-1, 0)))
+    assert verdicts == {True, False}
+
+
+def test_augmented_complex_refuses_colliding_positions(multiserial):
+    rng = random.Random(5)
+    m = random_module(rng, multiserial, (0, 3))
+    n = random_module(rng, multiserial, (0, 3))
+    f = random_morphism(rng, m, n)
+    assert not f.is_zero()
+    x = ComplexOfModules(multiserial, (-2, 8), {0: m, 1: n}, {0: f})
+    # X^1 and Y^0 would both sit at position 0
+    with pytest.raises(ValueError, match="both an X and a Y term"):
+        _augmented_complex(ChainMap(x, single_module_complex(m), {}))
+    # neither side is a single module at position 0
+    with pytest.raises(ValueError, match="single module at position 0"):
+        _augmented_complex(ChainMap(x, x, {}))
+    shifted = ComplexOfModules(multiserial, (-2, 8), {-1: m}, {})
+    with pytest.raises(ValueError, match="single module at position 0"):
+        _augmented_complex(ChainMap(x, shifted, {}))
+    # a zero side is a single module at position 0; X^0 then sits at -1
+    zero = ComplexOfModules(multiserial, (-2, 8), {}, {})
+    aug = _augmented_complex(ChainMap(x, zero, {}))
+    assert aug.modules == {-1: m, 0: n} and aug.diffs == {-1: f}
+
+
 def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
     # a missing position, differential or part is read as zero, not built as one
     import koszul.complexes as complexes
@@ -886,16 +947,18 @@ def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
             for cx in cxs for n in positions]
     want_h0 = [_h0_reference(f) for f in maps]
     assert True in want_h0 and False in want_h0
-    # the cones are built before counting: test_eta_zeta_and_certificate_build_no_zero_object
-    # counts mapping_cone itself
-    cones = [mapping_cone(f) for f in maps]
     calls = []
     for name in ("zero_module", "zero_morphism"):
         real = getattr(complexes, name)
         monkeypatch.setattr(complexes, name, lambda *args, _real=real, _name=name:
                             calls.append(_name) or _real(*args))
+    # the cones and augmented complexes are built while counting: both read
+    # only the stored positions, differentials and parts
+    cones = [mapping_cone(f) for f in maps]
+    augs = [_augmented_complex(f) for f in maps]
     assert [homology_at(cx, n) for cx in cxs for n in positions] == want
     assert [_h0_isomorphism(cone) for cone in cones] == want_h0
+    assert [_h0_isomorphism(aug) for aug in augs] == want_h0
     assert all(f.validate() is f for f in maps)
     assert all(is_acyclic(cone, range(lo, hi + 1)) for cone, (lo, hi) in
                zip(cxs[2::3], (res.safe_positions for res in results)))
@@ -905,9 +968,9 @@ def test_homology_and_h0_check_build_no_zero_object(multiserial, monkeypatch):
 
 
 def test_eta_zeta_and_certificate_build_no_zero_object(multiserial, monkeypatch, capsys):
-    # the cone is the total complex of the stored positions, differentials and
-    # parts, and the certificate reads stored positions: neither synthesizes a
-    # zero module or morphism
+    # the augmented complex holds the map's stored positions, differentials
+    # and parts, and the certificate reads stored positions: neither
+    # synthesizes a zero module or morphism
     import koszul.complexes as complexes
     from koszul.cli import main
     policy = TruncationPolicy(5, (-2, 9))
@@ -995,6 +1058,29 @@ def test_mapping_cone_acyclicity_ranks_each_piece_once(multiserial, monkeypatch)
     assert all(_h0_isomorphism(cone) for cone in cones)
     assert sum(n for _, n in seen.values()) == count
     _assert_ranked_once(seen, real, cones)
+
+
+def test_eta_zeta_verdicts_rank_the_resolutions_own_pieces_once(multiserial, monkeypatch):
+    # the verdicts are read off the augmented complex, which holds the
+    # (co)resolution's own differentials: each piece is eliminated once,
+    # and its rank is kept on that matrix, not on a negated copy
+    w = POLICY.degree_window
+    seen, real = _counting_eliminations(monkeypatch)
+    for m in (simple_module(multiserial, "1", 0, w),
+              random_module(random.Random(2), multiserial, (0, 4))):
+        for kind, build in (("eta", eta_augmentation), ("zeta", zeta_coaugmentation)):
+            res = build(m, POLICY)
+            assert res.quasi_iso and res.h0_isomorphism
+            _assert_ranked_once(seen, real, [res.complex])
+            lo, hi = res.safe_positions
+            # augmented position n holds X^(n+1) for eta and Y^n for zeta, so
+            # H^lo ... H^hi read X's d^lo ... d^-1, or Y's d^0 ... d^hi
+            ranked = range(lo, 0) if kind == "eta" else range(0, hi + 1)
+            pieces = [mat for n in ranked if n in res.complex.diffs
+                      for mat in res.complex.diffs[n].mats.values()]
+            assert pieces and all(mat._rank is not None for mat in pieces)
+            assert all(seen[id(mat.sparse_rows)][1] == 1 for mat in pieces)
+            assert all(seen[id(mat.sparse_rows)][1] == 1 for mat in res.map.part(0).mats.values())
 
 
 def test_certificate_ranks_each_piece_once(multiserial, monkeypatch):

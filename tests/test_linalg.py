@@ -95,12 +95,28 @@ def test_kron_matches_entrywise_definition(field):
             for j in range(ca * cb):
                 v = a.rows[i // rb][j // cb] * b.rows[i % rb][j % cb]
                 assert k.rows[i][j] == (v % p if p else v)
+        # the block matrix of scaled copies, a-index major
+        blocks = {(i, j): b.scale(v) for i, row in enumerate(a.sparse_rows)
+                  for j, v in row.items()}
+        assert k == Matrix.block(field, [rb] * ra, [cb] * ca, blocks)
+        # no explicit zeros, and every entry in canonical form
+        assert all(v and type(v) is type(field.of(v)) and v == field.of(v)
+                   for row in k.sparse_rows for v in row.values())
+    # Fractions whose product is integral give an int over QQ
+    thirds = Matrix.from_rows(field, [[Fraction(1, 3), 0], [0, Fraction(3, 2)]])
+    k = Matrix.kron(thirds, Matrix.from_rows(field, [[3, Fraction(2, 3)]]))
+    assert k.rows == [[field.of(1), field.of(Fraction(2, 9)), 0, 0],
+                      [0, 0, field.of(Fraction(9, 2)), field.of(1)]]
+    assert type(k.sparse_rows[0][0]) is int and type(k.sparse_rows[1][3]) is int
     # a zero factor gives a zero product of the right shape
     zero = Matrix.zeros(field, 2, 2)
     assert Matrix.kron(zero, Matrix.identity(field, 3)) == Matrix.zeros(field, 6, 6)
-    # the 1x1 identity factor hands back the other factor itself
+    # the 1x1 identity factor hands back the other factor itself; another
+    # 1x1 factor does not
     b = Matrix.from_rows(field, [[1, 2, 0], [0, -1, 3]])
     assert Matrix.kron(Matrix.identity(field, 1), b) is b
+    two = Matrix.kron(Matrix.from_rows(field, [[2]]), b)
+    assert two is not b and two == b.scale(2)
 
 
 def _entries(rng, field, nrows, ncols):

@@ -335,6 +335,24 @@ def test_tensor_is_a_lazy_sum_of_copies(multiserial, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
+def test_tensor_is_the_direct_sum_of_copies(field):
+    pres = parse_presentation(MULTISERIAL, field, 8)
+    m = random_module(random.Random(6), pres, (0, 3))
+    for d in (0, 2, 3):
+        t, ref = m.tensor(d), direct_sum(pres, m.window, [((k,), m) for k in range(d)])
+        assert (t.pres, t.window, t.dims) == (ref.pres, ref.window, ref.dims)
+        assert t.blocks == ref.blocks and all(block is m for _, block in t.blocks)
+        assert t.actions == ref.actions
+        # its shift stays a lazy sum of shifted copies
+        for s in (1, -2):
+            shifted = m.tensor(d).shift(s)
+            assert shifted._actions is None
+            assert [key for key, _ in shifted.blocks] == [(k,) for k in range(d)]
+            assert shifted.same_content(ref.shift(s))
+            assert shifted.dims == m.shift(s).tensor(d).dims
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF(101)"])
 def test_tensor_one_is_the_module_and_two_is_a_kron(field):
     pres = parse_presentation(MULTISERIAL, field, 8)
     m = random_module(random.Random(5), pres, (0, 3))
